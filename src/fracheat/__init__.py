@@ -27,7 +27,6 @@ from .solution import (GaussianBump, SolutionEstimate, WeakFormReport,
                        density_monte_carlo, density_quadrature, mass_residual,
                        mittag_leffler)
 from .subordinator import (IdentityReport, SubordinatorModel, TailBoundsReport,
-                           integrated_tail_identities, stable_density,
-                           tail_bounds_report)
+                           integrated_tail_identities, tail_bounds_report)
 
 __version__ = "0.1.0"

@@ -292,12 +292,16 @@ def parse_exponent(key):
     """Parse a config value like 'stable:0.5' or 'mixture:1,0.3;1,0.7'."""
     kind, _, rest = key.partition(":")
     kind = kind.strip().lower()
+    try:
+        if kind == "stable":
+            beta = float(rest)
+        elif kind == "mixture":
+            terms = tuple((float(a), float(b))
+                          for a, b in (part.split(",") for part in rest.split(";")))
+    except ValueError:
+        raise DomainError(f"malformed subordinator spec {key!r}") from None
     if kind == "stable":
-        return Stable(float(rest))
+        return Stable(beta)
     if kind == "mixture":
-        terms = []
-        for part in rest.split(";"):
-            a, b = part.split(",")
-            terms.append((float(a), float(b)))
-        return StableMixture(tuple(terms))
+        return StableMixture(terms)
     raise DomainError(f"unknown subordinator spec {key!r}")

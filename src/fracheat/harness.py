@@ -10,16 +10,12 @@ report asserts nothing about the (unknown) comparability constants; it
 records finiteness and per-regime spread, and acceptance thresholds live
 with the test suite.
 
-Rows are evaluated concurrently when FRACHEAT_THREADS allows, but results
-are always collected in (t-index, z-index) order and Monte Carlo rows use
-stream index = row index, so output is byte-identical for any worker
-count.
+Rows are evaluated in (t-index, z-index) order and Monte Carlo rows use
+stream index = row index, so output is byte-identical across runs.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -163,13 +159,6 @@ class SandwichReport:
     all_finite: bool
 
 
-def _worker_count():
-    env = os.environ.get("FRACHEAT_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return 1
-
-
 def _evaluate_row(kernel, model, emodel, cfg, index, t, z):
     try:
         tag = emodel.classify(t, z)
@@ -196,23 +185,14 @@ def verify_sandwich(cfg):
     kernel, model, emodel = build_models(cfg)
     t_grid = np.geomspace(cfg.t_lo, cfg.t_hi, cfg.t_n) if cfg.t_n else np.array([])
     v_grid = np.geomspace(cfg.z_lo, cfg.z_hi, cfg.z_n) if cfg.z_n else np.array([])
-    tasks = []
+    rows = []
     for i, t in enumerate(t_grid):
         phi_t = emodel.exponent.phi(1.0 / t)
         for j, v in enumerate(v_grid):
             z = emodel.scale.inverse(v / phi_t) if cfg.z_mode == "regime" else v
-            tasks.append((i * len(v_grid) + j, float(t), float(z)))
-
-    def run(task):
-        index, t, z = task
-        return _evaluate_row(kernel, model, emodel, cfg, index, t, z)
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(run, tasks))
-    else:
-        rows = tuple(run(task) for task in tasks)
+            rows.append(_evaluate_row(kernel, model, emodel, cfg, i * len(v_grid) + j,
+                                      float(t), float(z)))
+    rows = tuple(rows)
 
     near = [r.ratio for r in rows if r.regime == "near" and r.ratio is not None]
     off = [r.ratio for r in rows if r.regime == "off" and r.ratio is not None]

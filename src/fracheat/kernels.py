@@ -133,10 +133,12 @@ def parse_kernel(key, volume=None, scale=None):
     """Parse 'gaussian:1', 'cauchy:1', 'jump' or 'diffusion' config values."""
     kind, _, rest = key.partition(":")
     kind = kind.strip().lower()
-    if kind == "gaussian":
-        return ExactGaussian(int(rest or 1))
-    if kind == "cauchy":
-        return ExactCauchy(int(rest or 1))
+    if kind in ("gaussian", "cauchy"):
+        try:
+            dim = int(rest or 1)
+        except ValueError:
+            raise DomainError(f"malformed kernel spec {key!r}") from None
+        return ExactGaussian(dim) if kind == "gaussian" else ExactCauchy(dim)
     if kind == "jump":
         return JumpSurrogate(volume, scale)
     if kind == "diffusion":

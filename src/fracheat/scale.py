@@ -116,10 +116,16 @@ def parse_profile(key):
     """Parse 'power:2' or 'power2:2,3,1.0' (low exp, high exp, break)."""
     kind, _, rest = key.partition(":")
     kind = kind.strip().lower()
+    try:
+        if kind == "power":
+            exponent = float(rest)
+        elif kind == "power2":
+            lo, hi, brk = (float(v) for v in rest.split(","))
+    except ValueError:
+        raise DomainError(f"malformed profile spec {key!r}") from None
     if kind == "power":
-        return PowerLaw(float(rest))
+        return PowerLaw(exponent)
     if kind == "power2":
-        lo, hi, brk = (float(v) for v in rest.split(","))
         return PiecewisePower(lo, hi, brk)
     raise DomainError(f"unknown profile spec {key!r}")
 

@@ -32,11 +32,6 @@ def _generator(rng):
     return rng.generator if isinstance(rng, RngStream) else rng
 
 
-def stable_density(beta, x):
-    """Density of S_1 with E[exp(-lam S_1)] = exp(-lam**beta) at x > 0."""
-    return stable.density(beta, x)
-
-
 @dataclass(frozen=True)
 class SubordinatorModel:
     """A subordinator identified by its Laplace exponent."""

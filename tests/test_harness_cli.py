@@ -1,15 +1,11 @@
 """Campaign harness and command-line surface."""
 
-import io
-import os
-
 import numpy as np
 import pytest
 
 from fracheat import VerifyConfig, verify_sandwich
 from fracheat.cli import run_cli
-from fracheat.harness import (build_models, config_from_mapping, read_config,
-                              write_report_csv)
+from fracheat.harness import build_models, config_from_mapping, read_config
 from fracheat.errors import DomainError
 
 
@@ -40,19 +36,6 @@ class TestVerify:
         _, _, emodel = build_models(cfg)
         for row in rep.rows:
             assert emodel.classify(row.t, row.z).regime.value == row.regime
-
-    def test_thread_count_does_not_change_bytes(self):
-        cfg = small_jump_config()
-        outs = []
-        for threads in ("1", "4"):
-            os.environ["FRACHEAT_THREADS"] = threads
-            try:
-                buf = io.StringIO()
-                write_report_csv(buf, verify_sandwich(cfg))
-                outs.append(buf.getvalue())
-            finally:
-                del os.environ["FRACHEAT_THREADS"]
-        assert outs[0] == outs[1]
 
     def test_mc_campaign_deterministic(self):
         cfg = small_jump_config(method="mc", mc_samples=2000, seed=5)
@@ -157,6 +140,16 @@ class TestCli:
 
     def test_bad_flag_is_usage_error(self):
         assert run_cli(["eval", "--nope"]) == 2
+
+    @pytest.mark.parametrize("flag, key", [
+        ("--kernel", "gaussian:x"), ("--subordinator", "mixture:1"),
+        ("--subordinator", "stable:"), ("--phi-scale", "power:"),
+        ("--volume", "power2:1,2")])
+    def test_malformed_model_key_is_usage_error(self, capsys, flag, key):
+        code = run_cli(["estimate", flag, key, "--t", "1", "--z", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert key in err and "Traceback" not in err
 
     def test_verify_to_file(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 from fracheat import (DomainError, ExactCauchy, ExactGaussian, GaussianBump,
                       RngStream, Stable, SubordinatorModel,
@@ -20,6 +20,27 @@ from fracheat import (DomainError, ExactCauchy, ExactGaussian, GaussianBump,
                       mittag_leffler)
 
 P_ONE_ZERO = math.gamma(0.25) / (4.0 ** 0.75 * math.pi)
+
+
+def _half_stable_reference(kind, t, z):
+    """p(t, z) for the 1-d Gaussian or Cauchy kernel under a 1/2-stable time
+    change, where E_t has the closed-form density exp(-s^2/4t)/sqrt(pi t):
+    one QUADPACK integral in u = log s, split at the peak of q(s, z) h_t(s)."""
+    def integrand(u):
+        s = math.exp(u)
+        if kind == "gaussian":
+            log_q = -0.5 * math.log(4.0 * math.pi * s) - z * z / (4.0 * s)
+        else:
+            log_q = math.log(s / (math.pi * (s * s + z * z)))
+        return math.exp(log_q + u - s * s / (4.0 * t) - 0.5 * math.log(math.pi * t))
+
+    peak = (z * z * t / 2.0) ** (1.0 / 3.0) if kind == "gaussian" else z
+    marks = sorted({0.5 * math.log(t), math.log(max(peak, 1e-300))})
+    lo, hi = marks[0] - 40.0, 0.5 * math.log(3200.0 * t)  # s^2/4t = 800 at hi
+    val, _ = integrate.quad(integrand, max(lo, -700.0), hi,
+                            points=[m for m in marks if m > lo], epsabs=0.0,
+                            epsrel=1e-13, limit=400)
+    return val
 
 
 @pytest.fixture(scope="module")
@@ -48,14 +69,35 @@ class TestQuadrature:
         est = density_quadrature(gauss, half, 16.0, 0.0)
         assert est.value == pytest.approx(P_ONE_ZERO * 16.0 ** -0.25, rel=1e-7)
 
-    def test_panel_matches_adaptive(self, gauss, cauchy, half):
-        cases = {gauss: ((1.0, 0.0), (0.1, 1.0), (10.0, 3.0), (1.0, 30.0)),
-                 cauchy: ((1.0, 0.3), (0.1, 1.0), (10.0, 3.0), (1.0, 30.0))}
-        for kernel, points in cases.items():
-            for t, z in points:
-                a = density_quadrature(kernel, half, t, z).value
-                b = density_quadrature(kernel, half, t, z, method="panel").value
-                assert b == pytest.approx(a, rel=1e-7)
+    @pytest.mark.parametrize("kind, t, z", [
+        ("gaussian", 1.0, 0.0), ("gaussian", 0.1, 1.0), ("gaussian", 10.0, 3.0),
+        ("gaussian", 1.0, 30.0), ("gaussian", 1.3737515291681892, 39.3330341341852),
+        ("cauchy", 1.0, 0.3), ("cauchy", 0.1, 1.0), ("cauchy", 10.0, 3.0),
+        ("cauchy", 1.0, 30.0), ("cauchy", 1311.4930702352094, 78913.3705214919)])
+    def test_error_estimate_is_honest(self, gauss, cauchy, half, kind, t, z):
+        kernel = gauss if kind == "gaussian" else cauchy
+        est = density_quadrature(kernel, half, t, z)
+        ref = _half_stable_reference(kind, t, z)
+        assert est.converged
+        assert abs(est.value - ref) <= 1e-10 * ref
+        assert abs(est.value - ref) <= est.error
+
+    def test_unmet_tolerance_is_flagged(self, cauchy, monkeypatch):
+        from fracheat import QuadratureConfig, numerics
+        evaluated = []
+        panels = numerics._kronrod_panels
+
+        def counting(f, lo, hi):
+            evaluated.append(lo.size)
+            return panels(f, lo, hi)
+
+        monkeypatch.setattr(numerics, "_kronrod_panels", counting)
+        model = SubordinatorModel(Stable(0.5), QuadratureConfig(rel_tol=1e-20))
+        est = density_quadrature(cauchy, model, 1.0, 0.3)
+        assert sum(evaluated[1:]) == 2 * numerics._MAX_BISECTIONS  # budget spent
+        assert not est.converged
+        assert math.isfinite(est.error) and est.error > 1e-20 * est.value
+        assert est.value == pytest.approx(_half_stable_reference("cauchy", 1.0, 0.3), rel=1e-12)
 
     def test_cauchy_on_diagonal_diverges(self, cauchy, half):
         with pytest.raises(DomainError):
