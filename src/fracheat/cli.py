@@ -88,11 +88,18 @@ def _build_parser():
     return parser
 
 
-def _exponent_from_args(args):
-    if getattr(args, "subordinator", None):
-        return parse_exponent(args.subordinator)
-    beta = getattr(args, "beta", None)
-    return parse_exponent(f"stable:{beta if beta is not None else 0.5}")
+def _subordinator_key(args):
+    """The --subordinator key, or the --beta shorthand for it; None if neither."""
+    if args.subordinator:
+        return args.subordinator
+    return None if args.beta is None else f"stable:{args.beta}"
+
+
+def _model_config(args):
+    """Campaign config carrying the model flags of eval/estimate."""
+    return harness.config_from_mapping({
+        "subordinator": _subordinator_key(args),
+        **{k: getattr(args, k) or None for k in ("kernel", "phi_scale", "volume")}})
 
 
 @contextlib.contextmanager
@@ -105,15 +112,10 @@ def _out_stream(path):
 
 
 def _cmd_eval(args):
-    cfg = harness.config_from_mapping({
-        k: getattr(args, k) for k in ("kernel", "phi_scale", "volume") if getattr(args, k)
-    })
-    exponent = _exponent_from_args(args)
-    kernel, model = harness.build_kernel_and_model(
-        harness.config_from_mapping({"subordinator": _key_of(exponent)}, base=cfg))
+    kernel, model = harness.build_kernel_and_model(_model_config(args))
     if args.method == "fourier":
         alpha = args.alpha
-        beta = getattr(exponent, "beta", None)
+        beta = getattr(model.exponent, "beta", None)
         if beta is None:
             raise DomainError("the Fourier oracle needs a stable subordinator")
         value, err, method = solution.density_fourier(beta, alpha, args.t, args.z), 1e-8, "fourier"
@@ -133,22 +135,8 @@ def _cmd_eval(args):
     return 0
 
 
-def _key_of(exponent):
-    from .bernstein import Stable, StableMixture
-    if isinstance(exponent, Stable):
-        return f"stable:{exponent.beta}"
-    if isinstance(exponent, StableMixture):
-        return "mixture:" + ";".join(f"{a},{b}" for a, b in exponent.terms)
-    raise DomainError("constructed exponents have no CLI key")
-
-
 def _cmd_estimate(args):
-    cfg = harness.config_from_mapping({
-        k: getattr(args, k) for k in ("kernel", "phi_scale", "volume") if getattr(args, k)
-    })
-    cfg = harness.config_from_mapping({"subordinator": _key_of(_exponent_from_args(args))},
-                                      base=cfg)
-    _, _, emodel = harness.build_models(cfg)
+    _, _, emodel = harness.build_models(_model_config(args))
     shape = emodel.estimate(args.t, args.z)
     with _out_stream(args.out) as fh:
         fh.write(CSV_HEADER_COMMENT + "\n")
@@ -167,11 +155,9 @@ def _cmd_verify(args):
             return 2
         base = harness.config_from_mapping(harness.read_config(args.config))
     overrides = {k: getattr(args, k) for k in (
-        "subordinator", "kernel", "phi_scale", "volume", "t_lo", "t_hi", "t_n",
-        "z_lo", "z_hi", "z_n", "z_mode", "method", "mc_samples", "seed", "out")
-        if getattr(args, k, None) is not None}
-    if getattr(args, "beta", None) is not None and "subordinator" not in overrides:
-        overrides["subordinator"] = f"stable:{args.beta}"
+        "kernel", "phi_scale", "volume", "t_lo", "t_hi", "t_n",
+        "z_lo", "z_hi", "z_n", "z_mode", "method", "mc_samples", "seed", "out")}
+    overrides["subordinator"] = _subordinator_key(args)
     cfg = harness.config_from_mapping(overrides, base=base)
     report = harness.verify_sandwich(cfg)
     with _out_stream(cfg.out) as fh:
@@ -184,8 +170,8 @@ def _cmd_verify(args):
 
 
 def _cmd_sample(args):
-    exponent = _exponent_from_args(args)
-    model = SubordinatorModel(exponent, DEFAULT_QUADRATURE)
+    key = _subordinator_key(args) or VerifyConfig.subordinator
+    model = SubordinatorModel(parse_exponent(key))
     rng = RngStream(args.seed, 0)
     if args.dist == "s":
         if args.r is None:

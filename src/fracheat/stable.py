@@ -14,10 +14,14 @@ Evaluation strategy, by argument size:
          * int_0^pi A(u) * exp(-x**(-beta/(1-beta)) * A(u)) du,
   A(u) = sin(beta*u)**(beta/(1-beta)) * sin((1-beta)*u) / sin(u)**(1/(1-beta)),
   and P(S <= x) = (1/pi) * int_0^pi exp(-x**(-beta/(1-beta)) * A(u)) du.
-  A is increasing from A(0+) = beta**(beta/(1-beta)) * (1-beta) to +inf, so
-  the integrand is evaluated on Gauss-Legendre panels whose boundaries are
-  placed at dyadic levels of the exponent c*A(u); everything is computed in
-  log space and clamped below exp(-745) to dodge underflow.
+  A is increasing from A(0+) = beta**(beta/(1-beta)) * (1-beta) to +inf.
+  Every x < 1 is evaluated on one cached Gauss-Legendre grid per beta
+  whose panel boundaries sit at the levels A(0+) * 2**j and A(0+) + 2**k:
+  the union of the dyadic ladders of the exponent c*A(u) over all c of
+  x < 1, so one grid resolves every x.  The scalar density, cdf and
+  survival are one-point views of the batched ``density_grid`` and
+  ``cdf_grid``.  Grid nodes where exp(-c*A) has underflowed are skipped;
+  only ``log_cdf`` lays its own shifted ladder, past that level.
 
 Sampling uses Kanter's representation S = (A(U)/W)**((1-beta)/beta) with
 U ~ Uniform(0, pi) and W ~ Exponential(1).
@@ -35,7 +39,6 @@ from .numerics import panel_nodes
 
 _EXP_CUT = 745.0       # |log| beyond which exp() under/overflows float64
 _SERIES_KMAX = 300
-_GL_ORDER = 20
 
 
 def _check_beta(beta):
@@ -78,39 +81,6 @@ def _theta_at_levels(beta, log_targets, iters=40):
     return 0.5 * (lo + hi)
 
 
-@lru_cache(maxsize=4096)
-def _scalar_boundaries_bucketed(beta, c_bucket):
-    """Panel boundaries in theta resolving both scales of w = c * A(theta).
-
-    Dyadic levels are laid both multiplicatively (w0 * 2**j) and additively
-    (w0 + 2**j), capped past the underflow level; either ladder alone can be
-    too coarse when w0 is small resp. large.  Boundaries are cached per
-    octave of c: using the octave representative only shifts levels by at
-    most a factor 2, which the dyadic ladders absorb.
-    """
-    c = 2.0 ** c_bucket
-    w0 = c * a_zero(beta)
-    cap = 2.0 * (_EXP_CUT + 5.0)
-    levels = set()
-    lv = 2.0 * w0
-    while lv < cap:
-        levels.add(lv)
-        lv *= 2.0
-    lv = 0.25
-    while lv < cap:
-        if w0 + lv < cap:
-            levels.add(w0 + lv)
-        lv *= 2.0
-    levels.add(cap)
-    levels = np.array(sorted(levels))
-    thetas = _theta_at_levels(beta, np.log(levels / c))
-    return np.concatenate([[0.0], np.unique(thetas)])
-
-
-def _scalar_boundaries(beta, c):
-    return _scalar_boundaries_bucketed(beta, int(np.floor(np.log2(c))))
-
-
 def _log_w0(beta, x):
     """log of c * A(0+) with c = x**(-beta/(1-beta)), overflow-safe."""
     return -tilt(beta) * np.log(x) + np.log(a_zero(beta))
@@ -122,52 +92,23 @@ def density(beta, x):
     x = float(x)
     if x <= 0.0:
         raise DomainError(f"stable density needs x > 0, got {x}")
-    if x >= 1.0:
-        return float(_density_series(beta, np.array([x]))[0])
-    if _log_w0(beta, x) > np.log(_EXP_CUT):
-        return 0.0
-    c = x ** -tilt(beta)
-    nodes, weights = panel_nodes(_scalar_boundaries(beta, c), order=_GL_ORDER)
-    la = log_a(nodes, beta)
-    expo = la - c * np.exp(la)
-    integral = np.dot(weights, np.exp(np.clip(expo, -_EXP_CUT - 10, None))) / np.pi
-    return tilt(beta) * x ** (-1.0 / (1.0 - beta)) * integral
+    return float(density_grid(beta, [x])[0])
 
 
 def cdf(beta, x):
     """P(S <= x) for x > 0 (scalar)."""
-    _check_beta(beta)
-    x = float(x)
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0 - float(_survival_series(beta, np.array([x]))[0])
-    if _log_w0(beta, x) > np.log(_EXP_CUT):
-        return 0.0
-    c = x ** -tilt(beta)
-    nodes, weights = panel_nodes(_scalar_boundaries(beta, c), order=_GL_ORDER)
-    w = c * np.exp(log_a(nodes, beta))
-    return float(np.dot(weights, np.exp(-np.clip(w, None, _EXP_CUT + 10))) / np.pi)
+    return float(cdf_grid(beta, [float(x)])[0])
 
 
 def survival(beta, x):
     """P(S >= x) for x > 0 (scalar)."""
     _check_beta(beta)
     x = float(x)
-    if x <= 0.0:
-        return 1.0
     if x >= 1.0:
         return float(_survival_series(beta, np.array([x]))[0])
-    if _log_w0(beta, x) > np.log(_EXP_CUT):
-        return 1.0
-    c = x ** -tilt(beta)
-    boundaries = _scalar_boundaries(beta, c)
-    nodes, weights = panel_nodes(boundaries, order=_GL_ORDER)
-    w = c * np.exp(log_a(nodes, beta))
-    val = np.dot(weights, -np.expm1(-np.clip(w, None, _EXP_CUT + 10)))
-    # beyond the last boundary the integrand equals 1 to machine precision
-    val += np.pi - boundaries[-1]
-    return float(val / np.pi)
+    # below 1 the survival stays above 0.1 for beta <= 0.9999, so 1 - cdf
+    # costs less than one digit
+    return 1.0 - cdf(beta, x)
 
 
 def log_cdf(beta, x):
@@ -189,7 +130,7 @@ def log_cdf(beta, x):
     shifts = shifts[shifts < _EXP_CUT]
     levels = a0 + np.concatenate([shifts, [_EXP_CUT + 5.0]]) / c
     thetas = np.concatenate([[0.0], np.unique(_theta_at_levels(beta, np.log(levels)))])
-    nodes, weights = panel_nodes(thetas, order=_GL_ORDER)
+    nodes, weights = panel_nodes(thetas, order=20)
     shifted = c * (np.exp(log_a(nodes, beta)) - a0)
     return float(-w0 + special.logsumexp(-shifted, b=weights / np.pi))
 
@@ -225,26 +166,38 @@ def _survival_series(beta, xs):
 
 @lru_cache(maxsize=32)
 def _common_grid(beta):
-    """Shared theta nodes for batched x < 1 evaluation.
+    """Theta nodes shared by every x < 1 evaluation at this beta.
 
-    x < 1 means the exponent scale c >= 1, so the integrand is dead beyond
-    the point where A alone reaches the underflow level; the grid ends
-    there.  Features near 0 live at theta scales >= (745 * beta)**-0.5 (the
-    narrowest representable peak), which the geometric ladder resolves.  The
-    grid starts at 0 and the ladder reaches pi/2: a gap at either end cost
-    up to 5e-10 relative in the deep tail.
+    x < 1 means the exponent scale c = x**(-beta/(1-beta)) lies in
+    [1, 745/A(0+)] (beyond it everything underflows), and w = c * A(theta)
+    must be resolved both multiplicatively and additively around
+    w0 = c * A(0+).  Panel boundaries sit at the levels A = A(0+) * 2**j
+    and A = A(0+) + 2**k, the union over all such c of the dyadic ladders
+    w0 * 2**j and w0 + 2**k, up to the cap 2 * (745 + 5) where the
+    integrand is dead for every c >= 1.
     """
-    theta_max = float(_theta_at_levels(beta, [np.log(2.0 * _EXP_CUT)])[0])
-    parts = [[0.0], np.geomspace(1e-4, np.pi / 2, 30)]
-    if theta_max > np.pi / 2:
-        gap = np.pi - theta_max
-        right = np.pi - gap * 1.5 ** np.arange(0, 40)
-        right = right[right > np.pi / 2]
-        parts += [right[::-1], [theta_max]]
-    boundaries = np.unique(np.concatenate(parts))
-    nodes, weights = panel_nodes(boundaries, order=12)
+    a0 = a_zero(beta)
+    cap = 2.0 * (_EXP_CUT + 5.0)
+    times = a0 * 2.0 ** np.arange(1, np.ceil(np.log2(cap / a0)))
+    k_lo = -np.floor(np.log2(_EXP_CUT / a0)) - 4
+    plus = a0 + 2.0 ** np.arange(k_lo, np.log2(cap))
+    levels = np.concatenate([times, plus, [cap]])
+    thetas = _theta_at_levels(beta, np.log(levels))
+    nodes, weights = panel_nodes(np.concatenate([[0.0], np.unique(thetas)]), order=10)
     la = log_a(nodes, beta)
-    return nodes, weights, la, np.exp(la)
+    return weights, la, np.exp(la)
+
+
+def _live_grid(beta, c):
+    """The cached grid up to where min(c) * A passes 755 + 10.
+
+    Past that point both integrands are exp(< -745) = 0 in every row, so
+    the cut changes no value; it skips numpy's slow exp path for
+    arguments that underflow.
+    """
+    weights, la, a_vals = _common_grid(beta)
+    n = np.searchsorted(a_vals, (_EXP_CUT + 10.0) / c.min())
+    return weights[:n], la[:n], a_vals[:n]
 
 
 def cdf_grid(beta, xs):
@@ -257,11 +210,9 @@ def cdf_grid(beta, xs):
         out[hi] = 1.0 - _survival_series(beta, xs[hi])
     lo = (~hi) & (xs > 0.0) & (_log_w0(beta, np.maximum(xs, 1e-300)) <= np.log(_EXP_CUT))
     if lo.any():
-        _, weights, _, a_vals = _common_grid(beta)
         c = xs[lo] ** -tilt(beta)
-        expo = -c[:, None] * a_vals[None, :]
-        np.clip(expo, -_EXP_CUT - 10, None, out=expo)
-        out[lo] = np.exp(expo) @ weights / np.pi
+        weights, _, a_vals = _live_grid(beta, c)
+        out[lo] = np.exp(-c[:, None] * a_vals[None, :]) @ weights / np.pi
     return out
 
 
@@ -275,11 +226,9 @@ def density_grid(beta, xs):
         out[hi] = _density_series(beta, xs[hi])
     lo = (~hi) & (xs > 0.0) & (_log_w0(beta, np.maximum(xs, 1e-300)) <= np.log(_EXP_CUT))
     if lo.any():
-        _, weights, la, a_vals = _common_grid(beta)
         c = xs[lo] ** -tilt(beta)
-        expo = la[None, :] - c[:, None] * a_vals[None, :]
-        np.clip(expo, -_EXP_CUT - 10, None, out=expo)
-        integ = np.exp(expo) @ weights / np.pi
+        weights, la, a_vals = _live_grid(beta, c)
+        integ = np.exp(la[None, :] - c[:, None] * a_vals[None, :]) @ weights / np.pi
         out[lo] = tilt(beta) * xs[lo] ** (-1.0 / (1.0 - beta)) * integ
     return out
 

@@ -23,9 +23,12 @@ from scipy import integrate
 
 from . import stable
 from .bernstein import LaplaceExponent, Stable, StableMixture
-from .errors import DomainError, UnsupportedModelError
+from .errors import DomainError, QuadratureError, UnsupportedModelError
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, panel_nodes
 from .rng import RngStream
+
+# path steps one first-passage draw may take before it gives up
+_MAX_INCREMENTS = 4_000_000
 
 
 def _generator(rng):
@@ -134,11 +137,7 @@ class SubordinatorModel:
         if t <= 0.0 or r <= 0.0:
             raise DomainError("inverse_density needs t, r > 0")
         if kind == "stable":
-            b = self.exponent.beta
-            g = stable.density(b, t * r ** (-1.0 / b))
-            if g == 0.0:
-                return 0.0
-            return float(np.exp(np.log(t / b) - (1.0 + 1.0 / b) * np.log(r) + np.log(g)))
+            return float(self.inverse_density_grid(t, [r])[0])
         h = r * 1e-5
         return (self.survival(r + h, t) - self.survival(r - h, t)) / (2.0 * h)
 
@@ -209,10 +208,18 @@ class SubordinatorModel:
         return out
 
     def _first_passage(self, t, delta, comps, gen, chunk=512):
-        """Midpoint estimate of the first passage above t of one path."""
+        """Midpoint estimate of the first passage above t of one path.
+
+        Raises QuadratureError when the path has not passed t after
+        _MAX_INCREMENTS steps: a truncated path would bias the draw low.
+        """
         cum = 0.0
         increments = []
-        while cum < t and len(increments) * chunk < 4_000_000:
+        while cum < t:
+            if len(increments) * chunk >= _MAX_INCREMENTS:
+                raise QuadratureError(
+                    f"first passage above t={t!r} not reached in {_MAX_INCREMENTS} "
+                    f"steps of {delta!r}")
             inc = np.zeros(chunk)
             for a, b in comps:
                 inc += (a * delta) ** (1.0 / b) * stable.sample(b, gen, chunk)

@@ -188,9 +188,12 @@ def test_power_ratio_round_trip(beta, alpha, lam):
 def test_monotone_and_concave(l1, l2):
     m = StableMixture(((1.0, 0.3), (2.0, 0.6)))
     lo, hi = sorted((l1, l2))
-    if lo == hi:
-        return
-    assert m.phi(lo) < m.phi(hi)
+    # a few ulps apart phi may round to the same double
+    assert m.phi(lo) <= m.phi(hi)
+    if hi > lo * (1.0 + 1e-12):
+        assert m.phi(lo) < m.phi(hi)
+    if hi <= lo * (1.0 + 1e-6):
+        return  # below this gap rounding noise swamps the divided difference
     mid = math.sqrt(lo * hi)
     # concavity: second divided difference is non-positive
     dd = ((m.phi(hi) - m.phi(mid)) / (hi - mid)

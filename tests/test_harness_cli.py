@@ -1,5 +1,7 @@
 """Campaign harness and command-line surface."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from fracheat import VerifyConfig, verify_sandwich
 from fracheat.cli import run_cli
 from fracheat.harness import build_models, config_from_mapping, read_config
 from fracheat.errors import DomainError
+
+CAMPAIGNS = Path(__file__).parents[1] / "campaigns"
 
 
 def small_jump_config(**overrides):
@@ -94,6 +98,13 @@ class TestConfig:
 
 
 class TestCli:
+    @pytest.mark.parametrize("name", ["jump.cfg", "diffusion.cfg"])
+    def test_campaign_config_runs(self, name, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert run_cli(["verify", "--config", str(CAMPAIGNS / name),
+                        "--t-n", "3", "--z-n", "3", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2 + 9
+
     def test_eval_quad(self, capsys):
         code = run_cli(["eval", "--beta", "0.5", "--kernel", "gaussian:1",
                         "--t", "1", "--z", "0", "--method", "quad"])

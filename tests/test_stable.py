@@ -5,11 +5,13 @@ At beta = 1/2 the law is fully explicit:
     cdf      F(x) = erfc(1 / (2 sqrt(x)))
 and for every beta the negative moments are
     E[S**-s] = Gamma(s/beta) / (beta * Gamma(s)),
-which gives an oracle that is independent of the evaluation path.
+which gives an oracle that is independent of the evaluation path.  For
+x < 1 at other beta the reference is the Zolotarev integral in mpmath.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +27,45 @@ def g_half(x):
 
 def cdf_half(x):
     return special.erfc(1.0 / (2.0 * np.sqrt(x)))
+
+
+def zolotarev_mp(beta, x, dps=20):
+    """(density, cdf) of S at x < 1 from the Zolotarev integral in mpmath.
+
+    The range [0, pi] is split where c * (A - A(0+)) crosses 2**k, found by
+    float bisection, so every scale of exp(-c * A) gets its own piece.
+    """
+    bb = beta / (1.0 - beta)
+    a0 = beta ** bb * (1.0 - beta)
+    log_c = -bb * math.log(x)
+    if log_c + math.log(a0) > math.log(1e4):
+        # A * exp(-c * A) <= A(0+) * exp(-c * A(0+)) < exp(-1e4): both are 0
+        return 0.0, 0.0
+    c = math.exp(log_c)
+
+    def log_a(u):
+        return (bb * np.log(np.sin(beta * u)) + np.log(np.sin((1.0 - beta) * u))
+                - (1.0 + bb) * np.log(np.sin(u)))
+
+    targets = np.log(a0 + 2.0 ** np.arange(-8, 12) / c)
+    lo, hi = np.full(targets.size, 1e-15), np.full(targets.size, np.pi - 1e-15)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = log_a(mid) < targets
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    with mpmath.workdps(dps):
+        b, xm = mpmath.mpf(beta), mpmath.mpf(x)
+        bm = b / (1 - b)
+        cm = xm ** -bm
+        pts = [0] + sorted(set(float(v) for v in lo)) + [mpmath.pi]
+
+        def a(u):
+            return mpmath.sin(b * u) ** bm * mpmath.sin((1 - b) * u) / mpmath.sin(u) ** (1 + bm)
+
+        dens = mpmath.quad(lambda u: a(u) * mpmath.exp(-cm * a(u)), pts)
+        cdf = mpmath.quad(lambda u: mpmath.exp(-cm * a(u)), pts)
+        return (float(bm * xm ** (-1 / (1 - b)) * dens / mpmath.pi),
+                float(cdf / mpmath.pi))
 
 
 class TestClosedFormHalf:
@@ -88,13 +129,15 @@ class TestGenericBeta:
         assert stable.cdf(beta, 1.0 - 1e-11) == pytest.approx(
             stable.cdf(beta, 1.0 + 1e-11), abs=1e-10)
 
-    @pytest.mark.parametrize("beta", [0.3, 0.7])
-    def test_grid_consistency(self, beta):
-        xs = np.geomspace(0.03, 0.999, 50)
-        ds = np.array([stable.density(beta, x) for x in xs])
-        keep = ds > 1e-290
+    @pytest.mark.parametrize("beta", [0.3, 0.7, 0.95, 0.99, 0.999])
+    def test_grid_against_mpmath(self, beta):
+        xs = np.array([0.05, 0.3, 0.9, 0.999])
         dg = stable.density_grid(beta, xs)
-        assert np.max(np.abs(dg[keep] / ds[keep] - 1.0)) < 1e-8
+        cg = stable.cdf_grid(beta, xs)
+        for x, d, c in zip(xs, dg, cg):
+            d_ref, c_ref = zolotarev_mp(beta, x)
+            assert abs(d - d_ref) <= 1e-11 * d_ref, (x, d, d_ref)
+            assert abs(c - c_ref) <= 1e-13, (x, c, c_ref)
 
     def test_left_tail_underflows_to_zero(self):
         assert stable.density(0.5, 1e-8) == 0.0

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
-from fracheat import (DomainError, RngStream, Stable, StableMixture,
+from fracheat import subordinator
+from fracheat import (DomainError, QuadratureError, RngStream, Stable, StableMixture,
                       SubordinatorModel, UnsupportedModelError, cbf_from_scale,
                       integrated_tail_identities, tail_bounds_report)
 from fracheat.scale import PowerLaw
@@ -128,6 +129,13 @@ class TestSampling:
         cdf_vals = np.array([mixture.survival(float(r), 0.7) for r in probe])
         emp = (np.arange(1, draws.size + 1) / draws.size)[::15]
         assert np.max(np.abs(cdf_vals - emp)) < 0.12
+
+    def test_mixture_path_cap_raises(self, mixture, monkeypatch):
+        # the fine step is tol times the pilot draw, so a path needs ~1/tol
+        # steps: one chunk of 512 cannot reach t
+        monkeypatch.setattr(subordinator, "_MAX_INCREMENTS", 512)
+        with pytest.raises(QuadratureError):
+            mixture.sample_inverse(0.7, RngStream(21, 0), 1)
 
 
 class TestTailBounds:
