@@ -23,7 +23,7 @@ from .rng import RngStream
 from .scale import (PiecewisePower, PowerLaw, parse_profile,
                     subgaussian_exponent, subordinated_exponent)
 from .solution import (GaussianBump, SolutionEstimate, WeakFormReport,
-                       caputo_weak_residual, density_fourier,
+                       caputo_weak_residual, density_fourier, density_laplace,
                        density_monte_carlo, density_quadrature, mass_residual,
                        mittag_leffler)
 from .subordinator import (IdentityReport, SubordinatorModel, TailBoundsReport,

@@ -100,6 +100,11 @@ class Stable(LaplaceExponent):
     def beta_hi(self):
         return self.beta
 
+    @property
+    def terms(self):
+        """The single (weight, index) pair, as for a mixture."""
+        return ((1.0, self.beta),)
+
     def phi(self, lam):
         _check_positive("lam", np.min(lam))
         return lam ** self.beta

@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from .errors import DomainError
+from .errors import DomainError, UnsupportedModelError
 from .scale import subgaussian_exponent
 
 
@@ -37,6 +38,18 @@ class SpatialKernel:
     def length_scale(self, s):
         """Characteristic distance reached in time s (inverse of the above)."""
         raise NotImplementedError
+
+    def resolvent(self, mu, z):
+        """R_mu(z) = int_0^inf exp(-mu t) q(t, z) dt for complex mu off
+        (-inf, 0], vectorized over mu."""
+        raise UnsupportedModelError(
+            f"{type(self).__name__} has no closed-form resolvent")
+
+
+def _check_one_dimensional(kernel):
+    if kernel.dim != 1:
+        raise UnsupportedModelError(
+            f"closed-form resolvent is 1-d only, got dim={kernel.dim}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +70,12 @@ class ExactGaussian(SpatialKernel):
     def length_scale(self, s):
         return math.sqrt(s)
 
+    def resolvent(self, mu, z):
+        """exp(-sqrt(mu) z) / (2 sqrt(mu)) in one dimension."""
+        _check_one_dimensional(self)
+        root = np.sqrt(np.asarray(mu, dtype=complex))
+        return np.exp(-root * z) / (2.0 * root)
+
 
 @dataclass(frozen=True)
 class ExactCauchy(SpatialKernel):
@@ -76,6 +95,20 @@ class ExactCauchy(SpatialKernel):
 
     def length_scale(self, s):
         return float(s)
+
+    def resolvent(self, mu, z):
+        """(e^{iw} E1(iw) + e^{-iw} E1(-iw)) / (2 pi), w = mu z, in one
+        dimension.  With the principal E1 this form jumps across the
+        imaginary mu axis; on Re mu < 0 the 2 pi i term continues it, so
+        the result stays analytic off (-inf, 0].  e^{+-iw} overflows once
+        |Im w| passes ~709, which leaves a non-finite value."""
+        _check_one_dimensional(self)
+        w = np.asarray(mu, dtype=complex) * z
+        iw = 1j * w
+        out = np.exp(iw) * special.exp1(iw) + np.exp(-iw) * special.exp1(-iw)
+        side = np.sign(w.imag)
+        out -= np.where(w.real < 0.0, 2j * np.pi * side * np.exp(1j * side * w), 0.0)
+        return out / (2.0 * np.pi)
 
 
 @dataclass(frozen=True)

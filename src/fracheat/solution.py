@@ -1,13 +1,23 @@
 """The time-changed transition density p(t, z) and its oracles.
 
 p(t, z) = E[q(E_t, z)] = int_0^inf q(s, z) h_t(s) ds, where h_t is the
-density of the inverse subordinator E_t.  This is evaluated three
+density of the inverse subordinator E_t.  This is evaluated four
 independent ways:
 
-* quadrature against h_t (the workhorse): for stable time changes one
-  vectorized adaptive Gauss-Kronrod panel rule in log s whose error is the
-  summed |K15 - G7| difference; mixtures, which have no vectorized inverse
-  density, use QUADPACK pieces split at the change-of-character points,
+* quadrature against h_t (the workhorse, `density_quadrature`): for stable
+  time changes one vectorized adaptive Gauss-Kronrod panel rule in log s
+  whose error is the summed |K15 - G7| difference,
+* contour inversion of the Laplace transform in t,
+      phi(lam)/lam * R_{phi(lam)}(z),  R_mu the kernel's resolvent,
+  by the trapezoid rule on a Weideman-Trefethen hyperbola
+  (`density_laplace`), for stable and stable-mixture time changes and the
+  1-d Gaussian and Cauchy kernels, whose resolvents are closed forms.  Its
+  error is the difference of two node counts plus a rounding bound, and
+  the result is valid only when that error meets rel_tol*|p|: off the
+  diagonal p is tiny against the contour terms and the result comes back
+  flagged.  `density_quadrature` sends mixtures here first and falls back
+  to QUADPACK pieces against the finite-difference inverse density only
+  when the kernel has no resolvent or the contour result is flagged,
 * Monte Carlo over inverse-subordinator samples,
 * for stable subordinators and 1-d Gaussian/Cauchy kernels, the
   Fourier-Mittag-Leffler representation
@@ -27,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
+from .bernstein import Stable, StableMixture
 from .errors import DomainError, QuadratureError, UnsupportedModelError
 from .numerics import (DEFAULT_QUADRATURE, geometric_boundaries, kronrod_quad,
                        panel_nodes)
@@ -90,7 +101,9 @@ def density_quadrature(kernel, model, t, z, cfg=None):
     bisected where |K15 - G7| exceeds the panel's share of rel_tol*|p|; the
     error is the sum of those differences and `converged` says whether it
     meets rel_tol*|p|.  Mixture exponents have no vectorized inverse
-    density, so they go through QUADPACK piecewise with split hints.
+    density: they take `density_laplace` when the kernel has a resolvent
+    and its result is not flagged, else QUADPACK piecewise with split
+    hints.
     """
     cfg = cfg or model.quadrature or DEFAULT_QUADRATURE
     if t <= 0.0 or z < 0.0:
@@ -108,7 +121,13 @@ def density_quadrature(kernel, model, t, z, cfg=None):
         total, err, ok = kronrod_quad(in_log_s, bounds, cfg.rel_tol, cfg.abs_floor)
         return SolutionEstimate(total, err, "quad", ok)
     except UnsupportedModelError:
-        pass  # a mixture: QUADPACK against its finite-difference inverse density
+        pass  # a mixture: the contour first, then QUADPACK
+    try:
+        est = density_laplace(kernel, model, t, z, cfg)
+        if est.converged:
+            return est
+    except UnsupportedModelError:
+        pass  # the kernel has no closed-form resolvent
 
     def integrand(s):
         return float(kernel.q(s, z)) * model.inverse_density(t, s)
@@ -133,6 +152,63 @@ def density_quadrature(kernel, model, t, z, cfg=None):
     total, err = total + tail, err + te
     ok = not (total > 0 and err > max(1e-5, 100.0 * rel_tol) * total)
     return SolutionEstimate(total, err, "quad", ok)
+
+
+# Weideman & Trefethen (2007) hyperbola lambda(theta) = mu (1 + sin(i theta
+# - alpha)) with mu = _WT_MU * N / t, trapezoid step h = _WT_STEP / N on
+# theta = k h, |k| <= N; the error decays like exp(-2.32 N)
+_WT_ALPHA, _WT_MU, _WT_STEP = 1.1721, 4.492, 1.0818
+# two node counts whose difference estimates the truncation error; the
+# stated error is _LAPLACE_SAFETY times that difference plus the rounding
+# bound of both sums
+_LAPLACE_NODES = (16, 24)
+_LAPLACE_SAFETY = 2.0
+_EPS = float(np.finfo(float).eps)
+
+
+def _hyperbola(n, t):
+    """Nodes lambda_k = lambda(k h), 0 <= k <= n, and weights w_k such
+    that Re sum_k w_k F(lambda_k) is the trapezoid rule over |k| <= n for
+    (1/2 pi i) int F dlambda, F being real on the real axis: the k < 0
+    nodes are the conjugates of the k > 0 ones."""
+    h = _WT_STEP / n
+    mu = _WT_MU * n / t
+    arg = 1j * h * np.arange(n + 1) - _WT_ALPHA
+    weights = (h / np.pi) * mu * np.cos(arg)
+    weights[0] *= 0.5
+    return mu * (1.0 + np.sin(arg)), weights
+
+
+def density_laplace(kernel, model, t, z, cfg=None):
+    """p(t, z) by inverting its Laplace transform in t on a hyperbola.
+
+    The transform is phi(lam)/lam * R_{phi(lam)}(z), with R_mu the
+    kernel's resolvent.  The trapezoid rule runs on the Weideman-Trefethen
+    contour at two node counts; the error is _LAPLACE_SAFETY times their
+    difference plus the rounding bound eps * sum |terms|.  Off the
+    diagonal p is tiny against the terms, so the error exceeds rel_tol*|p|
+    and the result comes back flagged, as does any non-finite value.
+    """
+    cfg = cfg or model.quadrature or DEFAULT_QUADRATURE
+    if t <= 0.0 or z < 0.0:
+        raise DomainError("density needs t > 0 and z >= 0")
+    if not isinstance(model.exponent, (Stable, StableMixture)):
+        raise UnsupportedModelError(
+            "contour inversion needs a stable or stable-mixture exponent, "
+            f"got {type(model.exponent).__name__}")
+    _check_on_diagonal_integrable(kernel, model, t, z)
+    lam, weights = (np.concatenate(part) for part in
+                    zip(*(_hyperbola(n, t) for n in _LAPLACE_NODES)))
+    phi = sum(a * lam ** b for a, b in model.exponent.terms)
+    with np.errstate(all="ignore"):
+        vals = weights * np.exp(lam * t) * phi / lam * kernel.resolvent(phi, z)
+        first, second = (float(part.sum().real) for part in
+                         np.split(vals, [_LAPLACE_NODES[0] + 1]))
+        rounding = _EPS * float(np.abs(vals).sum())
+        error = _LAPLACE_SAFETY * (abs(first - second) + rounding)
+    if not math.isfinite(error):
+        error = math.inf
+    return SolutionEstimate(second, error, "laplace", error <= cfg.rel_tol * abs(second))
 
 
 def density_monte_carlo(kernel, model, t, z, n, rng):
@@ -435,7 +511,6 @@ def caputo_weak_residual(beta, f, g, t_grid, x_grid, fd_step=1e-3):
     """
     if not 0.0 < beta < 1.0:
         raise DomainError(f"order must lie in (0, 1), got {beta}")
-    from .bernstein import Stable
     model = SubordinatorModel(Stable(beta))
     x_grid = np.asarray(x_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)

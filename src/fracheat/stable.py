@@ -39,6 +39,7 @@ from .numerics import panel_nodes
 
 _EXP_CUT = 745.0       # |log| beyond which exp() under/overflows float64
 _SERIES_KMAX = 300
+_SERIES_CUT = 1e-18    # series terms below this share of the leading one are dropped
 
 
 def _check_beta(beta):
@@ -137,8 +138,13 @@ def log_cdf(beta, x):
 
 @lru_cache(maxsize=32)
 def _series_coeffs(beta):
-    # term magnitude at x = 1 decays like exp(-(1-beta) k (log k - 1)), so
-    # the truncation point must grow as beta -> 1
+    """(k, sign, log |coefficient|) of the density and of the survival series.
+
+    The term magnitude at x = 1 decays like exp(-(1-beta) k (log k - 1)),
+    so the count needed grows as beta -> 1; that estimate caps it.  Each
+    series then keeps the terms whose bound at x = 1, the worst case on
+    x >= 1, is within _SERIES_CUT of its leading term.
+    """
     kmax = _SERIES_KMAX
     for _ in range(4):
         kmax = 45.0 / ((1.0 - beta) * max(np.log(kmax) - 1.0, 0.5))
@@ -147,18 +153,23 @@ def _series_coeffs(beta):
     sign = np.sin(np.pi * k * beta) * (-1.0) ** (k + 1)
     log_den = special.gammaln(k * beta + 1.0) - special.gammaln(k + 1.0)
     log_sf = special.gammaln(k * beta) - special.gammaln(k + 1.0)
-    return k, sign, log_den, log_sf
+    return _cut_series(k, sign, log_den), _cut_series(k, sign, log_sf)
+
+
+def _cut_series(k, sign, log_coef):
+    n = np.flatnonzero(log_coef >= log_coef[0] + np.log(_SERIES_CUT))[-1] + 1
+    return k[:n], sign[:n], log_coef[:n]
 
 
 def _density_series(beta, xs):
-    k, sign, log_den, _ = _series_coeffs(beta)
+    k, sign, log_den = _series_coeffs(beta)[0]
     lx = np.log(xs)[None, :]
     terms = sign[:, None] * np.exp(log_den[:, None] - (k[:, None] * beta + 1.0) * lx)
     return terms.sum(axis=0) / np.pi
 
 
 def _survival_series(beta, xs):
-    k, sign, _, log_sf = _series_coeffs(beta)
+    k, sign, log_sf = _series_coeffs(beta)[1]
     lx = np.log(xs)[None, :]
     terms = sign[:, None] * np.exp(log_sf[:, None] - k[:, None] * beta * lx)
     return terms.sum(axis=0) / np.pi

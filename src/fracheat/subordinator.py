@@ -53,8 +53,6 @@ class SubordinatorModel:
 
     def _components(self, r):
         """Per-component (scale, beta) for S_r as an independent sum."""
-        if isinstance(self.exponent, Stable):
-            return [((r ** (1.0 / self.exponent.beta)), self.exponent.beta)]
         return [(((a * r) ** (1.0 / b)), b) for a, b in self.exponent.terms]
 
     # ----- distribution of S_r ---------------------------------------

@@ -114,6 +114,14 @@ class TestCli:
         value = float(out.strip().splitlines()[-1].split(",")[2])
         assert value == pytest.approx(0.40802446954913144, abs=1e-7)
 
+    def test_eval_mixture(self, capsys):
+        code = run_cli(["eval", "--subordinator", "mixture:1,0.3;1,0.7",
+                        "--kernel", "cauchy:1", "--t", "1", "--z", "0.5"])
+        assert code == 0
+        row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+        assert row[-1] == "laplace"
+        assert float(row[2]) == pytest.approx(0.241577, rel=1e-5)
+
     def test_eval_fourier(self, capsys):
         code = run_cli(["eval", "--beta", "0.5", "--kernel", "gaussian:1",
                         "--t", "1", "--z", "0", "--method", "fourier"])

@@ -9,15 +9,17 @@ time change,
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from fracheat import (DomainError, ExactCauchy, ExactGaussian, GaussianBump,
-                      RngStream, Stable, SubordinatorModel,
-                      caputo_weak_residual, density_fourier,
-                      density_monte_carlo, density_quadrature, mass_residual,
-                      mittag_leffler)
+                      JumpSurrogate, PowerLaw, RngStream, Stable, StableMixture,
+                      SubordinatorModel, UnsupportedModelError,
+                      caputo_weak_residual, cbf_from_scale, density_fourier,
+                      density_laplace, density_monte_carlo, density_quadrature,
+                      mass_residual, mittag_leffler)
 
 P_ONE_ZERO = math.gamma(0.25) / (4.0 ** 0.75 * math.pi)
 
@@ -41,6 +43,34 @@ def _half_stable_reference(kind, t, z):
                             points=[m for m in marks if m > lo], epsabs=0.0,
                             epsrel=1e-13, limit=400)
     return val
+
+
+# the three mixtures of criterion 9
+MIXTURES = (((1.0, 0.3), (1.0, 0.7)), ((2.0, 0.2), (1.0, 0.5)), ((1.0, 0.4), (3.0, 0.6)))
+
+
+def _talbot_mixture_reference(terms, kind, t, z):
+    """p(t, z) under phi = sum a lam**b by mpmath's Talbot inversion at 30
+    digits.  The Cauchy resolvent (1/pi) int_0^inf cos(xi z)/(mu + xi) dxi
+    is written through Ci and Si, whose growing cos/sin factors cancel
+    catastrophically once |Im(mu z)| is large on Talbot's contour, so the
+    Cauchy reference holds only near the diagonal."""
+    with mpmath.workdps(30):
+        def transform(lam):
+            mu = sum(a * lam ** b for a, b in terms)
+            if kind == "gaussian":
+                root = mpmath.sqrt(mu)
+                return mu / lam * mpmath.exp(-root * z) / (2 * root)
+            w = mu * z
+            res = (-mpmath.ci(w) * mpmath.cos(w)
+                   - (mpmath.si(w) - mpmath.pi / 2) * mpmath.sin(w)) / mpmath.pi
+            return mu / lam * res
+        return float(mpmath.re(mpmath.invertlaplace(transform, t, method="talbot")))
+
+
+@pytest.fixture(scope="module")
+def mix():
+    return SubordinatorModel(StableMixture(MIXTURES[0]))
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +174,87 @@ class TestQuadrature:
             density_quadrature(gauss, half, 0.0, 0.0)
         with pytest.raises(DomainError):
             density_quadrature(gauss, half, 1.0, -1.0)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "cauchy"])
+    def test_mixture_goes_through_the_contour(self, gauss, cauchy, mix, kind):
+        est = density_quadrature(gauss if kind == "gaussian" else cauchy, mix, 1.0, 0.5)
+        assert est.method == "laplace" and est.converged
+        ref = _talbot_mixture_reference(MIXTURES[0], kind, 1.0, 0.5)
+        assert abs(est.value - ref) <= est.error
+
+    def test_mixture_without_resolvent_uses_quadpack(self, mix):
+        kernel = JumpSurrogate(PowerLaw(1.0), PowerLaw(1.0))
+        with pytest.raises(UnsupportedModelError):
+            density_laplace(kernel, mix, 1.0, 0.5)
+        est = density_quadrature(kernel, mix, 1.0, 0.5)
+        assert est.method == "quad" and est.converged
+
+    def test_quadpack_fallback_agrees_with_contour(self, cauchy, mix, monkeypatch):
+        contour = density_laplace(cauchy, mix, 1.0, 1.0)
+
+        def no_resolvent(self, mu, z):
+            raise UnsupportedModelError("resolvent withheld")
+
+        monkeypatch.setattr(ExactCauchy, "resolvent", no_resolvent)
+        est = density_quadrature(cauchy, mix, 1.0, 1.0)
+        assert est.method == "quad" and est.converged
+        assert abs(est.value - contour.value) <= est.error + contour.error
+
+
+class TestLaplace:
+    def test_against_closed_form(self, gauss, cauchy, half):
+        accepted = 0
+        for kind, kernel in (("gaussian", gauss), ("cauchy", cauchy)):
+            for t in np.geomspace(1e-3, 1e3, 7):
+                for z in np.geomspace(1e-3, 100.0, 8):
+                    est = density_laplace(kernel, half, t, z)
+                    assert est.method == "laplace"
+                    if not est.converged:
+                        continue
+                    accepted += 1
+                    ref = _half_stable_reference(kind, t, z)
+                    assert abs(est.value - ref) <= 1e-10 * ref
+                    assert abs(est.value - ref) <= est.error
+        assert accepted >= 90  # of 112; the deep off-diagonal ones are flagged
+
+    @pytest.mark.parametrize("beta", [0.9, 0.99])
+    def test_cauchy_resolvent_past_right_angle(self, cauchy, beta):
+        # arg phi(lam) passes pi/2 on the contour once beta > 0.8, where the
+        # principal-branch exp1 form of the Cauchy resolvent jumps
+        model = SubordinatorModel(Stable(beta))
+        for t, z in ((1.0, 0.5), (10.0, 3.0)):
+            est = density_laplace(cauchy, model, t, z)
+            ref = density_quadrature(cauchy, model, t, z)
+            assert est.converged and ref.converged
+            assert abs(est.value - ref.value) <= 1e-10 * ref.value
+
+    @pytest.mark.parametrize("terms", MIXTURES)
+    def test_mixtures_against_talbot(self, gauss, cauchy, terms):
+        model = SubordinatorModel(StableMixture(terms))
+        points = [("gaussian", t, z) for t, z in
+                  ((0.1, 0.3), (1.0, 0.5), (1.0, 2.0), (10.0, 1.0), (10.0, 5.0), (3.0, 3.0))]
+        points += [("cauchy", t, z) for t, z in ((0.1, 0.1), (1.0, 0.5), (10.0, 1.0))]
+        for kind, t, z in points:
+            est = density_laplace(gauss if kind == "gaussian" else cauchy, model, t, z)
+            ref = _talbot_mixture_reference(terms, kind, t, z)
+            assert est.converged
+            assert abs(est.value - ref) <= 1e-10 * ref
+            assert abs(est.value - ref) <= est.error
+
+    def test_deep_off_diagonal_is_flagged(self, gauss, cauchy, mix):
+        est = density_laplace(gauss, mix, 1.0, 30.0)
+        assert not est.converged
+        # e^{w} E1(w) overflows on this contour: never a number, always flagged
+        est = density_laplace(cauchy, mix, 1e-3, 3.0)
+        assert not est.converged and est.error == math.inf
+
+    def test_unsupported_models(self, gauss, half):
+        with pytest.raises(UnsupportedModelError):
+            density_laplace(ExactGaussian(2), half, 1.0, 0.5)
+        with pytest.raises(UnsupportedModelError):
+            density_laplace(gauss, SubordinatorModel(cbf_from_scale(PowerLaw(2.0), 3.0)), 1.0, 0.5)
+        with pytest.raises(DomainError):
+            density_laplace(gauss, half, 0.0, 0.5)
 
 
 class TestMonteCarlo:
