@@ -100,10 +100,10 @@ def density_quadrature(kernel, model, t, z, cfg=None):
     u = log s on geometric panels split at the change-of-character points,
     bisected where |K15 - G7| exceeds the panel's share of rel_tol*|p|; the
     error is the sum of those differences and `converged` says whether it
-    meets rel_tol*|p|.  Mixture exponents have no vectorized inverse
-    density: they take `density_laplace` when the kernel has a resolvent
-    and its result is not flagged, else QUADPACK piecewise with split
-    hints.
+    meets rel_tol*|p|.  Exponents of several parts have no vectorized
+    inverse density: they take `density_laplace` when the kernel has a
+    resolvent and its result is not flagged, else QUADPACK piecewise, whose
+    error adds that of the differenced inverse density.
     """
     cfg = cfg or model.quadrature or DEFAULT_QUADRATURE
     if t <= 0.0 or z < 0.0:
@@ -149,7 +149,10 @@ def density_quadrature(kernel, model, t, z, cfg=None):
         total, err = total + v, err + e
     tail, te = integrate.quad(integrand, s_hi, np.inf, epsabs=1e-280,
                               epsrel=rel_tol, limit=200)
-    total, err = total + tail, err + te
+    # QUADPACK cannot see the error of the differenced inverse density
+    # itself: integrate its bound against q on the scan, in log s
+    fd_err = [float(kernel.q(s, z)) * model.inverse_density_error(t, s) * s for s in scan]
+    total, err = total + tail, err + te + integrate.trapezoid(fd_err, np.log(scan))
     ok = not (total > 0 and err > max(1e-5, 100.0 * rel_tol) * total)
     return SolutionEstimate(total, err, "quad", ok)
 
@@ -301,7 +304,7 @@ def _ml_asymptotic(beta, x):
 # Fourier oracle
 # --------------------------------------------------------------------------
 
-def density_fourier(beta, spatial_alpha, t, z, tol=1e-9):
+def density_fourier(beta, spatial_alpha, t, z):
     """p(t, z) = (1/pi) int_0^inf cos(xi z) E_beta(-xi**alpha t**beta) dxi.
 
     One-dimensional only; spatial_alpha selects the Gaussian (2) or Cauchy

@@ -19,9 +19,10 @@ Evaluation strategy, by argument size:
   whose panel boundaries sit at the levels A(0+) * 2**j and A(0+) + 2**k:
   the union of the dyadic ladders of the exponent c*A(u) over all c of
   x < 1, so one grid resolves every x.  The scalar density, cdf and
-  survival are one-point views of the batched ``density_grid`` and
-  ``cdf_grid``.  Grid nodes where exp(-c*A) has underflowed are skipped;
-  only ``log_cdf`` lays its own shifted ladder, past that level.
+  survival are one-point views of the batched ``density_grid``,
+  ``cdf_grid`` and ``survival_grid``.  Grid nodes where exp(-c*A) has
+  underflowed are skipped; only ``log_cdf`` lays its own shifted ladder,
+  past that level.
 
 Sampling uses Kanter's representation S = (A(U)/W)**((1-beta)/beta) with
 U ~ Uniform(0, pi) and W ~ Exponential(1).
@@ -103,13 +104,7 @@ def cdf(beta, x):
 
 def survival(beta, x):
     """P(S >= x) for x > 0 (scalar)."""
-    _check_beta(beta)
-    x = float(x)
-    if x >= 1.0:
-        return float(_survival_series(beta, np.array([x]))[0])
-    # below 1 the survival stays above 0.1 for beta <= 0.9999, so 1 - cdf
-    # costs less than one digit
-    return 1.0 - cdf(beta, x)
+    return float(survival_grid(beta, [float(x)])[0])
 
 
 def log_cdf(beta, x):
@@ -224,6 +219,18 @@ def cdf_grid(beta, xs):
         c = xs[lo] ** -tilt(beta)
         weights, _, a_vals = _live_grid(beta, c)
         out[lo] = np.exp(-c[:, None] * a_vals[None, :]) @ weights / np.pi
+    return out
+
+
+def survival_grid(beta, xs):
+    """P(S >= x) vectorized over an array of x > 0: the series for x >= 1,
+    and 1 - cdf below, where the survival stays above 0.1 for
+    beta <= 0.9999, so the difference costs less than one digit."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty(xs.shape)
+    hi = xs >= 1.0
+    out[~hi] = 1.0 - cdf_grid(beta, xs[~hi])  # checks beta
+    out[hi] = _survival_series(beta, xs[hi])
     return out
 
 

@@ -1,14 +1,20 @@
 """Distributions and samplers for a subordinator S and its inverse E.
 
-For the stable family everything reduces to the normalized law of S_1
-through the scaling S_r = r**(1/beta) * S_1 and, for the inverse process,
-E_t = (t / S_1)**beta in distribution.  Mixtures phi = sum a_i lam**beta_i
-are realized as independent sums of scaled stable subordinators: the
-component at elapsed time r has scale (a_i * r)**(1/beta_i); their
-distributions are combined by quadrature convolution, and inverse-process
-samples come from a discretized path with first-passage refinement.
+A stable or stable-mixture exponent phi = sum_i a_i lam**beta_i is one
+path, a stable exponent being its one-part case: S_r is the sum of the
+independent parts (a_i * r)**(1/beta_i) * X_i, X_i standard
+beta_i-stable.
 
-Exponents constructed by quadrature carry no usable density, so only the
+* The law of S_r is the stable law for one part and otherwise a
+  convolution quadrature conditioned on the first part (`_sum_law`).
+* For one part E_t = (t / X)**beta / a in distribution, which gives the
+  sampler and the vectorized inverse density.  Several parts take the
+  central difference of the survival in r and a discretized-path sampler
+  with first-passage refinement.
+* S_r is at least each of its parts, so E_t is at most each part's own
+  inverse time: the support bound of E_t is the least of the parts'.
+
+Exponents constructed by quadrature have no stable parts, so only the
 estimate-evaluation paths accept them; distribution and sampling calls
 raise UnsupportedModelError.
 """
@@ -22,17 +28,49 @@ import numpy as np
 from scipy import integrate
 
 from . import stable
-from .bernstein import LaplaceExponent, Stable, StableMixture
+from .bernstein import LaplaceExponent, Stable
 from .errors import DomainError, QuadratureError, UnsupportedModelError
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, panel_nodes
 from .rng import RngStream
 
 # path steps one first-passage draw may take before it gives up
 _MAX_INCREMENTS = 4_000_000
+# the convolution ladder starts at this share of the argument
+_CONV_HEAD = 1e-14
+# relative step of the finite-difference inverse density of mixtures
+_FD_STEP = 1e-5
 
 
 def _generator(rng):
     return rng.generator if isinstance(rng, RngStream) else rng
+
+
+def _sum_law(terms, r, xs, upper):
+    """P(S_r > x) if upper else P(S_r <= x) at each x of xs, S_r the sum of
+    the parts (a * r)**(1/beta) * X of the (a, beta) terms: the stable law
+    for one part, else, conditioned on the first part with density f_0,
+        P(S_r > x) = P(first > x) + int_0^x f_0(u) P(rest > x - u) du
+    (the same without the first term for P(S_r <= x)) by Gauss-Legendre
+    panels on a ladder from x * _CONV_HEAD toward both ends, plus the
+    first part's mass below the ladder times the rest's law at x."""
+    (a, b), rest = terms[0], terms[1:]
+    k = (a * r) ** (-1.0 / b)  # the part is below x when X is below k * x
+    xs = np.asarray(xs, dtype=float)
+    if not rest:
+        law = stable.survival_grid if upper else stable.cdf_grid
+        return law(b, xs * k)
+    out = np.empty(xs.shape)
+    for i, x in enumerate(xs):
+        ladder = np.geomspace(x * _CONV_HEAD, x / 2.0, 50)
+        nodes, weights = panel_nodes(np.unique(np.concatenate([ladder, x - ladder[::-1]])),
+                                     order=8)
+        inner = _sum_law(rest, r, np.concatenate([[x], x - nodes]), upper)
+        f0 = stable.density_grid(b, nodes * k) * k
+        total = stable.cdf(b, ladder[0] * k) * inner[0] + np.dot(weights, f0 * inner[1:])
+        if upper:
+            total += stable.survival(b, x * k)
+        out[i] = min(total, 1.0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -42,151 +80,103 @@ class SubordinatorModel:
     exponent: LaplaceExponent
     quadrature: QuadratureConfig = field(default_factory=lambda: DEFAULT_QUADRATURE)
 
-    def _distribution_kind(self):
-        if isinstance(self.exponent, Stable):
-            return "stable"
-        if isinstance(self.exponent, StableMixture):
-            return "mixture"
-        raise UnsupportedModelError(
-            "distribution paths need a stable or stable-mixture exponent, "
-            f"got {type(self.exponent).__name__}")
-
-    def _components(self, r):
-        """Per-component (scale, beta) for S_r as an independent sum."""
-        return [(((a * r) ** (1.0 / b)), b) for a, b in self.exponent.terms]
+    def _components(self):
+        """(a_i, beta_i): S_r is the sum of the independent (a_i r)**(1/beta_i) X_i."""
+        terms = getattr(self.exponent, "terms", None)
+        if terms is None:
+            raise UnsupportedModelError("distribution paths need a stable or stable-mixture "
+                                        f"exponent, got {type(self.exponent).__name__}")
+        return terms
 
     # ----- distribution of S_r ---------------------------------------
 
     def cdf(self, r, t):
         """P(S_r <= t)."""
-        kind = self._distribution_kind()
         if r <= 0.0 or t <= 0.0:
             raise DomainError("cdf needs r, t > 0")
-        if kind == "stable":
-            b = self.exponent.beta
-            return stable.cdf(b, t * r ** (-1.0 / b))
-        return self._mixture_cdf(self._components(r), t)
+        return float(_sum_law(self._components(), r, [t], upper=False)[0])
 
     def survival(self, r, t):
         """P(S_r >= t)."""
-        kind = self._distribution_kind()
         if r <= 0.0 or t <= 0.0:
             raise DomainError("survival needs r, t > 0")
-        if kind == "stable":
-            b = self.exponent.beta
-            return stable.survival(b, t * r ** (-1.0 / b))
-        return self._mixture_survival(self._components(r), t)
+        return float(_sum_law(self._components(), r, [t], upper=True)[0])
 
     def log_cdf(self, r, t):
         """log P(S_r <= t), stable deep into the small-t tail."""
-        kind = self._distribution_kind()
-        if kind == "stable":
-            b = self.exponent.beta
-            return stable.log_cdf(b, t * r ** (-1.0 / b))
-        f = self._mixture_cdf(self._components(r), t)
+        comps = self._components()
+        if len(comps) == 1:
+            (a, b), = comps
+            return stable.log_cdf(b, t * (a * r) ** (-1.0 / b))
+        f = self.cdf(r, t)
         return float(np.log(f)) if f > 0.0 else -np.inf
-
-    @staticmethod
-    def _conv_nodes(x):
-        """Gauss-Legendre nodes on [0, x] refined geometrically toward both
-        endpoints, where the convolution factors vary on octave scales."""
-        ladder = np.geomspace(x * 1e-14, x / 2.0, 50)
-        bounds = np.unique(np.concatenate([ladder, x - ladder[::-1]]))
-        return panel_nodes(bounds, order=8)
-
-    def _mixture_cdf(self, comps, x):
-        """P(sum of scaled components <= x) by convolution quadrature."""
-        if x <= 0.0:
-            return 0.0
-        (c0, b0), rest = comps[0], comps[1:]
-        if not rest:
-            return stable.cdf(b0, x / c0)
-        nodes, weights = self._conv_nodes(x)
-        f0 = stable.density_grid(b0, nodes / c0) / c0
-        if len(rest) == 1:
-            c1, b1 = rest[0]
-            inner = stable.cdf_grid(b1, (x - nodes) / c1)
-        else:
-            inner = np.array([self._mixture_cdf(rest, x - u) for u in nodes])
-        return float(min(np.dot(weights, f0 * inner), 1.0))
-
-    def _mixture_survival(self, comps, x):
-        """P(sum > x) = P(first > x) + E[rest-survival at x - first]."""
-        if x <= 0.0:
-            return 1.0
-        (c0, b0), rest = comps[0], comps[1:]
-        if not rest:
-            return stable.survival(b0, x / c0)
-        nodes, weights = self._conv_nodes(x)
-        f0 = stable.density_grid(b0, nodes / c0) / c0
-        if len(rest) == 1:
-            c1, b1 = rest[0]
-            inner = 1.0 - stable.cdf_grid(b1, (x - nodes) / c1)
-        else:
-            inner = np.array([self._mixture_survival(rest, x - u) for u in nodes])
-        tail = stable.survival(b0, x / c0)
-        return float(min(np.dot(weights, f0 * inner) + tail, 1.0))
 
     # ----- inverse subordinator ---------------------------------------
 
     def inverse_density(self, t, r):
         """Density of E_t at r, i.e. d/dr P(S_r >= t)."""
-        kind = self._distribution_kind()
         if t <= 0.0 or r <= 0.0:
             raise DomainError("inverse_density needs t, r > 0")
-        if kind == "stable":
+        if len(self._components()) == 1:
             return float(self.inverse_density_grid(t, [r])[0])
-        h = r * 1e-5
+        h = r * _FD_STEP
         return (self.survival(r + h, t) - self.survival(r - h, t)) / (2.0 * h)
 
+    def inverse_density_error(self, t, r):
+        """Error bound of inverse_density's central difference of P(S_r >= t)
+        with step h: its truncation, read off the difference at step 10 h as
+        (D_10h - D_h) / 99, plus the rounding of the survivals, eps * S / h."""
+        h = r * _FD_STEP
+        lo10, lo, hi, hi10 = (self.survival(r + m * h, t) for m in (-10, -1, 1, 10))
+        trunc = ((hi10 - lo10) / (20.0 * h) - (hi - lo) / (2.0 * h)) / 99.0
+        return abs(trunc) + np.finfo(float).eps * hi / h
+
     def inverse_density_grid(self, t, rs):
-        """Vectorized inverse_density over an array of r (stable only)."""
-        if self._distribution_kind() != "stable":
-            raise UnsupportedModelError("vectorized inverse density needs a stable exponent")
-        b = self.exponent.beta
-        rs = np.asarray(rs, dtype=float)
+        """Vectorized inverse_density over an array of r for one part,
+        whose E_t is that of the standard beta-stable law divided by a."""
+        if len(self._components()) != 1:
+            raise UnsupportedModelError("vectorized inverse density needs a one-term exponent")
+        (a, b), = self._components()
+        rs = a * np.asarray(rs, dtype=float)
         xs = t * rs ** (-1.0 / b)
         g = stable.density_grid(b, xs)
         out = np.zeros_like(rs)
         pos = g > 0.0
-        out[pos] = np.exp(np.log(t / b) - (1.0 + 1.0 / b) * np.log(rs[pos]) + np.log(g[pos]))
+        out[pos] = a * np.exp(np.log(t / b) - (1.0 + 1.0 / b) * np.log(rs[pos]) + np.log(g[pos]))
         return out
 
-    def inverse_support(self, t, tail=1.0):
-        """r beyond which the density of E_t has underflowed to zero."""
-        if self._distribution_kind() == "stable":
-            b = self.exponent.beta
-            x_lo = (stable.a_zero(b) / 745.0) ** ((1.0 - b) / b)
-            return tail * 1.5 * (t / x_lo) ** b
-        # crude but safe bound for mixtures: the fastest component dominates
-        return tail * 3.0 / self.exponent.phi_inverse(1.0 / t) * 50.0
+    def inverse_support(self, t):
+        """r beyond which the density of E_t is zero: the least of the parts'
+        stable bounds, as E_t is at most each part's E_t(beta_i) / a_i."""
+        return min(1.5 * (t / (stable.a_zero(b) / 745.0) ** ((1.0 - b) / b)) ** b / a
+                   for a, b in self._components())
 
     # ----- sampling ----------------------------------------------------
 
     def sample_subordinator(self, r, rng, n=1):
         """n draws of S_r."""
-        self._distribution_kind()
+        comps = self._components()
         if r <= 0.0:
             raise DomainError("sample_subordinator needs r > 0")
         gen = _generator(rng)
         total = np.zeros(n)
-        for c, b in self._components(r):
-            total += c * stable.sample(b, gen, n)
+        for a, b in comps:
+            total += (a * r) ** (1.0 / b) * stable.sample(b, gen, n)
         return total
 
     def sample_inverse(self, t, rng, n=1, tol=1e-3):
-        """n draws of E_t = inf{s : S_s > t}."""
-        kind = self._distribution_kind()
+        """n draws of E_t = inf{s : S_s > t}: (t / X)**beta / a for one
+        part, a discretized path for several."""
+        comps = self._components()
         if t <= 0.0:
             raise DomainError("sample_inverse needs t > 0")
         gen = _generator(rng)
-        if kind == "stable":
-            b = self.exponent.beta
-            s1 = stable.sample(b, gen, n)
-            return (t / s1) ** b
-        return self._sample_inverse_path(t, gen, n, tol)
+        if len(comps) == 1:
+            (a, b), = comps
+            return (t / stable.sample(b, gen, n)) ** b / a
+        return self._sample_inverse_path(t, gen, n, tol, comps)
 
-    def _sample_inverse_path(self, t, gen, n, tol):
+    def _sample_inverse_path(self, t, gen, n, tol, comps):
         """Discretized-path first passage with a per-sample pilot pass.
 
         A coarse pilot run sizes the sample, then the returned draw comes
@@ -196,7 +186,6 @@ class SubordinatorModel:
         paths whose passage index is large conditions on E being large and
         visibly skews the law.
         """
-        comps = [(a, b) for a, b in self.exponent.terms]
         scale0 = 1.0 / self.exponent.phi_inverse(1.0 / t)
         out = np.empty(n)
         for i in range(n):

@@ -200,6 +200,24 @@ class TestQuadrature:
         assert est.method == "quad" and est.converged
         assert abs(est.value - contour.value) <= est.error + contour.error
 
+    @pytest.mark.parametrize("terms", MIXTURES)
+    def test_quadpack_fallback_error_is_honest(self, gauss, cauchy, terms, monkeypatch):
+        # the stated error covers the finite-difference inverse density
+        # that QUADPACK integrates; the contour is the reference
+        model = SubordinatorModel(StableMixture(terms))
+        points = [(kernel, t, z) for kernel in (gauss, cauchy) for t, z in ((1.0, 0.5), (1.0, 1.0))]
+        contours = [density_laplace(kernel, model, t, z) for kernel, t, z in points]
+
+        def no_resolvent(self, mu, z):
+            raise UnsupportedModelError("resolvent withheld")
+
+        monkeypatch.setattr(ExactGaussian, "resolvent", no_resolvent)
+        monkeypatch.setattr(ExactCauchy, "resolvent", no_resolvent)
+        for (kernel, t, z), contour in zip(points, contours):
+            est = density_quadrature(kernel, model, t, z)
+            assert est.method == "quad" and est.converged
+            assert abs(est.value - contour.value) <= est.error + contour.error
+
 
 class TestLaplace:
     def test_against_closed_form(self, gauss, cauchy, half):

@@ -93,6 +93,15 @@ class TestClosedFormHalf:
         ref = 1.0 - cdf_half(xs)
         assert np.max(np.abs(got / ref - 1.0)) < 1e-12
 
+    def test_survival_grid_far_tail(self):
+        # the series keeps full relative precision where 1 - cdf cancels
+        xs = np.geomspace(1e-3, 1e16, 120)
+        got = stable.survival_grid(0.5, xs)
+        ref = special.erf(1.0 / (2.0 * np.sqrt(xs)))
+        assert np.max(np.abs(got / ref - 1.0)) < 1e-12
+        scalar = np.array([stable.survival(0.5, x) for x in xs])
+        assert np.max(np.abs(scalar / got - 1.0)) < 1e-14
+
     def test_log_cdf_deep_tail(self):
         for x in (1e-2, 1e-4, 1e-6, 1e-8):
             y = 1.0 / (2.0 * math.sqrt(x))

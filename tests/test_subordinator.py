@@ -40,9 +40,18 @@ class TestCdf:
             assert half.cdf(r, t) == stable.cdf(0.5, t * r ** -2.0)
 
     def test_constructed_rejected(self):
+        # no stable parts: every distribution and sampling call refuses it
         model = SubordinatorModel(cbf_from_scale(PowerLaw(2.0), 3.0))
-        with pytest.raises(UnsupportedModelError):
-            model.cdf(1.0, 1.0)
+        calls = (lambda: model.cdf(1.0, 1.0), lambda: model.survival(1.0, 1.0),
+                 lambda: model.log_cdf(1.0, 1.0), lambda: model.inverse_density(1.0, 1.0),
+                 lambda: model.inverse_density_error(1.0, 1.0),
+                 lambda: model.inverse_density_grid(1.0, [1.0]),
+                 lambda: model.inverse_support(1.0),
+                 lambda: model.sample_subordinator(1.0, RngStream(0, 0), 3),
+                 lambda: model.sample_inverse(1.0, RngStream(0, 0), 3))
+        for call in calls:
+            with pytest.raises(UnsupportedModelError):
+                call()
 
     def test_mixture_cdf_plus_survival(self, mixture):
         for r, t in ((0.5, 1.0), (1.0, 0.5), (2.0, 3.0)):
@@ -58,6 +67,50 @@ class TestCdf:
         cdf_vals = np.array([mixture.cdf(1.0, float(t)) for t in draws[::40]])
         emp = (np.arange(draws.size) / draws.size)[::40]
         assert np.max(np.abs(cdf_vals - emp)) < 0.03
+
+
+# the three mixtures of criterion 9
+MIXTURES = (((1.0, 0.3), (1.0, 0.7)), ((2.0, 0.2), (1.0, 0.5)), ((1.0, 0.4), (3.0, 0.6)))
+
+
+class TestOnePath:
+    """A stable exponent is the one-part case of the sum-of-parts path."""
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
+    def test_one_term_mixture_is_stable_bitwise(self, beta):
+        plain = SubordinatorModel(Stable(beta))
+        single = SubordinatorModel(StableMixture(((1.0, beta),)))
+        for t in (1e-3, 0.4, 1.0, 30.0):
+            assert single.inverse_support(t) == plain.inverse_support(t)
+            assert np.array_equal(single.sample_inverse(t, RngStream(4, 1), 200),
+                                  plain.sample_inverse(t, RngStream(4, 1), 200))
+            for r in (1e-6, 0.05, 1.0, 8.0):
+                for name in ("cdf", "survival", "log_cdf"):
+                    assert getattr(single, name)(r, t) == getattr(plain, name)(r, t)
+
+    def test_weighted_single_term(self, half):
+        # phi = 2 lam**(1/2): E_t is half of the 1/2-stable one
+        model = SubordinatorModel(StableMixture(((2.0, 0.5),)))
+        rs = np.geomspace(1e-3, 3.0, 25)
+        ref = 2.0 * np.exp(-(2.0 * rs) ** 2 / 4.0) / math.sqrt(math.pi)
+        assert np.allclose(model.inverse_density_grid(1.0, rs), ref, rtol=1e-11, atol=0.0)
+        assert np.array_equal(model.sample_inverse(1.0, RngStream(6, 0), 100),
+                              half.sample_inverse(1.0, RngStream(6, 0), 100) / 2.0)
+
+    @pytest.mark.parametrize("terms", MIXTURES)
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
+    def test_support_holds_the_mass(self, terms, t):
+        # P(E_t > R) = P(S_R <= t) must vanish at the support bound R
+        model = SubordinatorModel(StableMixture(terms))
+        assert model.cdf(model.inverse_support(t), t) <= 1e-12
+
+    @pytest.mark.parametrize("r", [1e-5, 1e-8, 1e-12])
+    def test_small_r_survival_keeps_every_part(self, mixture, r):
+        # at small r, P(S_r >= 1) is the sum of the parts' survivals; the
+        # first part's mass below the convolution ladder must not be lost
+        parts = sum(SubordinatorModel(StableMixture((term,))).survival(r, 1.0)
+                    for term in mixture.exponent.terms)
+        assert abs(mixture.survival(r, 1.0) / parts - 1.0) <= 1e-6
 
 
 class TestInverseDensity:
