@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 
 import numpy as np
+from scipy import special
 
 from . import harness, solution
 from .bernstein import parse_exponent
 from .errors import BracketError, DomainError, FracheatError, QuadratureError
 from .harness import CSV_HEADER_COMMENT, VerifyConfig
+from .kernels import ExactCauchy, ExactGaussian
 from .numerics import DEFAULT_QUADRATURE
 from .rng import RngStream
 from .subordinator import SubordinatorModel
@@ -42,8 +45,6 @@ def _build_parser():
     p_eval.add_argument("--t", type=float, required=True)
     p_eval.add_argument("--z", type=float, required=True)
     p_eval.add_argument("--method", choices=("quad", "mc", "fourier"), default="quad")
-    p_eval.add_argument("--alpha", type=int, default=2,
-                        help="spatial order for --method fourier")
     p_eval.add_argument("--n", type=int, default=100_000, help="Monte Carlo samples")
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--out")
@@ -111,14 +112,22 @@ def _out_stream(path):
         yield sys.stdout
 
 
+def _spatial_order(kernel):
+    """The Fourier oracle's spatial order: 2 for gaussian:1, 1 for cauchy:1."""
+    order = {ExactGaussian: 2, ExactCauchy: 1}.get(type(kernel))
+    if order is None or kernel.dim != 1:
+        raise DomainError("the Fourier oracle needs the kernel gaussian:1 or cauchy:1")
+    return order
+
+
 def _cmd_eval(args):
     kernel, model = harness.build_kernel_and_model(_model_config(args))
     if args.method == "fourier":
-        alpha = args.alpha
         beta = getattr(model.exponent, "beta", None)
         if beta is None:
             raise DomainError("the Fourier oracle needs a stable subordinator")
-        value, err, method = solution.density_fourier(beta, alpha, args.t, args.z), 1e-8, "fourier"
+        value, err = solution._fourier(beta, _spatial_order(kernel), args.t, args.z)
+        method = "fourier"
     elif args.method == "mc":
         est = solution.density_monte_carlo(kernel, model, args.t, args.z,
                                            args.n, RngStream(args.seed, 0))
@@ -209,12 +218,7 @@ def _cmd_residual(args):
 
 
 def _cmd_selftest(args):
-    import math
-
-    from scipy import special
-
     from .bernstein import Stable
-    from .kernels import ExactGaussian
     from .scale import PowerLaw, subgaussian_exponent, subordinated_exponent
 
     checks = []
@@ -231,6 +235,8 @@ def _cmd_selftest(args):
     target = math.gamma(0.25) / (4.0 ** 0.75 * math.pi)
     est = solution.density_quadrature(ExactGaussian(1), model, 1.0, 0.0)
     checks.append(("fundamental value", abs(est.value - target) < 1e-6))
+    checks.append(("fourier fundamental value",
+                   abs(solution.density_fourier(0.5, 2, 1.0, 0.0) - target) < 1e-6))
     ok = True
     for name, passed in checks:
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
@@ -267,3 +273,7 @@ def run_cli(argv=None):
 
 def main():
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

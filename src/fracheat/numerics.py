@@ -51,29 +51,19 @@ def expand_bracket(f, x0=1.0, factor=2.0):
     if fx0 == 0.0:
         return x0, x0
     lo = hi = x0
-    prev_lo = prev_hi = x0
-    while True:
-        moved = False
+    while lo > _BRACKET_LO or hi < _BRACKET_HI:
         if lo > _BRACKET_LO:
-            prev_lo, lo = lo, max(lo / factor, _BRACKET_LO)
+            prev, lo = lo, max(lo / factor, _BRACKET_LO)
             flo = f(lo)
-            moved = True
-            if flo == 0.0:
-                return lo, lo
             if np.sign(flo) != np.sign(fx0):
-                return lo, prev_lo
+                return lo, lo if flo == 0.0 else prev
         if hi < _BRACKET_HI:
-            prev_hi, hi = hi, min(hi * factor, _BRACKET_HI)
+            prev, hi = hi, min(hi * factor, _BRACKET_HI)
             fhi = f(hi)
-            moved = True
-            if fhi == 0.0:
-                return hi, hi
             if np.sign(fhi) != np.sign(fx0):
-                return prev_hi, hi
-        if not moved:
-            raise BracketError(
-                f"no sign change of target function inside [{_BRACKET_LO}, {_BRACKET_HI}]"
-            )
+                return hi if fhi == 0.0 else prev, hi
+    raise BracketError(
+        f"no sign change of target function inside [{_BRACKET_LO}, {_BRACKET_HI}]")
 
 
 def monotone_root(f, x0=1.0, rtol=1e-13):
@@ -112,7 +102,6 @@ def geometric_boundaries(lo, hi, per_decade=4, extra=()):
         if pts:
             b = np.unique(np.concatenate([b, np.asarray(pts, dtype=float)]))
     return b
-
 
 
 # QUADPACK qk15 tables: xgk holds the Kronrod abscissae on [0, 1] in

@@ -28,10 +28,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         return self._generator
 
-    def spawn(self, index: int) -> "RngStream":
-        """A sibling stream with the same master seed and a new index."""
-        return RngStream(self.seed, index)
-
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._generator.uniform(low, high, size)
 

@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 
 import numpy as np
 from scipy import integrate, special
 
 from .bernstein import Stable, StableMixture
-from .errors import DomainError, QuadratureError, UnsupportedModelError
+from .errors import DomainError, UnsupportedModelError
 from .numerics import (DEFAULT_QUADRATURE, geometric_boundaries, kronrod_quad,
                        panel_nodes)
 from .rng import RngStream
@@ -231,200 +232,199 @@ def density_monte_carlo(kernel, model, t, z, n, rng):
 # Mittag-Leffler E_beta(-x)
 # --------------------------------------------------------------------------
 
-_ML_SERIES_EDGE = 1.0
-_ML_ASYMPTOTIC_EDGE = 50.0
+_ML_SERIES_EDGE, _ML_ASYMPTOTIC_EDGE = 1.0, 50.0
+# series terms below this fraction of the leading one are dropped
+_ML_NEGLIGIBLE = 1e-20
+# the spectral integral: a power series in 1/x (ratio <= _ML_HEAD) for
+# u < _ML_HEAD/x, then _ML_ORDER Gauss-Legendre nodes on each log-v panel
+# of width <= _ML_PANEL, v = (ux)**(1/beta), up to e**-v = 3e-20 at _ML_CUT
+_ML_HEAD, _ML_CUT, _ML_PANEL, _ML_ORDER = 0.5, 45.0, 1.5, 12
+# above this order the pole of the spectral integrand lies within
+# pi (1 - beta)/beta < pi/2 of the log-v axis, too close for the shared
+# nodes, and is subtracted; E at the pole then has modulus <= 1
+_ML_POLE_BETA = 2.0 / 3.0
+# rows of x per block of the (x, node) arrays: no temporary passes ~0.3 MB
+_ML_ROWS = 256
 
 
+def _elementwise(kernel):
+    """Let kernel(beta, x) of a 1-d x take any x; a scalar gives a float."""
+    @wraps(kernel)
+    def wrapped(beta, x):
+        x = np.asarray(x, dtype=float)
+        return kernel(beta, x.ravel()).reshape(x.shape)[()]
+    return wrapped
+
+
+@_elementwise
 def mittag_leffler(beta, x):
-    """E_beta(-x) for beta in (0, 1), x >= 0.
+    """E_beta(-x) for beta in (0, 1), elementwise over x >= 0.
 
     Power series for x <= 1, the completely monotone spectral
     representation for 1 < x < 50, and the alternating asymptotic series
     with minimal-term truncation for x >= 50.  The branches agree to
-    ~1e-13 at both switchover points.
+    ~1e-15 at both switchover points.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError(f"order must lie in (0, 1), got {beta}")
-    if x < 0.0:
-        raise DomainError(f"argument must be >= 0, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x <= _ML_SERIES_EDGE:
-        return _ml_series(beta, x)
-    if x < _ML_ASYMPTOTIC_EDGE:
-        return _ml_integral(beta, x)
-    return _ml_asymptotic(beta, x)
+    if not np.all(x >= 0.0):
+        raise DomainError("argument must be >= 0")
+    out = np.empty(x.size)
+    series, asymptotic = x <= _ML_SERIES_EDGE, x >= _ML_ASYMPTOTIC_EDGE
+    spectral = ~(series | asymptotic)
+    out[series] = _ml_series(beta, x[series])
+    out[spectral] = _ml_integral(beta, x[spectral])
+    out[asymptotic] = _ml_asymptotic(beta, x[asymptotic])
+    return out
 
 
+@_elementwise
 def _ml_series(beta, x):
-    total = 1.0
-    for k in range(1, 400):
-        term = (-x) ** k * special.rgamma(1.0 + beta * k)
-        total += term
-        if abs(term) < 1e-18 * abs(total) and k > 3:
-            break
-    return float(total)
+    """sum_k (-x)**k / Gamma(1 + beta k) by Horner's rule, down to the
+    first coefficient below _ML_NEGLIGIBLE."""
+    coef = special.rgamma(1.0 + beta * np.arange(math.ceil(25.0 / beta) + 4))
+    total = np.zeros(x.size)
+    for ck in coef[:4 + int(np.argmax(coef[4:] < _ML_NEGLIGIBLE))][::-1]:
+        total = total * -x + ck
+    return total
 
 
+@lru_cache(maxsize=16)
+def _ml_spectral_rule(beta):
+    """The x-independent parts of `_ml_integral`: the body nodes as
+    v**beta, the weights of its two terms and the head coefficients."""
+    v_head = _ML_HEAD ** (1.0 / beta)
+    lo, hi = math.log(v_head), math.log(_ML_CUT)
+    log_v, weights = panel_nodes(
+        np.linspace(lo, hi, math.ceil((hi - lo) / _ML_PANEL) + 1), _ML_ORDER)
+    v = np.exp(log_v)
+    m = np.arange(1, math.ceil(math.log(_ML_NEGLIGIBLE) / math.log(_ML_HEAD)) + 1)
+    head = (beta * np.sin(m * math.pi * (1.0 - beta))
+            * special.gammainc(beta * m, v_head) * special.gamma(beta * m))
+    return v ** beta, beta * weights * np.exp(-v), beta * weights, head
+
+
+@_elementwise
 def _ml_integral(beta, x):
-    """E_beta(-x) = sin(b pi)/(b pi) int_0^inf e^{-(ux)^(1/b)}
-    / (u^2 + 2u cos(b pi) + 1) du."""
-    cb = math.cos(beta * math.pi)
-    inv_b = 1.0 / beta
+    """E_beta(-x) = Im int_0^inf E(u) / (u - zeta) du / (beta pi), the
+    spectral representation, with E(u) = exp(-(ux)**(1/beta)) and
+    zeta = -exp(-i beta pi).
 
-    def f(u):
-        arg = (u * x) ** inv_b
-        if arg > 700.0:
-            return 0.0
-        return math.exp(-arg) / (u * u + 2.0 * u * cb + 1.0)
+    For u < _ML_HEAD/x, 1/(u - zeta) expands in powers of u and each term
+    integrates in closed form: a polynomial in 1/x.  The rest is one
+    Gauss-Legendre rule in log v, v = (ux)**(1/beta), shared by every x.
+    Above _ML_POLE_BETA, where Im 1/(u - zeta) peaks at u ~ 1 with width
+    ~pi(1 - beta), the integrand is (E(u) - E(zeta) k(u))/(u - zeta),
+    smooth at the pole, with k(u) = (zeta + 1)/(u + 1); the integral of
+    E(zeta) k(u)/(u - zeta) is added back in closed form.
+    """
+    v_beta, w_exp, w_pole, head = _ml_spectral_rule(beta)
+    # cos and sin of beta pi from (1 - beta) pi, which stays accurate as beta -> 1
+    c, s = -math.cos(math.pi * (1.0 - beta)), math.sin(math.pi * (1.0 - beta))
+    zeta = complex(-c, s)
+    inv_x = 1.0 / x
+    total = np.zeros(x.size)
+    pole = beta > _ML_POLE_BETA
+    if pole:
+        e_zeta = np.exp(-x ** (1.0 / beta) * np.exp(1j * math.pi * (1.0 - beta) / beta))
+        u_head, u_cut = _ML_HEAD * inv_x, _ML_CUT ** beta * inv_x
+        total += (e_zeta * (np.log((u_cut - zeta) / (u_cut + 1.0))
+                            - np.log((u_head - zeta) / (u_head + 1.0)))).imag
+        coef = e_zeta * (zeta + 1.0)
+    for blk in (slice(i, i + _ML_ROWS) for i in range(0, x.size, _ML_ROWS)):
+        powers = np.cumprod(np.broadcast_to(inv_x[blk, None], (total[blk].size, head.size)), axis=1)
+        u = inv_x[blk, None] * v_beta
+        den = (u + c) ** 2 + s * s
+        total[blk] += powers @ head + (s * u / den) @ w_exp
+        if pole:
+            total[blk] -= (u * (coef.imag[blk, None] * (u + c) + coef.real[blk, None] * s)
+                           / ((u + 1.0) * den)) @ w_pole
+    return total / (beta * math.pi)
 
-    split = 1.0 / x
-    total = 0.0
-    for lo, hi in ((0.0, split), (split, np.inf)):
-        v, _ = integrate.quad(f, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=500)
-        total += v
-    return math.sin(beta * math.pi) / (beta * math.pi) * total
+
+@lru_cache(maxsize=16)
+def _ml_asymptotic_coeffs(beta):
+    """(k, (-1)**(k+1) / Gamma(1 - beta k)) for the nonzero terms, k < 120."""
+    k = np.arange(1.0, 120.0)
+    coef = (-1.0) ** (k + 1) * special.rgamma(1.0 - beta * k)
+    return k[coef != 0.0], coef[coef != 0.0]
 
 
+def _up_to_smallest(terms):
+    """Rows of asymptotic-series terms with every term from the first one
+    that grows on set to 0: minimal-term truncation."""
+    grown = np.logical_or.accumulate(np.abs(terms[..., 1:]) > np.abs(terms[..., :-1]), axis=-1)
+    return np.concatenate([terms[..., :1], np.where(grown, 0.0, terms[..., 1:])], axis=-1)
+
+
+@_elementwise
 def _ml_asymptotic(beta, x):
-    total = 0.0
-    prev = np.inf
-    for k in range(1, 120):
-        term = (-1.0) ** (k + 1) * x ** (-k) * special.rgamma(1.0 - beta * k)
-        if term == 0.0:
-            continue
-        if abs(term) > prev:
-            break
-        total += term
-        prev = abs(term)
-    return float(total)
+    """sum_k (-1)**(k+1) x**-k / Gamma(1 - beta k) up to its smallest term."""
+    k, coef = _ml_asymptotic_coeffs(beta)
+    # past the first term negligible at the smallest x, each term is
+    # negligible at every x or comes after one that grows
+    small = np.flatnonzero(np.abs(coef) * x.min(initial=np.inf) ** (1.0 - k)
+                           < _ML_NEGLIGIBLE * abs(coef[0]))
+    k, coef = (part[:small[0] if small.size else None] for part in (k, coef))
+    total = np.empty(x.size)
+    for blk in (slice(i, i + _ML_ROWS) for i in range(0, x.size, _ML_ROWS)):
+        total[blk] = _up_to_smallest(coef * x[blk, None] ** -k).sum(axis=1)
+    return total
 
 
 # --------------------------------------------------------------------------
 # Fourier oracle
 # --------------------------------------------------------------------------
 
-def density_fourier(beta, spatial_alpha, t, z):
-    """p(t, z) = (1/pi) int_0^inf cos(xi z) E_beta(-xi**alpha t**beta) dxi.
+# integrations by parts that close the z > 0 tail at xi_end, where
+# z xi_end >= 40: each one shrinks the remainder by ~(alpha + j)/(z xi_end)
+_FOURIER_PARTS = 8
 
-    One-dimensional only; spatial_alpha selects the Gaussian (2) or Cauchy
-    (1) spatial generator.  Oscillation beyond a few periods is handled by
-    Filon-type panels (exact integration of a quadratic interpolant against
-    cos), with the remainder past the last panel added in closed form from
-    integration by parts.
+
+def density_fourier(beta, spatial_alpha, t, z):
+    """p(t, z) = (1/pi) int_0^inf cos(xi z) E_beta(-xi**alpha t**beta) dxi."""
+    return _fourier(beta, spatial_alpha, t, z)[0]
+
+
+def _fourier(beta, alpha, t, z):
+    """(p(t, z), error) by the Fourier-Mittag-Leffler representation, 1-d
+    only; alpha selects the Gaussian (2) or Cauchy (1) spatial generator.
+
+    The head up to xi_end is one adaptive Gauss-Kronrod pass split where
+    xi**alpha t**beta = 1 and, for z > 0, at every quarter period of
+    cos(xi z).  The tail follows from the asymptotic expansion of E_beta,
+    integrated by parts for z > 0 and term by term for z = 0.  The error
+    is the Kronrod error plus the size of the last closing term.
     """
-    if spatial_alpha not in (1, 2):
+    if alpha not in (1, 2):
         raise DomainError("spatial order must be 1 or 2")
     if t <= 0.0 or z < 0.0:
         raise DomainError("oracle needs t > 0, z >= 0")
-    if z == 0.0 and spatial_alpha == 1:
+    if z == 0.0 and alpha == 1:
         raise DomainError("on-diagonal value diverges for spatial order 1")
     tb = t ** beta
-
-    def f(xi):
-        return mittag_leffler(beta, xi ** spatial_alpha * tb)
-
-    xi_asym = (60.0 / tb) ** (1.0 / spatial_alpha)
+    knee = tb ** (-1.0 / alpha)
     if z == 0.0:
-        head, _ = integrate.quad(f, 0.0, xi_asym, epsabs=1e-13, epsrel=1e-11,
-                                 limit=800)
-        return (head + _fourier_flat_tail(beta, spatial_alpha, tb, xi_asym)) / math.pi
-
-    xi_f = max(30.0 / z, 1e-6)
-    head, _ = integrate.quad(lambda xi: f(xi) * math.cos(xi * z), 0.0, xi_f,
-                             epsabs=1e-13, epsrel=1e-11, limit=1500)
-    tail = _filon_tail(f, beta, spatial_alpha, tb, xi_f, z)
-    return (head + tail) / math.pi
-
-
-def _fourier_flat_tail(beta, alpha, tb, xi0):
-    """int_{xi0}^inf E_beta(-xi^alpha tb) dxi by the asymptotic expansion."""
-    total = 0.0
-    prev = np.inf
-    for k in range(1, 60):
-        if alpha * k <= 1.0:
-            raise QuadratureError("non-integrable oracle tail")
-        term = ((-1.0) ** (k + 1) * tb ** (-k) * special.rgamma(1.0 - beta * k)
-                * xi0 ** (1.0 - alpha * k) / (alpha * k - 1.0))
-        if term == 0.0:
-            continue
-        if abs(term) > prev:
-            break
-        total += term
-        prev = abs(term)
-    return total
-
-
-def _cos_sin_moments(big_h, z):
-    """int_0^H u^m cos(zu) du and ...sin(zu) du for m = 0, 1, 2."""
-    zh = z * big_h
-    s, c = math.sin(zh), math.cos(zh)
-    c0 = s / z
-    s0 = (1.0 - c) / z
-    c1 = (c - 1.0) / z ** 2 + big_h * s / z
-    s1 = (s - zh * c) / z ** 2
-    c2 = (2.0 * zh * c + (zh * zh - 2.0) * s) / z ** 3
-    s2 = (2.0 * zh * s - (zh * zh - 2.0) * c - 2.0) / z ** 3
-    return (c0, c1, c2), (s0, s1, s2)
-
-
-def _filon_panel(f, a, b, z):
-    """Exact integral of the quadratic through f(a), f(mid), f(b) times
-    cos(z xi) over [a, b]; plain Simpson when the panel sees < 1e-3 rad."""
-    h = 0.5 * (b - a)
-    fa, fm, fb = f(a), f(a + h), f(b)
-    if z * (b - a) < 1e-3:
-        return (b - a) / 6.0 * (fa * math.cos(z * a)
-                                + 4.0 * fm * math.cos(z * (a + h))
-                                + fb * math.cos(z * b))
-    c2 = (fb - 2.0 * fm + fa) / (2.0 * h * h)
-    c1 = (fm - fa - c2 * h * h) / h
-    c0 = fa
-    (c0m, c1m, c2m), (s0m, s1m, s2m) = _cos_sin_moments(b - a, z)
-    cos_part = c0 * c0m + c1 * c1m + c2 * c2m
-    sin_part = c0 * s0m + c1 * s1m + c2 * s2m
-    return math.cos(z * a) * cos_part - math.sin(z * a) * sin_part
-
-
-def _ml_tail_derivs(beta, alpha, tb, xi):
-    """f, f', f'', f''' of f(xi) = E_beta(-xi**alpha tb) from the
-    asymptotic expansion (valid once xi**alpha * tb is large)."""
-    derivs = np.zeros(4)
-    prev = np.inf
-    for k in range(1, 80):
-        coef = (-1.0) ** (k + 1) * special.rgamma(1.0 - beta * k) * tb ** (-k)
-        if coef == 0.0:
-            continue
-        base = coef * xi ** (-alpha * k)
-        if abs(base) > prev:
-            break
-        prev = abs(base)
-        fall = 1.0
-        for j in range(4):
-            derivs[j] += base * fall / xi ** j if j else base
-            fall *= -(alpha * k + j)
-    return derivs
-
-
-def _filon_tail(f, beta, alpha, tb, xi0, z):
-    """Filon panels from xi0 out to the asymptotic zone, closed by the
-    four-term integration-by-parts remainder with analytic derivatives:
-    int_a^inf f cos(z xi) dxi = -f s/z - f' c/z^2 + f'' s/z^3 + f''' c/z^4
-    + O(f''''/z^4).  Panel widths stay below half an oscillation period
-    and a small fraction of the running abscissa so the quadratic
-    interpolant tracks the envelope."""
-    xi_switch = max((30.0 / tb) ** (1.0 / alpha), 40.0 / z, xi0)
-    total = 0.0
-    a = xi0
-    while a < xi_switch:
-        width = min(math.pi / (2.0 * z), 0.05 * a) if a * z > 10 else math.pi / (2.0 * z)
-        b = min(a + max(width, 1e-3 * a), xi_switch * 1.0000001)
-        total += _filon_panel(f, a, b, z)
-        a = b
-    f0, f1, f2, f3 = _ml_tail_derivs(beta, alpha, tb, a)
-    s, c = math.sin(z * a), math.cos(z * a)
-    total += -f0 * s / z - f1 * c / z ** 2 + f2 * s / z ** 3 + f3 * c / z ** 4
-    return total
+        xi_end = (60.0 / tb) ** (1.0 / alpha)
+        bounds = np.append(0.0, geometric_boundaries(knee, xi_end))
+    else:
+        xi_end = max((30.0 / tb) ** (1.0 / alpha), 40.0 / z)
+        bounds = np.unique(np.append(np.arange(0.0, xi_end, 0.5 * math.pi / z), (knee, xi_end)))
+    head, err, _ = kronrod_quad(
+        lambda xi: mittag_leffler(beta, xi ** alpha * tb) * np.cos(xi * z), bounds,
+        rel_tol=1e-11, abs_floor=1e-13)
+    k, coef = _ml_asymptotic_coeffs(beta)
+    if z == 0.0:
+        terms = _up_to_smallest(coef * tb ** -k * xi_end ** (1.0 - alpha * k) / (alpha * k - 1.0))
+        return (head + terms.sum()) / math.pi, (err + abs(terms[terms != 0.0][-1])) / math.pi
+    # with f^(j)(a), a = xi_end, from the asymptotic expansion, n integrations
+    # by parts give Re e^{iza} sum_{j<n} f^(j)(a) (i/z)^(j+1) for the tail,
+    # with a remainder of at most |f^(n-1)(a)|/z^n: f^(n-1) decays monotonically
+    terms = _up_to_smallest(coef * (tb * xi_end ** alpha) ** -k)
+    falling = np.cumprod(-(alpha * k[:, None] + np.arange(_FOURIER_PARTS - 1.0)), axis=1)
+    derivs = np.append(terms.sum(), terms @ falling / xi_end ** np.arange(1.0, _FOURIER_PARTS))
+    tail = (np.exp(1j * z * xi_end) * (derivs @ (1j / z) ** np.arange(1, _FOURIER_PARTS + 1))).real
+    return (head + tail) / math.pi, (err + abs(derivs[-1]) / z ** _FOURIER_PARTS) / math.pi
 
 
 # --------------------------------------------------------------------------

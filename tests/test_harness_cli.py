@@ -1,5 +1,8 @@
 """Campaign harness and command-line surface."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +131,34 @@ class TestCli:
         assert code == 0
         value = float(capsys.readouterr().out.strip().splitlines()[-1].split(",")[2])
         assert value == pytest.approx(0.40802446954913144, abs=1e-6)
+
+    def test_eval_fourier_cauchy(self, capsys):
+        code = run_cli(["eval", "--beta", "0.5", "--kernel", "cauchy:1",
+                        "--t", "1", "--z", "1", "--method", "fourier"])
+        assert code == 0
+        row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+        value, err = float(row[2]), float(row[3])
+        quad = 0.12040287906839685  # eval --method quad at the same point
+        assert 0.0 < err < 1e-6
+        assert abs(value - quad) <= err
+
+    @pytest.mark.parametrize("kernel", ["gaussian:3", "cauchy:2", "jump"])
+    def test_eval_fourier_kernel_mismatch(self, kernel, capsys):
+        code = run_cli(["eval", "--beta", "0.5", "--kernel", kernel, "--phi-scale", "power:1",
+                        "--volume", "power:1", "--t", "1", "--z", "1", "--method", "fourier"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "gaussian:1 or cauchy:1" in captured.err
+
+    def test_module_entry_point(self):
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-m", "fracheat", "selftest"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "PASS  fourier fundamental value" in done.stdout
 
     def test_estimate(self, capsys):
         code = run_cli(["estimate", "--beta", "0.5", "--kernel", "cauchy:1",
