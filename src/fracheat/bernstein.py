@@ -2,8 +2,9 @@
 
 Three model families are supported:
 
-* ``Stable(beta)``: phi(lam) = lam**beta, the beta-stable subordinator.
 * ``StableMixture``: phi(lam) = sum_i a_i * lam**beta_i with a_i > 0.
+* ``Stable(beta)``: phi(lam) = lam**beta, the beta-stable subordinator, its
+  one-part case.
 * ``ConstructedCBF``: a complete Bernstein function built from a space-time
   scale function Phi so that Phi(r) * phi(r**-alpha3) stays bounded above
   and below, via
@@ -83,50 +84,6 @@ class LaplaceExponent:
 
 
 @dataclass(frozen=True)
-class Stable(LaplaceExponent):
-    """phi(lam) = lam**beta for a fixed beta in (0, 1)."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise DomainError(f"stable index must lie in (0, 1), got {self.beta}")
-
-    @property
-    def beta_lo(self):
-        return self.beta
-
-    @property
-    def beta_hi(self):
-        return self.beta
-
-    @property
-    def terms(self):
-        """The single (weight, index) pair, as for a mixture."""
-        return ((1.0, self.beta),)
-
-    def phi(self, lam):
-        _check_positive("lam", np.min(lam))
-        return lam ** self.beta
-
-    def phi_prime(self, lam):
-        _check_positive("lam", np.min(lam))
-        return self.beta * lam ** (self.beta - 1.0)
-
-    def levy_tail(self, s):
-        _check_positive("s", np.min(s))
-        return s ** -self.beta / math.gamma(1.0 - self.beta)
-
-    def integrated_tail(self, x):
-        if np.min(x) < 0.0:
-            raise DomainError(f"integrated tail needs x >= 0, got {x}")
-        b = self.beta
-        return np.where(np.asarray(x) > 0,
-                        np.asarray(x) ** (1.0 - b) / ((1.0 - b) * math.gamma(1.0 - b)),
-                        0.0)[()]
-
-
-@dataclass(frozen=True)
 class StableMixture(LaplaceExponent):
     """phi(lam) = sum_i a_i lam**beta_i; terms are (weight, index) pairs."""
 
@@ -169,6 +126,19 @@ class StableMixture(LaplaceExponent):
         total = sum(a * xa ** (1.0 - b) / ((1.0 - b) * math.gamma(1.0 - b))
                     for a, b in self.terms)
         return np.where(xa > 0, total, 0.0)[()]
+
+
+class Stable(StableMixture):
+    """phi(lam) = lam**beta for a fixed beta in (0, 1): the one-part mixture."""
+
+    def __init__(self, beta):
+        if not 0.0 < beta < 1.0:
+            raise DomainError(f"stable index must lie in (0, 1), got {beta}")
+        super().__init__(((1.0, beta),))
+
+    @property
+    def beta(self):
+        return self.terms[0][1]
 
 
 @dataclass(frozen=True)

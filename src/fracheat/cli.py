@@ -237,6 +237,10 @@ def _cmd_selftest(args):
     checks.append(("fundamental value", abs(est.value - target) < 1e-6))
     checks.append(("fourier fundamental value",
                    abs(solution.density_fourier(0.5, 2, 1.0, 0.0) - target) < 1e-6))
+    mix = parse_exponent("mixture:1,0.3;1,0.7")
+    h_small = SubordinatorModel(mix).inverse_density(1.0, 1e-8)
+    checks.append(("mixture inverse density at r->0 equals the Levy tail",
+                   abs(h_small / mix.levy_tail(1.0) - 1.0) < 1e-6))
     ok = True
     for name, passed in checks:
         print(f"{'PASS' if passed else 'FAIL'}  {name}")

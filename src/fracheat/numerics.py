@@ -128,11 +128,12 @@ _MAX_BISECTIONS = 128
 
 
 def _kronrod_panels(f, lo, hi):
-    """(K15, |K15 - G7|) on each panel [lo_i, hi_i] from one call of f."""
+    """(K15, |K15 - G7|) on each panel [lo_i, hi_i] from one call of f,
+    the panel index last."""
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
-    vals = np.reshape(f((mid[:, None] + half[:, None] * _K15_X[None, :]).ravel()),
-                      (mid.size, _K15_X.size))
+    vals = f((mid[:, None] + half[:, None] * _K15_X[None, :]).ravel())
+    vals = np.reshape(vals, np.shape(vals)[:-1] + (mid.size, _K15_X.size))
     kronrod = half * (vals @ _K15_W)
     return kronrod, np.abs(kronrod - half * (vals @ _G7_W))
 
@@ -140,21 +141,25 @@ def _kronrod_panels(f, lo, hi):
 def kronrod_quad(f, boundaries, rel_tol, abs_floor):
     """Adaptive composite Gauss-Kronrod (G7/K15) integral of a vectorized f.
 
-    Starts from the panels between consecutive boundaries.  Each round
-    calls f once on the nodes of every new panel.  A panel fails when its
-    error |K15 - G7| exceeds its width share of max(rel_tol*|total|,
-    abs_floor); failing panels are bisected, worst first, until none fails
-    or _MAX_BISECTIONS have been spent.  Returns (total, error, converged)
-    with error the sum of the panel errors and converged whether that sum
-    meets the tolerance.
+    f maps the nodes to values, or to an array of rows of values with the
+    node index last, each row an integral with its own tolerance on shared
+    panels.  Starts from the panels between consecutive boundaries.  Each
+    round calls f once on the nodes of every new panel.  A panel fails when
+    its error |K15 - G7| in some row exceeds its width share of
+    max(rel_tol*|row total|, abs_floor); failing panels are bisected, worst
+    first, until none fails or _MAX_BISECTIONS have been spent.  Returns
+    (total, error, converged), per row for rows, with error the sum of the
+    panel errors and converged whether that sum meets the tolerance.
     """
     edges = np.asarray(boundaries, dtype=float)
     lo, hi = edges[:-1], edges[1:]
     val, err = _kronrod_panels(f, lo, hi)
     budget = _MAX_BISECTIONS
     while True:
-        tol = max(rel_tol * abs(val.sum()), abs_floor)
-        excess = err / (hi - lo) - tol / (edges[-1] - edges[0])
+        tol = np.maximum(rel_tol * np.abs(val.sum(axis=-1)), abs_floor)
+        excess = err / (hi - lo) - (tol / (edges[-1] - edges[0]))[..., None]
+        if excess.ndim > 1:
+            excess = excess.reshape(-1, lo.size).max(axis=0)
         fail = np.flatnonzero(excess > 0.0)
         if fail.size == 0 or budget == 0:
             break
@@ -165,7 +170,8 @@ def kronrod_quad(f, boundaries, rel_tol, abs_floor):
         lo = np.concatenate([lo[keep], lo[fail], mid])
         hi = np.concatenate([hi[keep], mid, hi[fail]])
         new_val, new_err = _kronrod_panels(f, lo[keep.size:], hi[keep.size:])
-        val = np.concatenate([val[keep], new_val])
-        err = np.concatenate([err[keep], new_err])
-    total, error = float(val.sum()), float(err.sum())
-    return total, error, error <= max(rel_tol * abs(total), abs_floor)
+        val = np.concatenate([val[..., keep], new_val], axis=-1)
+        err = np.concatenate([err[..., keep], new_err], axis=-1)
+    total, error = val.sum(axis=-1), err.sum(axis=-1)
+    ok = error <= np.maximum(rel_tol * np.abs(total), abs_floor)
+    return (total, error, ok) if total.ndim else (float(total), float(error), bool(ok))

@@ -4,9 +4,10 @@ p(t, z) = E[q(E_t, z)] = int_0^inf q(s, z) h_t(s) ds, where h_t is the
 density of the inverse subordinator E_t.  This is evaluated four
 independent ways:
 
-* quadrature against h_t (the workhorse, `density_quadrature`): for stable
-  time changes one vectorized adaptive Gauss-Kronrod panel rule in log s
-  whose error is the summed |K15 - G7| difference,
+* quadrature against h_t (the workhorse, `density_quadrature`): one
+  vectorized adaptive Gauss-Kronrod panel rule in log s for every stable
+  and stable-mixture time change, whose error is the summed |K15 - G7|
+  difference,
 * contour inversion of the Laplace transform in t,
       phi(lam)/lam * R_{phi(lam)}(z),  R_mu the kernel's resolvent,
   by the trapezoid rule on a Weideman-Trefethen hyperbola
@@ -15,9 +16,9 @@ independent ways:
   error is the difference of two node counts plus a rounding bound, and
   the result is valid only when that error meets rel_tol*|p|: off the
   diagonal p is tiny against the contour terms and the result comes back
-  flagged.  `density_quadrature` sends mixtures here first and falls back
-  to QUADPACK pieces against the finite-difference inverse density only
-  when the kernel has no resolvent or the contour result is flagged,
+  flagged.  `density_quadrature` sends mixtures here first, as the fast
+  path, and takes the Gauss-Kronrod rule when the kernel has no resolvent
+  or the contour result is flagged,
 * Monte Carlo over inverse-subordinator samples,
 * for stable subordinators and 1-d Gaussian/Cauchy kernels, the
   Fourier-Mittag-Leffler representation
@@ -97,14 +98,13 @@ def _check_on_diagonal_integrable(kernel, model, t, z):
 def density_quadrature(kernel, model, t, z, cfg=None):
     """p(t, z) by quadrature of q(s, z) against the density of E_t.
 
-    Stable time changes use one vectorized composite Gauss-Kronrod rule in
-    u = log s on geometric panels split at the change-of-character points,
-    bisected where |K15 - G7| exceeds the panel's share of rel_tol*|p|; the
-    error is the sum of those differences and `converged` says whether it
-    meets rel_tol*|p|.  Exponents of several parts have no vectorized
-    inverse density: they take `density_laplace` when the kernel has a
-    resolvent and its result is not flagged, else QUADPACK piecewise, whose
-    error adds that of the differenced inverse density.
+    One vectorized composite Gauss-Kronrod rule in u = log s on geometric
+    panels split at the change-of-character points, bisected where
+    |K15 - G7| exceeds the panel's share of rel_tol*|p|; the error is the
+    sum of those differences and `converged` says whether it meets
+    rel_tol*|p|.  Exponents of several parts first try `density_laplace`,
+    which is far cheaper, and keep its result when the kernel has a
+    resolvent and the result is not flagged.
     """
     cfg = cfg or model.quadrature or DEFAULT_QUADRATURE
     if t <= 0.0 or z < 0.0:
@@ -112,49 +112,20 @@ def density_quadrature(kernel, model, t, z, cfg=None):
     _check_on_diagonal_integrable(kernel, model, t, z)
     splits = _split_points(kernel, model, t, z)
     s_lo, s_hi = _support(kernel, model, t, z)
+    if len(model.exponent.terms) > 1:
+        try:
+            est = density_laplace(kernel, model, t, z, cfg)
+            if est.converged:
+                return est
+        except UnsupportedModelError:
+            pass  # the kernel has no closed-form resolvent
 
     def in_log_s(u):
         s = np.exp(u)
         return model.inverse_density_grid(t, s) * kernel.q(s, z) * s
 
     bounds = np.log(geometric_boundaries(s_lo, s_hi, per_decade=2, extra=splits))
-    try:
-        total, err, ok = kronrod_quad(in_log_s, bounds, cfg.rel_tol, cfg.abs_floor)
-        return SolutionEstimate(total, err, "quad", ok)
-    except UnsupportedModelError:
-        pass  # a mixture: the contour first, then QUADPACK
-    try:
-        est = density_laplace(kernel, model, t, z, cfg)
-        if est.converged:
-            return est
-    except UnsupportedModelError:
-        pass  # the kernel has no closed-form resolvent
-
-    def integrand(s):
-        return float(kernel.q(s, z)) * model.inverse_density(t, s)
-
-    # finite-difference inverse densities amplify the distribution's
-    # quadrature error by 1/step (~1e-5 relative); asking QUADPACK to beat
-    # that floor only burns subdivisions
-    rel_tol = max(cfg.rel_tol, 1e-5)
-    scan = np.geomspace(max(s_lo, 1e-280), s_hi, 32)
-    vals = np.array([integrand(s) for s in scan])
-    s_star = float(scan[int(np.argmax(vals))])
-    pts = sorted({p for p in (*splits, s_star / 8, s_star, 8 * s_star) if p < s_hi})
-
-    total, err = 0.0, 0.0
-    edges = [0.0, *pts, s_hi]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e = integrate.quad(integrand, lo, hi, epsabs=cfg.abs_floor,
-                              epsrel=rel_tol, limit=cfg.max_subdivisions)
-        total, err = total + v, err + e
-    tail, te = integrate.quad(integrand, s_hi, np.inf, epsabs=1e-280,
-                              epsrel=rel_tol, limit=200)
-    # QUADPACK cannot see the error of the differenced inverse density
-    # itself: integrate its bound against q on the scan, in log s
-    fd_err = [float(kernel.q(s, z)) * model.inverse_density_error(t, s) * s for s in scan]
-    total, err = total + tail, err + te + integrate.trapezoid(fd_err, np.log(scan))
-    ok = not (total > 0 and err > max(1e-5, 100.0 * rel_tol) * total)
+    total, err, ok = kronrod_quad(in_log_s, bounds, cfg.rel_tol, cfg.abs_floor)
     return SolutionEstimate(total, err, "quad", ok)
 
 
@@ -196,7 +167,7 @@ def density_laplace(kernel, model, t, z, cfg=None):
     cfg = cfg or model.quadrature or DEFAULT_QUADRATURE
     if t <= 0.0 or z < 0.0:
         raise DomainError("density needs t > 0 and z >= 0")
-    if not isinstance(model.exponent, (Stable, StableMixture)):
+    if not isinstance(model.exponent, StableMixture):
         raise UnsupportedModelError(
             "contour inversion needs a stable or stable-mixture exponent, "
             f"got {type(model.exponent).__name__}")

@@ -2,15 +2,17 @@
 
 A stable or stable-mixture exponent phi = sum_i a_i lam**beta_i is one
 path, a stable exponent being its one-part case: S_r is the sum of the
-independent parts (a_i * r)**(1/beta_i) * X_i, X_i standard
+independent parts Y_i = (a_i * r)**(1/beta_i) * X_i, X_i standard
 beta_i-stable.
 
 * The law of S_r is the stable law for one part and otherwise a
-  convolution quadrature conditioned on the first part (`_sum_law`).
+  convolution conditioned on the first part (`_sum_law`).
+* E_t has density h_t(r) = M(t)/r, M = sum_i E[Y_i/beta_i; S_r in dx]/dx,
+  as P(E_t <= r) = P(S_r >= t): t f(t)/(beta r) for one part, and for
+  several the same conditioning, vectorized over r (`_sum_density`).
 * For one part E_t = (t / X)**beta / a in distribution, which gives the
-  sampler and the vectorized inverse density.  Several parts take the
-  central difference of the survival in r and a discretized-path sampler
-  with first-passage refinement.
+  sampler; several parts take a discretized-path sampler with
+  first-passage refinement.
 * S_r is at least each of its parts, so E_t is at most each part's own
   inverse time: the support bound of E_t is the least of the parts'.
 
@@ -30,19 +32,41 @@ from scipy import integrate
 from . import stable
 from .bernstein import LaplaceExponent, Stable
 from .errors import DomainError, QuadratureError, UnsupportedModelError
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, panel_nodes
+from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, kronrod_quad
 from .rng import RngStream
 
 # path steps one first-passage draw may take before it gives up
 _MAX_INCREMENTS = 4_000_000
-# the convolution ladder starts at this share of the argument
-_CONV_HEAD = 1e-14
-# relative step of the finite-difference inverse density of mixtures
-_FD_STEP = 1e-5
+# convolutions start at this share of the argument, on _CONV_PANELS log
+# panels bisected until |K15 - G7| meets _CONV_TOL relative in each row;
+# the inverse density of several parts takes _CONV_ROWS values of r a pass
+_CONV_HEAD, _CONV_PANELS, _CONV_TOL, _CONV_ROWS = 1e-14, 16, 1e-11, 4
 
 
 def _generator(rng):
     return rng.generator if isinstance(rng, RngStream) else rng
+
+
+def _part_density(b, ar, y):
+    """Density at y of the part ar**(1/b) X, ar = a r; where y ar**(-1/b)
+    overflows, the leading term b ar y**(-1-b) / Gamma(1-b) of its tail."""
+    x = y * ar ** (-1.0 / b)
+    return np.where(np.isinf(x), b * ar * y ** (-1.0 - b) / math.gamma(1.0 - b),
+                    stable.density_grid(b, x) * ar ** (-1.0 / b))
+
+
+def _convolve(x, integrand):
+    """(foot, int integrand(y, x - y) dy over (foot, x - foot)), foot =
+    x * _CONV_HEAD, by one adaptive Gauss-Kronrod pass in log y on the lower
+    half and log(x - y) on the upper one, so both ends are resolved and the
+    small argument of each pair is exact.  The integrand takes arrays
+    (y, x - y) and may return rows, each an integral of its own."""
+    def in_log(v):
+        small = np.exp(v)
+        return (integrand(small, x - small) + integrand(x - small, small)) * small
+
+    ladder = np.linspace(np.log(x * _CONV_HEAD), np.log(x / 2.0), _CONV_PANELS + 1)
+    return x * _CONV_HEAD, kronrod_quad(in_log, ladder, _CONV_TOL, 0.0)[0]
 
 
 def _sum_law(terms, r, xs, upper):
@@ -50,9 +74,8 @@ def _sum_law(terms, r, xs, upper):
     the parts (a * r)**(1/beta) * X of the (a, beta) terms: the stable law
     for one part, else, conditioned on the first part with density f_0,
         P(S_r > x) = P(first > x) + int_0^x f_0(u) P(rest > x - u) du
-    (the same without the first term for P(S_r <= x)) by Gauss-Legendre
-    panels on a ladder from x * _CONV_HEAD toward both ends, plus the
-    first part's mass below the ladder times the rest's law at x."""
+    (the same without the first term for P(S_r <= x)) by `_convolve`, plus
+    the first part's mass below the foot times the rest's law at x."""
     (a, b), rest = terms[0], terms[1:]
     k = (a * r) ** (-1.0 / b)  # the part is below x when X is below k * x
     xs = np.asarray(xs, dtype=float)
@@ -61,15 +84,40 @@ def _sum_law(terms, r, xs, upper):
         return law(b, xs * k)
     out = np.empty(xs.shape)
     for i, x in enumerate(xs):
-        ladder = np.geomspace(x * _CONV_HEAD, x / 2.0, 50)
-        nodes, weights = panel_nodes(np.unique(np.concatenate([ladder, x - ladder[::-1]])),
-                                     order=8)
-        inner = _sum_law(rest, r, np.concatenate([[x], x - nodes]), upper)
-        f0 = stable.density_grid(b, nodes * k) * k
-        total = stable.cdf(b, ladder[0] * k) * inner[0] + np.dot(weights, f0 * inner[1:])
+        foot, total = _convolve(x, lambda y, u: _part_density(b, a * r, y)
+                                * _sum_law(rest, r, u, upper))
+        total += stable.cdf(b, foot * k) * _sum_law(rest, r, [x], upper)[0]
         if upper:
             total += stable.survival(b, x * k)
         out[i] = min(total, 1.0)
+    return out
+
+
+def _sum_density(terms, rs, xs):
+    """(D, M) at each (r, x) of rs x xs: D the density of S_r and
+    M = sum_i E[Y_i/beta_i; S_r in dx]/dx.  One part gives (f, x f/beta);
+    several condition on the first part, of density f_1, by `_convolve`:
+        D(x) = int f_1(y) D_rest(x - y) dy,
+        M(x) = int f_1(y) [(y/beta_1) D_rest(x - y) + M_rest(x - y)] dy,
+    plus the mass of each side below the foot: F_1(foot) times the rest's
+    (D, M) at x, and F_rest(foot) f_1(x) times (1, x/beta_1)."""
+    (a, b), rest = terms[0], terms[1:]
+    ar = a * rs[:, None]
+    if not rest:
+        f = _part_density(b, ar, xs)
+        return np.stack([f, xs * f / b])
+
+    def integrand(y, u):
+        d_rest, m_rest = _sum_density(rest, rs, u)
+        return _part_density(b, ar, y) * np.stack([d_rest, y / b * d_rest + m_rest])
+
+    out = np.empty((2, rs.size, xs.size))
+    for i, x in enumerate(xs):
+        foot, total = _convolve(x, integrand)
+        low = stable.cdf_grid(b, foot * ar[:, 0] ** (-1.0 / b))
+        high = _part_density(b, ar[:, 0], x) * [_sum_law(rest, r, [foot], False)[0] for r in rs]
+        out[:, :, i] = (total + low * _sum_density(rest, rs, xs[i:i + 1])[:, :, 0]
+                        + np.stack([high, high * x / b]))
     return out
 
 
@@ -117,27 +165,23 @@ class SubordinatorModel:
         """Density of E_t at r, i.e. d/dr P(S_r >= t)."""
         if t <= 0.0 or r <= 0.0:
             raise DomainError("inverse_density needs t, r > 0")
-        if len(self._components()) == 1:
-            return float(self.inverse_density_grid(t, [r])[0])
-        h = r * _FD_STEP
-        return (self.survival(r + h, t) - self.survival(r - h, t)) / (2.0 * h)
-
-    def inverse_density_error(self, t, r):
-        """Error bound of inverse_density's central difference of P(S_r >= t)
-        with step h: its truncation, read off the difference at step 10 h as
-        (D_10h - D_h) / 99, plus the rounding of the survivals, eps * S / h."""
-        h = r * _FD_STEP
-        lo10, lo, hi, hi10 = (self.survival(r + m * h, t) for m in (-10, -1, 1, 10))
-        trunc = ((hi10 - lo10) / (20.0 * h) - (hi - lo) / (2.0 * h)) / 99.0
-        return abs(trunc) + np.finfo(float).eps * hi / h
+        return float(self.inverse_density_grid(t, [r])[0])
 
     def inverse_density_grid(self, t, rs):
-        """Vectorized inverse_density over an array of r for one part,
-        whose E_t is that of the standard beta-stable law divided by a."""
-        if len(self._components()) != 1:
-            raise UnsupportedModelError("vectorized inverse density needs a one-term exponent")
-        (a, b), = self._components()
-        rs = a * np.asarray(rs, dtype=float)
+        """inverse_density vectorized over an array of r: M(t)/r with M from
+        `_sum_density`, in blocks of _CONV_ROWS r for several parts, and for
+        one part, whose E_t is the standard beta-stable one divided by a,
+        t f(t)/(beta r) in logs."""
+        comps = self._components()
+        rs = np.asarray(rs, dtype=float)
+        if len(comps) > 1:
+            flat, out = rs.ravel(), np.empty(rs.size)
+            with np.errstate(over="ignore", invalid="ignore"):  # see _part_density
+                for blk in (slice(i, i + _CONV_ROWS) for i in range(0, rs.size, _CONV_ROWS)):
+                    out[blk] = _sum_density(comps, flat[blk], np.array([t]))[1, :, 0] / flat[blk]
+            return out.reshape(rs.shape)
+        (a, b), = comps
+        rs = a * rs
         xs = t * rs ** (-1.0 / b)
         g = stable.density_grid(b, xs)
         out = np.zeros_like(rs)

@@ -219,6 +219,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_selftest_mixture_levy_tail(self, capsys):
+        assert run_cli(["selftest"]) == 0
+        assert "PASS  mixture inverse density at r->0 equals the Levy tail" in capsys.readouterr().out
+
     def test_nonconvergence_exit_code(self, capsys, monkeypatch):
         from fracheat import cli as cli_mod
         from fracheat.errors import QuadratureError

@@ -20,6 +20,7 @@ from fracheat import (DomainError, ExactCauchy, ExactGaussian, GaussianBump,
                       caputo_weak_residual, cbf_from_scale, density_fourier,
                       density_laplace, density_monte_carlo, density_quadrature,
                       mass_residual, mittag_leffler)
+from fracheat.numerics import kronrod_quad
 from fracheat.solution import _fourier
 
 P_ONE_ZERO = math.gamma(0.25) / (4.0 ** 0.75 * math.pi)
@@ -72,13 +73,13 @@ def _ml_reference(beta, x):
 MIXTURES = (((1.0, 0.3), (1.0, 0.7)), ((2.0, 0.2), (1.0, 0.5)), ((1.0, 0.4), (3.0, 0.6)))
 
 
-def _talbot_mixture_reference(terms, kind, t, z):
-    """p(t, z) under phi = sum a lam**b by mpmath's Talbot inversion at 30
+def _talbot_mixture_reference(terms, kind, t, z, dps=30):
+    """p(t, z) under phi = sum a lam**b by mpmath's Talbot inversion at dps
     digits.  The Cauchy resolvent (1/pi) int_0^inf cos(xi z)/(mu + xi) dxi
     is written through Ci and Si, whose growing cos/sin factors cancel
     catastrophically once |Im(mu z)| is large on Talbot's contour, so the
     Cauchy reference holds only near the diagonal."""
-    with mpmath.workdps(30):
+    with mpmath.workdps(dps):
         def transform(lam):
             mu = sum(a * lam ** b for a, b in terms)
             if kind == "gaussian":
@@ -89,6 +90,10 @@ def _talbot_mixture_reference(terms, kind, t, z):
                    - (mpmath.si(w) - mpmath.pi / 2) * mpmath.sin(w)) / mpmath.pi
             return mu / lam * res
         return float(mpmath.re(mpmath.invertlaplace(transform, t, method="talbot")))
+
+
+def _no_resolvent(self, mu, z):
+    raise UnsupportedModelError("resolvent withheld")
 
 
 @pytest.fixture(scope="module")
@@ -205,41 +210,60 @@ class TestQuadrature:
         ref = _talbot_mixture_reference(MIXTURES[0], kind, 1.0, 0.5)
         assert abs(est.value - ref) <= est.error
 
-    def test_mixture_without_resolvent_uses_quadpack(self, mix):
+    def test_mixture_without_resolvent_uses_kronrod(self, mix):
         kernel = JumpSurrogate(PowerLaw(1.0), PowerLaw(1.0))
         with pytest.raises(UnsupportedModelError):
             density_laplace(kernel, mix, 1.0, 0.5)
         est = density_quadrature(kernel, mix, 1.0, 0.5)
         assert est.method == "quad" and est.converged
 
-    def test_quadpack_fallback_agrees_with_contour(self, cauchy, mix, monkeypatch):
+    def test_kronrod_path_agrees_with_contour(self, cauchy, mix, monkeypatch):
         contour = density_laplace(cauchy, mix, 1.0, 1.0)
-
-        def no_resolvent(self, mu, z):
-            raise UnsupportedModelError("resolvent withheld")
-
-        monkeypatch.setattr(ExactCauchy, "resolvent", no_resolvent)
+        monkeypatch.setattr(ExactCauchy, "resolvent", _no_resolvent)
         est = density_quadrature(cauchy, mix, 1.0, 1.0)
         assert est.method == "quad" and est.converged
         assert abs(est.value - contour.value) <= est.error + contour.error
 
     @pytest.mark.parametrize("terms", MIXTURES)
-    def test_quadpack_fallback_error_is_honest(self, gauss, cauchy, terms, monkeypatch):
-        # the stated error covers the finite-difference inverse density
-        # that QUADPACK integrates; the contour is the reference
+    def test_kronrod_path_error_is_honest(self, gauss, cauchy, terms, monkeypatch):
+        # with the resolvent withheld, mixtures take the Gauss-Kronrod rule
+        # against the convolution inverse density; the contour is the
+        # reference
         model = SubordinatorModel(StableMixture(terms))
         points = [(kernel, t, z) for kernel in (gauss, cauchy) for t, z in ((1.0, 0.5), (1.0, 1.0))]
         contours = [density_laplace(kernel, model, t, z) for kernel, t, z in points]
-
-        def no_resolvent(self, mu, z):
-            raise UnsupportedModelError("resolvent withheld")
-
-        monkeypatch.setattr(ExactGaussian, "resolvent", no_resolvent)
-        monkeypatch.setattr(ExactCauchy, "resolvent", no_resolvent)
+        monkeypatch.setattr(ExactGaussian, "resolvent", _no_resolvent)
+        monkeypatch.setattr(ExactCauchy, "resolvent", _no_resolvent)
         for (kernel, t, z), contour in zip(points, contours):
             est = density_quadrature(kernel, model, t, z)
             assert est.method == "quad" and est.converged
             assert abs(est.value - contour.value) <= est.error + contour.error
+
+    def test_kronrod_rows_share_panels(self):
+        # rows of integrands on shared panels: each row meets its own
+        # tolerance; a lone row takes the scalar form
+        rows = lambda x: np.stack([np.exp(-x), x * x, np.sqrt(x)])
+        total, error, ok = kronrod_quad(rows, [0.0, 1.0, 2.0], 1e-12, 0.0)
+        exact = [1.0 - math.exp(-2.0), 8.0 / 3.0, 2.0 ** 1.5 / 1.5]
+        assert total.shape == error.shape == ok.shape == (3,) and ok.all()
+        assert np.allclose(total, exact, rtol=1e-12, atol=0.0)
+        single = kronrod_quad(np.sqrt, [0.0, 1.0, 2.0], 1e-12, 0.0)
+        assert isinstance(single[0], float) and single[2] is True
+        assert single[0] == pytest.approx(exact[2], rel=1e-12)
+
+    def test_kronrod_path_deep_off_diagonal(self, gauss, cauchy, mix, monkeypatch):
+        # the contour flags Gaussian (1, 30), p ~ 1e-36; the Gauss-Kronrod
+        # rule meets Talbot at 50 digits within its stated error
+        est = density_quadrature(gauss, mix, 1.0, 30.0)
+        assert est.method == "quad" and est.converged
+        ref = _talbot_mixture_reference(MIXTURES[0], "gaussian", 1.0, 30.0, dps=50)
+        assert abs(est.value - ref) <= est.error
+        contour = density_laplace(cauchy, mix, 0.1, 3.0)
+        assert contour.converged
+        monkeypatch.setattr(ExactCauchy, "resolvent", _no_resolvent)
+        est = density_quadrature(cauchy, mix, 0.1, 3.0)
+        assert est.method == "quad" and est.converged
+        assert abs(est.value - contour.value) <= est.error + contour.error
 
 
 class TestLaplace:

@@ -11,7 +11,9 @@ from fracheat import subordinator
 from fracheat import (DomainError, QuadratureError, RngStream, Stable, StableMixture,
                       SubordinatorModel, UnsupportedModelError, cbf_from_scale,
                       integrated_tail_identities, tail_bounds_report)
+from fracheat.numerics import geometric_boundaries, panel_nodes
 from fracheat.scale import PowerLaw
+from fracheat.solution import _hyperbola
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +46,6 @@ class TestCdf:
         model = SubordinatorModel(cbf_from_scale(PowerLaw(2.0), 3.0))
         calls = (lambda: model.cdf(1.0, 1.0), lambda: model.survival(1.0, 1.0),
                  lambda: model.log_cdf(1.0, 1.0), lambda: model.inverse_density(1.0, 1.0),
-                 lambda: model.inverse_density_error(1.0, 1.0),
                  lambda: model.inverse_density_grid(1.0, [1.0]),
                  lambda: model.inverse_support(1.0),
                  lambda: model.sample_subordinator(1.0, RngStream(0, 0), 3),
@@ -143,10 +144,69 @@ class TestInverseDensity:
         scal = np.array([half.inverse_density(1.0, r) for r in rs])
         assert np.max(np.abs(grid - scal)) < 1e-10
 
-    def test_mixture_density_integrates(self, mixture):
-        val, _ = integrate.quad(lambda r: mixture.inverse_density(1.0, r),
-                                1e-6, 12.0, limit=200)
-        assert val == pytest.approx(1.0, abs=1e-3)
+    def test_mixture_density_integrates(self):
+        # int_0^R h = 1, R the support bound, by Gauss-Legendre in log r
+        # with 4 panels per decade down to lo, below which h is its r -> 0
+        # limit nu(t) to ~1e-12
+        for terms in MIXTURES:
+            model = SubordinatorModel(StableMixture(terms))
+            for t in (1e-3, 1.0, 1e3):
+                lo = 1e-12 / model.exponent.levy_tail(t)
+                u, w = panel_nodes(np.log(geometric_boundaries(lo, model.inverse_support(t))),
+                                   order=12)
+                r = np.exp(u)
+                mass = w @ (model.inverse_density_grid(t, r) * r) + model.inverse_density(t, lo) * lo
+                assert abs(mass - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("terms", MIXTURES)
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
+    def test_mixture_small_r_limit_is_levy_tail(self, terms, t):
+        # P(S_r >= t) = r nu(t) + O(r^2) as r -> 0: one jump past t
+        model = SubordinatorModel(StableMixture(terms))
+        assert model.inverse_density(t, 1e-8) == pytest.approx(
+            model.exponent.levy_tail(t), rel=1e-6)
+
+    def test_mixture_part_scale_overflow(self):
+        # (a r)**(-1/beta) overflows for the 0.05 part at these r: its
+        # density is the leading term of its tail, and h is still nu(t)
+        model = SubordinatorModel(StableMixture(((1.0, 0.05), (1.0, 0.5))))
+        h = model.inverse_density_grid(1.0, [1e-30, 1e-20])
+        assert np.allclose(h, model.exponent.levy_tail(1.0), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("terms", MIXTURES)
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
+    def test_mixture_convolution_error_far_below_rel_tol(self, terms, t, monkeypatch):
+        # against convolutions on twice the panels at 1e-3 times the
+        # tolerance, from r -> 0 into the far tail of E_t (h down to 1e-250)
+        model = SubordinatorModel(StableMixture(terms))
+        rs = model.inverse_support(t) * np.geomspace(1e-6, 0.6, 30)
+        h = model.inverse_density_grid(t, rs)
+        monkeypatch.setattr(subordinator, "_CONV_PANELS", 2 * subordinator._CONV_PANELS)
+        monkeypatch.setattr(subordinator, "_CONV_TOL", 1e-3 * subordinator._CONV_TOL)
+        fine = model.inverse_density_grid(t, rs)
+        live = fine > 1e-250
+        assert live.sum() >= 20
+        assert np.max(np.abs(h[live] / fine[live] - 1.0)) <= 1e-12
+
+    def test_three_parts(self):
+        # the convolution nests: against a central difference of the
+        # survival and the contour inversion of the transform in t of
+        # h_t(r), (phi(lam)/lam) exp(-r phi(lam))
+        terms = ((1.0, 0.3), (0.5, 0.5), (1.0, 0.7))
+        model = SubordinatorModel(StableMixture(terms))
+        t, r, step = 1.0, 0.5, 5e-5
+        h = model.inverse_density(t, r)
+        fd = (model.survival(r + step, t) - model.survival(r - step, t)) / (2.0 * step)
+        assert h == pytest.approx(fd, rel=1e-8)
+        contour = []
+        for n in (16, 24):
+            lam, weights = _hyperbola(n, t)
+            phi = sum(a * lam ** b for a, b in terms)
+            contour.append(float((weights * np.exp(lam * t - r * phi) * phi / lam).sum().real))
+        assert abs(contour[1] - contour[0]) <= 1e-12
+        assert h == pytest.approx(contour[1], rel=1e-10)
+        assert model.inverse_density(t, 1e-8) == pytest.approx(
+            model.exponent.levy_tail(t), rel=1e-6)
 
 
 class TestSampling:
