@@ -220,16 +220,9 @@ def _fmt(value):
     return repr(float(value))
 
 
-def write_rows_csv(fh, rows, columns=CSV_COLUMNS):
-    fh.write(CSV_HEADER_COMMENT + "\n")
-    fh.write(",".join(columns) + "\n")
-    for row in rows:
-        rec = []
-        for col in columns:
-            val = getattr(row, col) if not isinstance(row, dict) else row.get(col)
-            rec.append(val if isinstance(val, str) else _fmt(val))
-        fh.write(",".join(rec) + "\n")
-
-
 def write_report_csv(fh, report):
-    write_rows_csv(fh, report.rows)
+    fh.write(CSV_HEADER_COMMENT + "\n")
+    fh.write(",".join(CSV_COLUMNS) + "\n")
+    for row in report.rows:
+        vals = (getattr(row, col) for col in CSV_COLUMNS)
+        fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in vals) + "\n")

@@ -125,6 +125,7 @@ _G7_W[1::2] = np.concatenate([_WG, _WG[-2::-1]])
 # bisections at rel_tol 1e-10; the cap bounds the work and memory of a
 # tolerance that cannot be met
 _MAX_BISECTIONS = 128
+EPS = float(np.finfo(float).eps)
 
 
 def _kronrod_panels(f, lo, hi):
@@ -149,7 +150,9 @@ def kronrod_quad(f, boundaries, rel_tol, abs_floor):
     max(rel_tol*|row total|, abs_floor); failing panels are bisected, worst
     first, until none fails or _MAX_BISECTIONS have been spent.  Returns
     (total, error, converged), per row for rows, with error the sum of the
-    panel errors and converged whether that sum meets the tolerance.
+    panel errors plus the rounding bound eps * sum |panel|, which smooth
+    rounding in f hides from |K15 - G7|, and converged whether that error
+    meets the tolerance.
     """
     edges = np.asarray(boundaries, dtype=float)
     lo, hi = edges[:-1], edges[1:]
@@ -172,6 +175,6 @@ def kronrod_quad(f, boundaries, rel_tol, abs_floor):
         new_val, new_err = _kronrod_panels(f, lo[keep.size:], hi[keep.size:])
         val = np.concatenate([val[..., keep], new_val], axis=-1)
         err = np.concatenate([err[..., keep], new_err], axis=-1)
-    total, error = val.sum(axis=-1), err.sum(axis=-1)
+    total, error = val.sum(axis=-1), err.sum(axis=-1) + EPS * np.abs(val).sum(axis=-1)
     ok = error <= np.maximum(rel_tol * np.abs(total), abs_floor)
     return (total, error, ok) if total.ndim else (float(total), float(error), bool(ok))

@@ -4,8 +4,9 @@ A stream is addressed by a 64-bit master seed and a stream index.  Streams
 are backed by the Philox counter-based generator, so identical
 ``(seed, index)`` pairs reproduce identical sample sequences regardless of
 how many other streams are drawn from, and distinct indices give
-statistically independent streams.  This keeps parallel campaigns bitwise
-reproducible: each worker owns its own stream and no draw order is shared.
+statistically independent streams.  This keeps campaigns bitwise
+reproducible: each row draws from its own stream, so no row's draws depend
+on another's.
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ class RngStream:
     @property
     def generator(self) -> np.random.Generator:
         return self._generator
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._generator.uniform(low, high, size)
-
-    def exponential(self, scale=1.0, size=None):
-        return self._generator.exponential(scale, size)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, index={self.index})"

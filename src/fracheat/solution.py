@@ -4,10 +4,6 @@ p(t, z) = E[q(E_t, z)] = int_0^inf q(s, z) h_t(s) ds, where h_t is the
 density of the inverse subordinator E_t.  This is evaluated four
 independent ways:
 
-* quadrature against h_t (the workhorse, `density_quadrature`): one
-  vectorized adaptive Gauss-Kronrod panel rule in log s for every stable
-  and stable-mixture time change, whose error is the summed |K15 - G7|
-  difference,
 * contour inversion of the Laplace transform in t,
       phi(lam)/lam * R_{phi(lam)}(z),  R_mu the kernel's resolvent,
   by the trapezoid rule on a Weideman-Trefethen hyperbola
@@ -16,9 +12,12 @@ independent ways:
   error is the difference of two node counts plus a rounding bound, and
   the result is valid only when that error meets rel_tol*|p|: off the
   diagonal p is tiny against the contour terms and the result comes back
-  flagged.  `density_quadrature` sends mixtures here first, as the fast
-  path, and takes the Gauss-Kronrod rule when the kernel has no resolvent
-  or the contour result is flagged,
+  flagged,
+* quadrature against h_t (`density_quadrature`): one vectorized adaptive
+  Gauss-Kronrod panel rule in log s, whose error is the summed
+  |K15 - G7| difference plus a rounding bound.  A stable or stable-mixture time change tries
+  the contour first, as the fast path, and takes this rule only when the
+  kernel has no resolvent or the contour result is flagged,
 * Monte Carlo over inverse-subordinator samples,
 * for stable subordinators and 1-d Gaussian/Cauchy kernels, the
   Fourier-Mittag-Leffler representation
@@ -39,10 +38,9 @@ from functools import lru_cache, wraps
 import numpy as np
 from scipy import integrate, special
 
-from .bernstein import Stable, StableMixture
+from .bernstein import Stable
 from .errors import DomainError, UnsupportedModelError
-from .numerics import (DEFAULT_QUADRATURE, geometric_boundaries, kronrod_quad,
-                       panel_nodes)
+from .numerics import EPS, geometric_boundaries, kronrod_quad, panel_nodes
 from .rng import RngStream
 from .subordinator import SubordinatorModel
 
@@ -57,24 +55,18 @@ class SolutionEstimate:
     converged: bool = True
 
 
-def _split_points(kernel, model, t, z):
-    """Where the integrand of p changes character: the kernel's own time
-    scale at distance z and the inverse-subordinator time scale."""
+def _log_panels(kernel, model, t, z):
+    """Panel boundaries in log s for the integrand of p: geometric over
+    (s_lo, s_hi), outside which it is negligible, and split where it
+    changes character, at the kernel's own time scale at distance z and the
+    inverse-subordinator time scale.  Off the diagonal q(s, z) vanishes as
+    s -> 0; on it q may blow up like s**-1/2, which leaves a head of
+    relative size (s_lo / scale)**(1/2)."""
     inv_phi = 1.0 / model.exponent.phi(1.0 / t)
-    pts = {inv_phi, 2.0 * inv_phi}
-    ts = kernel.time_scale(z)
-    if ts > 0.0:
-        pts.add(ts)
-    return sorted(pts)
-
-
-def _support(kernel, model, t, z):
-    """(s_lo, s_hi) outside which the integrand is negligible.  Off the
-    diagonal q(s, z) vanishes as s -> 0; on it q may blow up like s**-1/2,
-    which leaves a head of relative size (s_lo / scale)**(1/2)."""
+    splits = {inv_phi, 2.0 * inv_phi, kernel.time_scale(z)} - {0.0}
     s_hi = model.inverse_support(t)
-    scale = min(_split_points(kernel, model, t, z)[0], s_hi)
-    return scale * (1e-36 if z == 0.0 else 1e-18), s_hi
+    s_lo = min(min(splits), s_hi) * (1e-36 if z == 0.0 else 1e-18)
+    return np.log(geometric_boundaries(s_lo, s_hi, per_decade=2, extra=sorted(splits)))
 
 
 def _check_on_diagonal_integrable(kernel, model, t, z):
@@ -95,36 +87,30 @@ def _check_on_diagonal_integrable(kernel, model, t, z):
             f"blow-up exponent {slope:.3f} <= -1)")
 
 
-def density_quadrature(kernel, model, t, z, cfg=None):
+def density_quadrature(kernel, model, t, z):
     """p(t, z) by quadrature of q(s, z) against the density of E_t.
 
-    One vectorized composite Gauss-Kronrod rule in u = log s on geometric
+    `density_laplace` goes first, being far cheaper, and its result is kept
+    when the kernel has a resolvent and the result is not flagged.  Else
+    one vectorized composite Gauss-Kronrod rule in u = log s on geometric
     panels split at the change-of-character points, bisected where
     |K15 - G7| exceeds the panel's share of rel_tol*|p|; the error is the
-    sum of those differences and `converged` says whether it meets
-    rel_tol*|p|.  Exponents of several parts first try `density_laplace`,
-    which is far cheaper, and keep its result when the kernel has a
-    resolvent and the result is not flagged.
+    sum of those differences plus a rounding bound, and `converged` says
+    whether it meets rel_tol*|p|.
     """
-    cfg = cfg or model.quadrature or DEFAULT_QUADRATURE
-    if t <= 0.0 or z < 0.0:
-        raise DomainError("density needs t > 0 and z >= 0")
-    _check_on_diagonal_integrable(kernel, model, t, z)
-    splits = _split_points(kernel, model, t, z)
-    s_lo, s_hi = _support(kernel, model, t, z)
-    if len(model.exponent.terms) > 1:
-        try:
-            est = density_laplace(kernel, model, t, z, cfg)
-            if est.converged:
-                return est
-        except UnsupportedModelError:
-            pass  # the kernel has no closed-form resolvent
+    try:  # density_laplace checks the domain and the diagonal first
+        est = density_laplace(kernel, model, t, z)
+        if est.converged:
+            return est
+    except UnsupportedModelError:
+        pass  # no closed-form resolvent, or no stable parts
 
     def in_log_s(u):
         s = np.exp(u)
         return model.inverse_density_grid(t, s) * kernel.q(s, z) * s
 
-    bounds = np.log(geometric_boundaries(s_lo, s_hi, per_decade=2, extra=splits))
+    cfg = model.quadrature
+    bounds = _log_panels(kernel, model, t, z)
     total, err, ok = kronrod_quad(in_log_s, bounds, cfg.rel_tol, cfg.abs_floor)
     return SolutionEstimate(total, err, "quad", ok)
 
@@ -138,7 +124,6 @@ _WT_ALPHA, _WT_MU, _WT_STEP = 1.1721, 4.492, 1.0818
 # bound of both sums
 _LAPLACE_NODES = (16, 24)
 _LAPLACE_SAFETY = 2.0
-_EPS = float(np.finfo(float).eps)
 
 
 def _hyperbola(n, t):
@@ -154,7 +139,7 @@ def _hyperbola(n, t):
     return mu * (1.0 + np.sin(arg)), weights
 
 
-def density_laplace(kernel, model, t, z, cfg=None):
+def density_laplace(kernel, model, t, z):
     """p(t, z) by inverting its Laplace transform in t on a hyperbola.
 
     The transform is phi(lam)/lam * R_{phi(lam)}(z), with R_mu the
@@ -164,26 +149,23 @@ def density_laplace(kernel, model, t, z, cfg=None):
     diagonal p is tiny against the terms, so the error exceeds rel_tol*|p|
     and the result comes back flagged, as does any non-finite value.
     """
-    cfg = cfg or model.quadrature or DEFAULT_QUADRATURE
     if t <= 0.0 or z < 0.0:
         raise DomainError("density needs t > 0 and z >= 0")
-    if not isinstance(model.exponent, StableMixture):
-        raise UnsupportedModelError(
-            "contour inversion needs a stable or stable-mixture exponent, "
-            f"got {type(model.exponent).__name__}")
     _check_on_diagonal_integrable(kernel, model, t, z)
+    terms = model._components()
     lam, weights = (np.concatenate(part) for part in
                     zip(*(_hyperbola(n, t) for n in _LAPLACE_NODES)))
-    phi = sum(a * lam ** b for a, b in model.exponent.terms)
+    phi = sum(a * lam ** b for a, b in terms)
     with np.errstate(all="ignore"):
         vals = weights * np.exp(lam * t) * phi / lam * kernel.resolvent(phi, z)
         first, second = (float(part.sum().real) for part in
                          np.split(vals, [_LAPLACE_NODES[0] + 1]))
-        rounding = _EPS * float(np.abs(vals).sum())
+        rounding = EPS * float(np.abs(vals).sum())
         error = _LAPLACE_SAFETY * (abs(first - second) + rounding)
     if not math.isfinite(error):
         error = math.inf
-    return SolutionEstimate(second, error, "laplace", error <= cfg.rel_tol * abs(second))
+    ok = error <= model.quadrature.rel_tol * abs(second)
+    return SolutionEstimate(second, error, "laplace", ok)
 
 
 def density_monte_carlo(kernel, model, t, z, n, rng):
@@ -402,14 +384,14 @@ def _fourier(beta, alpha, t, z):
 # Mass conservation
 # --------------------------------------------------------------------------
 
-def mass_residual(kernel, model, t, cfg=None):
+def mass_residual(kernel, model, t):
     """|int_R p(t, |y|) dy - 1| for 1-d exact kernels."""
     if getattr(kernel, "dim", None) != 1:
         raise DomainError("mass check needs a 1-d exact kernel")
     length = kernel.length_scale(1.0 / model.exponent.phi(1.0 / t))
 
     def p_of_y(y):
-        return density_quadrature(kernel, model, t, y, cfg).value
+        return density_quadrature(kernel, model, t, y).value
 
     # the improper integral needs the interior scale resolved explicitly
     head, _ = integrate.quad(p_of_y, 0.0, 10.0 * length,
@@ -472,7 +454,7 @@ def _evolved(model, s, bump, x_grid):
     return (weights * h) @ profiles
 
 
-def caputo_weak_residual(beta, f, g, t_grid, x_grid, fd_step=1e-3):
+def caputo_weak_residual(beta, f, g, t_grid, x_grid):
     """Residual of the weak-form identity
         d/dt int g(x) I_t^w u(., x) dx = int u(t, x) g''(x) dx
     where I_t^w u = int_0^t w(t-s)(u(s,.) - f) ds with the fractional kernel
@@ -512,7 +494,7 @@ def caputo_weak_residual(beta, f, g, t_grid, x_grid, fd_step=1e-3):
     warn = False
     max_res = 0.0
     for t in t_grid:
-        d = fd_step * t
+        d = 1e-3 * t  # the central-difference step, checked against its half
         lhs = (memory_integral(t + d) - memory_integral(t - d)) / (2.0 * d)
         lhs_half = (memory_integral(t + d / 2) - memory_integral(t - d / 2)) / d
         if abs(lhs - lhs_half) > 0.1 * max(abs(lhs_half), 1e-12):

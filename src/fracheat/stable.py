@@ -18,11 +18,13 @@ Evaluation strategy, by argument size:
   Every x < 1 is evaluated on one cached Gauss-Legendre grid per beta
   whose panel boundaries sit at the levels A(0+) * 2**j and A(0+) + 2**k:
   the union of the dyadic ladders of the exponent c*A(u) over all c of
-  x < 1, so one grid resolves every x.  The scalar density, cdf and
-  survival are one-point views of the batched ``density_grid``,
-  ``cdf_grid`` and ``survival_grid``.  Grid nodes where exp(-c*A) has
+  x < 1, so one grid resolves every x.  Grid nodes where exp(-c*A) has
   underflowed are skipped; only ``log_cdf`` lays its own shifted ladder,
   past that level.
+
+Every evaluation starts from log x (``law_at``, ``density_of_log``), so
+the scale (a r)**(1/beta) of a subordinator part may lie far outside float
+range; the functions of x itself are views of these two.
 
 Sampling uses Kanter's representation S = (A(U)/W)**((1-beta)/beta) with
 U ~ Uniform(0, pi) and W ~ Exponential(1).
@@ -83,9 +85,15 @@ def _theta_at_levels(beta, log_targets, iters=40):
     return 0.5 * (lo + hi)
 
 
-def _log_w0(beta, x):
-    """log of c * A(0+) with c = x**(-beta/(1-beta)), overflow-safe."""
-    return -tilt(beta) * np.log(x) + np.log(a_zero(beta))
+def _log_w0(beta, log_x):
+    """log of c * A(0+) with c = x**(-beta/(1-beta)), from log x."""
+    return -tilt(beta) * log_x + np.log(a_zero(beta))
+
+
+def _log(xs):
+    """log of an array of x, nan where x <= 0, without warnings."""
+    xs = np.asarray(xs, dtype=float)
+    return np.log(np.where(xs > 0.0, xs, np.nan))
 
 
 def density(beta, x):
@@ -109,17 +117,18 @@ def survival(beta, x):
 
 def log_cdf(beta, x):
     """log P(S <= x), stable deep into the left tail."""
-    _check_beta(beta)
-    x = float(x)
-    if x <= 0.0:
-        return -np.inf
-    f = cdf(beta, x)
+    return log_cdf_at(beta, float(_log([x])[0])) if x > 0.0 else -np.inf
+
+
+def log_cdf_at(beta, log_x):
+    """log P(S <= x) at x = exp(log_x), stable deep into the left tail."""
+    f = law_at(beta, [log_x], upper=False)[0]  # checks beta
     if f > 1e-280:
         return float(np.log(f))
-    if _log_w0(beta, x) > 700.0:
+    if _log_w0(beta, log_x) > 700.0:
         return -np.inf
     # shifted representation: log F = -w0 + log (1/pi) int exp(-(w - w0))
-    c = x ** -tilt(beta)
+    c = np.exp(-tilt(beta) * log_x)
     a0 = a_zero(beta)
     w0 = c * a0
     shifts = 2.0 ** np.arange(-10, 11, dtype=float)
@@ -156,18 +165,13 @@ def _cut_series(k, sign, log_coef):
     return k[:n], sign[:n], log_coef[:n]
 
 
-def _density_series(beta, xs):
-    k, sign, log_den = _series_coeffs(beta)[0]
-    lx = np.log(xs)[None, :]
-    terms = sign[:, None] * np.exp(log_den[:, None] - (k[:, None] * beta + 1.0) * lx)
-    return terms.sum(axis=0) / np.pi
-
-
-def _survival_series(beta, xs):
-    k, sign, log_sf = _series_coeffs(beta)[1]
-    lx = np.log(xs)[None, :]
-    terms = sign[:, None] * np.exp(log_sf[:, None] - k[:, None] * beta * lx)
-    return terms.sum(axis=0) / np.pi
+def _series(coeffs, beta, log_x):
+    """(1/pi) sum_k sign_k exp(log c_k - k beta log_x), the x >= 1 series
+    at x = exp(log_x) of P(S >= x), or with the density coefficients of
+    x g(x): a power series in x**-beta, formed from log x so that no x
+    beyond float range, nor a denormal x**(-1-beta), enters it."""
+    k, sign, log_c = coeffs
+    return (sign[:, None] * np.exp(log_c[:, None] - k[:, None] * beta * log_x)).sum(axis=0) / np.pi
 
 
 @lru_cache(maxsize=32)
@@ -206,49 +210,60 @@ def _live_grid(beta, c):
     return weights[:n], la[:n], a_vals[:n]
 
 
-def cdf_grid(beta, xs):
-    """P(S <= x) vectorized over an array of x > 0."""
+def law_at(beta, log_x, upper):
+    """P(S > x) if upper else P(S <= x) at x = exp(log_x), vectorized: the
+    series for x >= 1 and the grid integral below, where the survival is
+    1 - cdf and stays above 0.1 for beta <= 0.9999, so the difference
+    costs less than one digit."""
     _check_beta(beta)
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros(xs.shape)
-    hi = xs >= 1.0
+    lx = np.asarray(log_x, dtype=float)
+    out = np.zeros(lx.shape)  # the survival for x >= 1, the cdf below
+    hi = lx >= 0.0
     if hi.any():
-        out[hi] = 1.0 - _survival_series(beta, xs[hi])
-    lo = (~hi) & (xs > 0.0) & (_log_w0(beta, np.maximum(xs, 1e-300)) <= np.log(_EXP_CUT))
+        out[hi] = _series(_series_coeffs(beta)[1], beta, lx[hi])
+    lo = ~hi & (_log_w0(beta, lx) <= np.log(_EXP_CUT))
     if lo.any():
-        c = xs[lo] ** -tilt(beta)
+        c = np.exp(-tilt(beta) * lx[lo])
         weights, _, a_vals = _live_grid(beta, c)
         out[lo] = np.exp(-c[:, None] * a_vals[None, :]) @ weights / np.pi
+    flip = ~hi if upper else hi
+    out[flip] = 1.0 - out[flip]
     return out
+
+
+def density_of_log(beta, log_x):
+    """Density of log S at log_x, x g(x) with g the density of S,
+    vectorized.  It stays in float range however far x does not, so the
+    density of sigma S at y is density_of_log(beta, log(y/sigma)) / y."""
+    _check_beta(beta)
+    lx = np.asarray(log_x, dtype=float)
+    out = np.zeros(lx.shape)
+    hi = lx >= 0.0
+    if hi.any():
+        out[hi] = _series(_series_coeffs(beta)[0], beta, lx[hi])
+    lo = ~hi & (_log_w0(beta, lx) <= np.log(_EXP_CUT))
+    if lo.any():
+        c = np.exp(-tilt(beta) * lx[lo])
+        weights, la, a_vals = _live_grid(beta, c)
+        integ = np.exp(la[None, :] - c[:, None] * a_vals[None, :]) @ weights / np.pi
+        out[lo] = tilt(beta) * c * integ
+    return out
+
+
+def cdf_grid(beta, xs):
+    """P(S <= x) vectorized over an array of x > 0."""
+    return law_at(beta, _log(xs), upper=False)
 
 
 def survival_grid(beta, xs):
-    """P(S >= x) vectorized over an array of x > 0: the series for x >= 1,
-    and 1 - cdf below, where the survival stays above 0.1 for
-    beta <= 0.9999, so the difference costs less than one digit."""
-    xs = np.asarray(xs, dtype=float)
-    out = np.empty(xs.shape)
-    hi = xs >= 1.0
-    out[~hi] = 1.0 - cdf_grid(beta, xs[~hi])  # checks beta
-    out[hi] = _survival_series(beta, xs[hi])
-    return out
+    """P(S >= x) vectorized over an array of x > 0."""
+    return law_at(beta, _log(xs), upper=True)
 
 
 def density_grid(beta, xs):
     """Density vectorized over an array of x > 0."""
-    _check_beta(beta)
     xs = np.asarray(xs, dtype=float)
-    out = np.zeros(xs.shape)
-    hi = xs >= 1.0
-    if hi.any():
-        out[hi] = _density_series(beta, xs[hi])
-    lo = (~hi) & (xs > 0.0) & (_log_w0(beta, np.maximum(xs, 1e-300)) <= np.log(_EXP_CUT))
-    if lo.any():
-        c = xs[lo] ** -tilt(beta)
-        weights, la, a_vals = _live_grid(beta, c)
-        integ = np.exp(la[None, :] - c[:, None] * a_vals[None, :]) @ weights / np.pi
-        out[lo] = tilt(beta) * xs[lo] ** (-1.0 / (1.0 - beta)) * integ
-    return out
+    return np.divide(density_of_log(beta, _log(xs)), xs, out=np.zeros(xs.shape), where=xs > 0.0)
 
 
 def sample(beta, generator, n=1):

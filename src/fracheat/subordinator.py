@@ -5,11 +5,13 @@ path, a stable exponent being its one-part case: S_r is the sum of the
 independent parts Y_i = (a_i * r)**(1/beta_i) * X_i, X_i standard
 beta_i-stable.
 
+* Each part's law is evaluated from the log of its standard argument
+  x (a r)**(-1/beta_i), so a scale outside float range costs no digits.
 * The law of S_r is the stable law for one part and otherwise a
   convolution conditioned on the first part (`_sum_law`).
 * E_t has density h_t(r) = M(t)/r, M = sum_i E[Y_i/beta_i; S_r in dx]/dx,
-  as P(E_t <= r) = P(S_r >= t): t f(t)/(beta r) for one part, and for
-  several the same conditioning, vectorized over r (`_sum_density`).
+  as P(E_t <= r) = P(S_r >= t), with M = x f(x)/beta for one part and the
+  same conditioning for several, vectorized over r (`_sum_density`).
 * For one part E_t = (t / X)**beta / a in distribution, which gives the
   sampler; several parts take a discretized-path sampler with
   first-passage refinement.
@@ -39,7 +41,7 @@ from .rng import RngStream
 _MAX_INCREMENTS = 4_000_000
 # convolutions start at this share of the argument, on _CONV_PANELS log
 # panels bisected until |K15 - G7| meets _CONV_TOL relative in each row;
-# the inverse density of several parts takes _CONV_ROWS values of r a pass
+# a density of several parts takes _CONV_ROWS values of r a pass
 _CONV_HEAD, _CONV_PANELS, _CONV_TOL, _CONV_ROWS = 1e-14, 16, 1e-11, 4
 
 
@@ -47,12 +49,24 @@ def _generator(rng):
     return rng.generator if isinstance(rng, RngStream) else rng
 
 
+def _log_arg(b, ar, y):
+    """log x, x = y * ar**(-1/b) the standard argument at y of the part
+    ar**(1/b) X: the log of the product while that is a normal float, as a
+    direct stable-law call takes it, else the difference of the logs."""
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        x = y * ar ** (-1.0 / b)
+        return np.where((x >= np.finfo(float).tiny) & (x < np.inf), np.log(x),
+                        np.log(y) - np.log(ar) / b)
+
+
+def _part_law(b, ar, y, upper):
+    """P(part > y) if upper else P(part <= y) for the part ar**(1/b) X."""
+    return stable.law_at(b, _log_arg(b, ar, y), upper)
+
+
 def _part_density(b, ar, y):
-    """Density at y of the part ar**(1/b) X, ar = a r; where y ar**(-1/b)
-    overflows, the leading term b ar y**(-1-b) / Gamma(1-b) of its tail."""
-    x = y * ar ** (-1.0 / b)
-    return np.where(np.isinf(x), b * ar * y ** (-1.0 - b) / math.gamma(1.0 - b),
-                    stable.density_grid(b, x) * ar ** (-1.0 / b))
+    """Density at y of the part ar**(1/b) X, ar = a r."""
+    return stable.density_of_log(b, _log_arg(b, ar, y)) / y
 
 
 def _convolve(x, integrand):
@@ -77,18 +91,17 @@ def _sum_law(terms, r, xs, upper):
     (the same without the first term for P(S_r <= x)) by `_convolve`, plus
     the first part's mass below the foot times the rest's law at x."""
     (a, b), rest = terms[0], terms[1:]
-    k = (a * r) ** (-1.0 / b)  # the part is below x when X is below k * x
+    ar = np.float64(a * r)  # a numpy scalar powers like a Python float
     xs = np.asarray(xs, dtype=float)
     if not rest:
-        law = stable.survival_grid if upper else stable.cdf_grid
-        return law(b, xs * k)
+        return _part_law(b, ar, xs, upper)
     out = np.empty(xs.shape)
     for i, x in enumerate(xs):
-        foot, total = _convolve(x, lambda y, u: _part_density(b, a * r, y)
+        foot, total = _convolve(x, lambda y, u: _part_density(b, ar, y)
                                 * _sum_law(rest, r, u, upper))
-        total += stable.cdf(b, foot * k) * _sum_law(rest, r, [x], upper)[0]
+        total += _part_law(b, ar, foot, False) * _sum_law(rest, r, [x], upper)[0]
         if upper:
-            total += stable.survival(b, x * k)
+            total += _part_law(b, ar, x, True)
         out[i] = min(total, 1.0)
     return out
 
@@ -100,12 +113,16 @@ def _sum_density(terms, rs, xs):
         D(x) = int f_1(y) D_rest(x - y) dy,
         M(x) = int f_1(y) [(y/beta_1) D_rest(x - y) + M_rest(x - y)] dy,
     plus the mass of each side below the foot: F_1(foot) times the rest's
-    (D, M) at x, and F_rest(foot) f_1(x) times (1, x/beta_1)."""
+    (D, M) at x, and F_rest(foot) f_1(x) times (1, x/beta_1).  These
+    convolutions share their panels across _CONV_ROWS values of r a pass."""
     (a, b), rest = terms[0], terms[1:]
     ar = a * rs[:, None]
     if not rest:
         f = _part_density(b, ar, xs)
         return np.stack([f, xs * f / b])
+    if rs.size > _CONV_ROWS:
+        return np.concatenate([_sum_density(terms, rs[i:i + _CONV_ROWS], xs)
+                               for i in range(0, rs.size, _CONV_ROWS)], axis=1)
 
     def integrand(y, u):
         d_rest, m_rest = _sum_density(rest, rs, u)
@@ -114,7 +131,7 @@ def _sum_density(terms, rs, xs):
     out = np.empty((2, rs.size, xs.size))
     for i, x in enumerate(xs):
         foot, total = _convolve(x, integrand)
-        low = stable.cdf_grid(b, foot * ar[:, 0] ** (-1.0 / b))
+        low = _part_law(b, ar[:, 0], foot, False)
         high = _part_density(b, ar[:, 0], x) * [_sum_law(rest, r, [foot], False)[0] for r in rs]
         out[:, :, i] = (total + low * _sum_density(rest, rs, xs[i:i + 1])[:, :, 0]
                         + np.stack([high, high * x / b]))
@@ -155,7 +172,7 @@ class SubordinatorModel:
         comps = self._components()
         if len(comps) == 1:
             (a, b), = comps
-            return stable.log_cdf(b, t * (a * r) ** (-1.0 / b))
+            return stable.log_cdf_at(b, float(_log_arg(b, np.float64(a * r), t)))
         f = self.cdf(r, t)
         return float(np.log(f)) if f > 0.0 else -np.inf
 
@@ -169,25 +186,11 @@ class SubordinatorModel:
 
     def inverse_density_grid(self, t, rs):
         """inverse_density vectorized over an array of r: M(t)/r with M from
-        `_sum_density`, in blocks of _CONV_ROWS r for several parts, and for
-        one part, whose E_t is the standard beta-stable one divided by a,
-        t f(t)/(beta r) in logs."""
-        comps = self._components()
+        `_sum_density`."""
         rs = np.asarray(rs, dtype=float)
-        if len(comps) > 1:
-            flat, out = rs.ravel(), np.empty(rs.size)
-            with np.errstate(over="ignore", invalid="ignore"):  # see _part_density
-                for blk in (slice(i, i + _CONV_ROWS) for i in range(0, rs.size, _CONV_ROWS)):
-                    out[blk] = _sum_density(comps, flat[blk], np.array([t]))[1, :, 0] / flat[blk]
-            return out.reshape(rs.shape)
-        (a, b), = comps
-        rs = a * rs
-        xs = t * rs ** (-1.0 / b)
-        g = stable.density_grid(b, xs)
-        out = np.zeros_like(rs)
-        pos = g > 0.0
-        out[pos] = a * np.exp(np.log(t / b) - (1.0 + 1.0 / b) * np.log(rs[pos]) + np.log(g[pos]))
-        return out
+        flat = rs.ravel()
+        m = _sum_density(self._components(), flat, np.array([t]))[1, :, 0]
+        return (m / flat).reshape(rs.shape)
 
     def inverse_support(self, t):
         """r beyond which the density of E_t is zero: the least of the parts'
@@ -333,7 +336,7 @@ def _truncated_tail_mean(model, s, t):
     return val
 
 
-def integrated_tail_identities(model, t, first_at=(0.5, 1.0, 2.0)):
+def integrated_tail_identities(model, t):
     """Check the two balance identities tying G to the law of S.
 
     Needs a stable exponent (closed-form integrated tail and density).
@@ -359,7 +362,7 @@ def integrated_tail_identities(model, t, first_at=(0.5, 1.0, 2.0)):
     w_gl = 0.5 * weights
     pref = t ** (1.0 - b) / ((1.0 - b) * math.gamma(1.0 - b))
     first = {}
-    for mult in first_at:
+    for mult in (0.5, 1.0, 2.0):
         s = mult * t
         rv = t * (1.0 - v ** (1.0 / (1.0 - b)))
         sf = np.array([model.survival(s, r) if r > 0 else 1.0 for r in rv])

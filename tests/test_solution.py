@@ -132,13 +132,37 @@ class TestQuadrature:
         ("gaussian", 1.0, 30.0), ("gaussian", 1.3737515291681892, 39.3330341341852),
         ("cauchy", 1.0, 0.3), ("cauchy", 0.1, 1.0), ("cauchy", 10.0, 3.0),
         ("cauchy", 1.0, 30.0), ("cauchy", 1311.4930702352094, 78913.3705214919)])
-    def test_error_estimate_is_honest(self, gauss, cauchy, half, kind, t, z):
+    def test_error_estimate_is_honest(self, gauss, cauchy, half, kind, t, z, monkeypatch):
+        # the public dispatch, then the Gauss-Kronrod rule alone
         kernel = gauss if kind == "gaussian" else cauchy
-        est = density_quadrature(kernel, half, t, z)
         ref = _half_stable_reference(kind, t, z)
-        assert est.converged
-        assert abs(est.value - ref) <= 1e-10 * ref
-        assert abs(est.value - ref) <= est.error
+        for withheld in (False, True):
+            if withheld:
+                monkeypatch.setattr(type(kernel), "resolvent", _no_resolvent)
+            est = density_quadrature(kernel, half, t, z)
+            assert est.converged
+            assert abs(est.value - ref) <= 1e-10 * ref
+            assert abs(est.value - ref) <= est.error
+
+    @pytest.mark.parametrize("beta", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+    def test_diagonal_moment(self, gauss, beta, monkeypatch):
+        # p(t, 0) = E[(4 pi E_t)**-1/2] with E_t = (t/S)**beta, S standard
+        # beta-stable, whose moment E[S**(beta/2)] is Gamma(1/2)/Gamma(1 - beta/2)
+        model = SubordinatorModel(Stable(beta))
+        for withheld in (False, True):
+            if withheld:
+                monkeypatch.setattr(ExactGaussian, "resolvent", _no_resolvent)
+            for t in (1e-3, 1.0, 1e3):
+                exact = (t ** (-beta / 2.0) * math.gamma(0.5)
+                         / (math.gamma(1.0 - beta / 2.0) * math.sqrt(4.0 * math.pi)))
+                est = density_quadrature(gauss, model, t, 0.0)
+                assert est.method == ("quad" if withheld else "laplace") and est.converged
+                assert abs(est.value - exact) <= est.error
+
+    def test_stable_takes_the_contour_near_the_diagonal(self, gauss, cauchy, half):
+        assert density_quadrature(cauchy, half, 1.0, 0.3).method == "laplace"
+        est = density_quadrature(gauss, half, 1.0, 30.0)  # flagged on the contour
+        assert est.method == "quad" and est.converged
 
     def test_unmet_tolerance_is_flagged(self, cauchy, monkeypatch):
         from fracheat import QuadratureConfig, numerics
@@ -283,12 +307,15 @@ class TestLaplace:
         assert accepted >= 90  # of 112; the deep off-diagonal ones are flagged
 
     @pytest.mark.parametrize("beta", [0.9, 0.99])
-    def test_cauchy_resolvent_past_right_angle(self, cauchy, beta):
+    def test_cauchy_resolvent_past_right_angle(self, cauchy, beta, monkeypatch):
         # arg phi(lam) passes pi/2 on the contour once beta > 0.8, where the
-        # principal-branch exp1 form of the Cauchy resolvent jumps
+        # principal-branch exp1 form of the Cauchy resolvent jumps; the
+        # reference is the Gauss-Kronrod rule, with the resolvent withheld
         model = SubordinatorModel(Stable(beta))
-        for t, z in ((1.0, 0.5), (10.0, 3.0)):
-            est = density_laplace(cauchy, model, t, z)
+        points = ((1.0, 0.5), (10.0, 3.0))
+        contours = [density_laplace(cauchy, model, t, z) for t, z in points]
+        monkeypatch.setattr(ExactCauchy, "resolvent", _no_resolvent)
+        for (t, z), est in zip(points, contours):
             ref = density_quadrature(cauchy, model, t, z)
             assert est.converged and ref.converged
             assert abs(est.value - ref.value) <= 1e-10 * ref.value

@@ -54,6 +54,17 @@ class TestCdf:
             with pytest.raises(UnsupportedModelError):
                 call()
 
+    @pytest.mark.parametrize("exponent", [Stable(0.05), StableMixture(((1.0, 0.05), (1.0, 0.5)))])
+    def test_part_scale_overflow(self, exponent):
+        # (a r)**(-1/beta) = 1e400 for the 0.05 part at r = 1e-20: the law is
+        # still one jump past t, P(S_r >= t) = r nu(t) to O(r**2)
+        model = SubordinatorModel(exponent)
+        r, t = 1e-20, 1.0
+        tail = r * exponent.levy_tail(t)
+        assert model.survival(r, t) == pytest.approx(tail, rel=1e-6)
+        assert abs(model.cdf(r, t) - (1.0 - tail)) <= 1e-15
+        assert abs(model.log_cdf(r, t) + tail) <= 1e-15
+
     def test_mixture_cdf_plus_survival(self, mixture):
         for r, t in ((0.5, 1.0), (1.0, 0.5), (2.0, 3.0)):
             total = mixture.cdf(r, t) + mixture.survival(r, t)
@@ -166,9 +177,16 @@ class TestInverseDensity:
         assert model.inverse_density(t, 1e-8) == pytest.approx(
             model.exponent.levy_tail(t), rel=1e-6)
 
+    @pytest.mark.parametrize("r", [1e-15, 1e-17, 1e-20])
+    def test_stable_scale_overflow(self, r):
+        # r**(-1/beta) nears or passes the float range at beta = 0.05; h
+        # is still nu(t), with no digits lost to denormals on the way
+        model = SubordinatorModel(Stable(0.05))
+        assert abs(model.inverse_density(1.0, r) - model.exponent.levy_tail(1.0)) <= 1e-12
+
     def test_mixture_part_scale_overflow(self):
-        # (a r)**(-1/beta) overflows for the 0.05 part at these r: its
-        # density is the leading term of its tail, and h is still nu(t)
+        # (a r)**(-1/beta) overflows for the 0.05 part at these r, and h
+        # is still nu(t)
         model = SubordinatorModel(StableMixture(((1.0, 0.05), (1.0, 0.5))))
         h = model.inverse_density_grid(1.0, [1e-30, 1e-20])
         assert np.allclose(h, model.exponent.levy_tail(1.0), rtol=1e-12, atol=0.0)
