@@ -16,7 +16,7 @@ import os
 import sys
 
 import numpy as np
-from scipy import special
+from scipy import integrate, special
 
 from . import harness, solution
 from .bernstein import parse_exponent
@@ -201,6 +201,8 @@ def _cmd_sample(args):
 
 
 def _cmd_residual(args):
+    if args.t_n < 0 or args.x_n < 0:
+        raise DomainError("--t-n and --x-n cannot be negative")
     f = solution.GaussianBump()
     g = solution.GaussianBump()
     t_grid = np.linspace(args.t_lo, args.t_hi, args.t_n)
@@ -213,7 +215,8 @@ def _cmd_residual(args):
             res = abs(lhs - rhs) / max(abs(rhs), 1e-8)
             fh.write(f"{t!r},{lhs!r},{rhs!r},{res!r}\n")
     print(f"max residual: {report.residual!r}; initial error: {report.initial_error!r}; "
-          f"richardson_warning={report.richardson_warning}", file=sys.stderr)
+          f"richardson_warning={report.richardson_warning}; converged={report.converged}; "
+          f"quad_error={report.quad_error!r}", file=sys.stderr)
     return 0
 
 
@@ -237,6 +240,16 @@ def _cmd_selftest(args):
     checks.append(("fundamental value", abs(est.value - target) < 1e-6))
     checks.append(("fourier fundamental value",
                    abs(solution.density_fourier(0.5, 2, 1.0, 0.0) - target) < 1e-6))
+    # for f = g = exp(-x**2), int g'' T_r f dx = -1/2 int lam**(1/2) e**(-lam/2 - lam r) dlam,
+    # so the right side at t is that with e**(-lam r) averaged to E_beta(-lam t**beta);
+    # lam = mu**2 below
+    bump = solution.GaussianBump()
+    weak = solution.caputo_weak_residual(0.5, bump, bump, np.array([1.0]), np.linspace(-8.0, 8.0, 257))
+    oracle, _ = integrate.quad(lambda mu: -mu * mu * math.exp(-0.5 * mu * mu)
+                               * solution.mittag_leffler(0.5, mu * mu), 0.0, np.inf,
+                               epsabs=0.0, epsrel=1e-13, limit=200)
+    checks.append(("weak-form right side equals the Mittag-Leffler integral",
+                   abs(weak.rows[0][2] / oracle - 1.0) < 1e-10))
     mix = parse_exponent("mixture:1,0.3;1,0.7")
     h_small = SubordinatorModel(mix).inverse_density(1.0, 1e-8)
     checks.append(("mixture inverse density at r->0 equals the Levy tail",

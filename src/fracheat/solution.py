@@ -26,7 +26,11 @@ independent ways:
 
 The module also carries the Mittag-Leffler evaluator E_beta(-x), a mass
 conservation check, and the weak-form residual test for the fractional-
-in-time evolution driven by the 1-d Laplacian.
+in-time evolution driven by the 1-d Laplacian.  The residual uses the
+self-similarity E_s = s**beta E_1 of the stable time change: each t is
+one Gauss-Kronrod pass in log(r / s**beta) whose rows, one per memory
+time and one for the right side, share the density of E_1; the report
+says whether every row converged and gives the worst row error.
 """
 
 from __future__ import annotations
@@ -440,69 +444,130 @@ class WeakFormReport:
     rows: tuple                # (t, lhs, rhs) triples
     richardson_warning: bool   # finite-difference step not yet converged
     initial_error: float       # max |u(0+, x) - f(x)| on the grid
+    converged: bool            # every Gauss-Kronrod row met its tolerance
+    quad_error: float          # worst Gauss-Kronrod row error over |row value|
 
 
-def _evolved(model, s, bump, x_grid):
-    """u(s, x) = E[T_{E_s} f] on the grid, via the inverse-time density."""
-    if s <= 0.0:
-        return bump(x_grid)
-    r_hi = model.inverse_support(s)
-    bounds = geometric_boundaries(r_hi * 1e-16, r_hi, per_decade=4)
-    nodes, weights = panel_nodes(bounds, order=12)
-    h = model.inverse_density_grid(s, nodes)
-    profiles = bump.heat_evolution(nodes[:, None], x_grid[None, :])
-    return (weights * h) @ profiles
+# Gauss-Legendre nodes of the memory integral in the substituted variable v
+_WEAK_NODES = 32
+# the rows integrate in log rho from _WEAK_HEAD times the support bound of
+# E_1 up to that bound, starting from one panel per two decades
+_WEAK_HEAD = 1e-16
+# (r, x) values per block of heat-evolution profiles: each temporary stays
+# near 128 kB, which is faster than larger blocks as well as smaller
+_WEAK_BLOCK = 1 << 14
+
+
+def _simpson_weights(x_grid):
+    """scipy's Simpson rule on x_grid as a weight vector: the rule applied
+    to the rows of the identity, a block of rows at a time."""
+    n = x_grid.size
+    step = max(1, _WEAK_BLOCK // n)
+    return np.concatenate([integrate.simpson(np.eye(min(step, n - i), n, i), x=x_grid)
+                           for i in range(0, n, step)])
+
+
+def _x_integrals(f, r, weights, x_grid):
+    """weights @ (T_r f on x_grid) at each r of the array r, the profiles
+    built a block of r at a time."""
+    flat = r.ravel()
+    out = np.empty(flat.size)
+    step = max(1, _WEAK_BLOCK // x_grid.size)
+    for i in range(0, flat.size, step):
+        out[i:i + step] = f.heat_evolution(flat[i:i + step, None], x_grid) @ weights
+    return out.reshape(r.shape)
+
+
+def _self_similar_rows(model, rows):
+    """int h_1(rho) row(rho) drho for each row of rows(rho), an array with
+    the rho index last, by one Gauss-Kronrod pass in log rho on which every
+    row shares the nodes and h_1, the density of E_1, is evaluated once per
+    node.  Returns (total, error, converged) per row."""
+    rho_hi = model.inverse_support(1.0)
+    bounds = np.log(geometric_boundaries(_WEAK_HEAD * rho_hi, rho_hi, per_decade=0.5))
+
+    def in_log_rho(y):
+        rho = np.exp(y)
+        return model.inverse_density_grid(1.0, rho) * rho * rows(rho)
+
+    cfg = model.quadrature
+    return kronrod_quad(in_log_rho, bounds, cfg.rel_tol, cfg.abs_floor)
+
+
+def _check_weak_grids(beta, t_grid, x_grid):
+    if not 0.0 < beta < 1.0:
+        raise DomainError(f"order must lie in (0, 1), got {beta}")
+    if t_grid.ndim != 1 or t_grid.size == 0 or not np.all((t_grid > 0.0) & np.isfinite(t_grid)):
+        raise DomainError("the t grid needs at least one t, each finite and > 0")
+    if (x_grid.ndim != 1 or x_grid.size < 3 or not np.all(np.isfinite(x_grid))
+            or not np.all(np.diff(x_grid) > 0.0)):
+        raise DomainError("the x grid needs at least 3 finite, strictly increasing points")
 
 
 def caputo_weak_residual(beta, f, g, t_grid, x_grid):
     """Residual of the weak-form identity
         d/dt int g(x) I_t^w u(., x) dx = int u(t, x) g''(x) dx
     where I_t^w u = int_0^t w(t-s)(u(s,.) - f) ds with the fractional kernel
-    w(s) = s**(-beta)/Gamma(1-beta), u the time-changed heat evolution of
-    f, and the spatial generator the 1-d Laplacian.
+    w(s) = s**(-beta)/Gamma(1-beta), u(s, .) = E[T_{E_s} f] the
+    time-changed heat evolution of f, and the spatial generator the 1-d
+    Laplacian.
 
     The endpoint singularity of w is removed exactly by the substitution
-    s = t(1 - v**(1/(1-beta))); the time derivative is a central difference
-    with a step-halving consistency check (Richardson flag).
+    s = t(1 - v**(1/(1-beta))), with _WEAK_NODES Gauss-Legendre nodes in v;
+    the time derivative is a central difference with a step-halving
+    consistency check (Richardson flag).  The x integrals are scipy's
+    Simpson rule on x_grid.  As E_s = s**beta E_1 in law,
+        int g (u(s, .) - f) dx = int h_1(rho) [G(s**beta rho) - G(0)] drho,
+    G(r) = int g T_r f dx, so each t is one self-similar Gauss-Kronrod
+    pass in log rho with a row per memory time (four difference times by
+    the v nodes) and one for the right side, all sharing h_1.  The initial
+    check u(0+, .) = f takes the same rule with a row per x.  `converged`
+    and `quad_error` report the Kronrod rows.
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"order must lie in (0, 1), got {beta}")
-    model = SubordinatorModel(Stable(beta))
     x_grid = np.asarray(x_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
+    _check_weak_grids(beta, t_grid, x_grid)
+    model = SubordinatorModel(Stable(beta))
+    weights = _simpson_weights(x_grid)
     f_vals = f(x_grid)
-    g_vals = g(x_grid)
-    g2_vals = g.second_derivative(x_grid)
+    wg = weights * g(x_grid)
+    wg2 = weights * g.second_derivative(x_grid)
+    g0 = float(wg @ f_vals)
 
-    def x_integral(values):
-        return integrate.simpson(values, x=x_grid)
-
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(32)
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(_WEAK_NODES)
     v_nodes = 0.5 * (gl_nodes + 1.0)
     v_weights = 0.5 * gl_weights
     pref_const = 1.0 / ((1.0 - beta) * math.gamma(1.0 - beta))
-
-    def memory_integral(t):
-        """int g(x) I_t^w(u(., x)) dx after the singularity substitution."""
-        s_vals = t * (1.0 - v_nodes ** (1.0 / (1.0 - beta)))
-        inner = np.empty_like(s_vals)
-        for i, s in enumerate(s_vals):
-            inner[i] = x_integral(g_vals * (_evolved(model, s, f, x_grid) - f_vals))
-        return t ** (1.0 - beta) * pref_const * float(np.dot(v_weights, inner))
+    shrink = 1.0 - v_nodes ** (1.0 / (1.0 - beta))
 
     rows = []
+    passes = []  # (total, error, converged) per row of every Kronrod pass
     warn = False
     max_res = 0.0
     for t in t_grid:
         d = 1e-3 * t  # the central-difference step, checked against its half
-        lhs = (memory_integral(t + d) - memory_integral(t - d)) / (2.0 * d)
-        lhs_half = (memory_integral(t + d / 2) - memory_integral(t - d / 2)) / d
+        taus = t + d * np.array([1.0, -1.0, 0.5, -0.5])
+        scales = ((taus[:, None] * shrink) ** beta).ravel()
+        passes.append(_self_similar_rows(model, lambda rho: np.vstack([
+            _x_integrals(f, scales[:, None] * rho, wg, x_grid) - g0,
+            _x_integrals(f, t ** beta * rho, wg2, x_grid)])))
+        total = passes[-1][0]
+        # int g(x) I_tau^w(u(., x)) dx at each difference time tau
+        memory = taus ** (1.0 - beta) * pref_const * (total[:-1].reshape(4, -1) @ v_weights)
+        lhs = (memory[0] - memory[1]) / (2.0 * d)
+        lhs_half = (memory[2] - memory[3]) / d
         if abs(lhs - lhs_half) > 0.1 * max(abs(lhs_half), 1e-12):
             warn = True
-        rhs = x_integral(_evolved(model, t, f, x_grid) * g2_vals)
+        rhs = total[-1]
         rows.append((float(t), float(lhs_half), float(rhs)))
         max_res = max(max_res, abs(lhs_half - rhs) / max(abs(rhs), 1e-8))
 
-    u0 = _evolved(model, 1e-16 * float(t_grid.min()), f, x_grid)
-    initial_error = float(np.max(np.abs(u0 - f_vals)))
-    return WeakFormReport(float(max_res), tuple(rows), warn, initial_error)
+    start = (1e-16 * float(t_grid.min())) ** beta
+    passes.append(_self_similar_rows(
+        model, lambda rho: f.heat_evolution(start * rho, x_grid[:, None])))
+    initial_error = float(np.max(np.abs(passes[-1][0] - f_vals)))
+    total, error, ok = (np.concatenate(part) for part in zip(*passes))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quad_error = float(np.where(error > 0.0, error / np.abs(total), 0.0).max())
+    return WeakFormReport(float(max_res), tuple(rows), warn, initial_error,
+                          bool(ok.all()), quad_error)

@@ -214,6 +214,23 @@ class TestCli:
         assert lines[1].split(",")[0] == "t"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("flags", [
+        ["--t-n", "0"], ["--t-n", "-1"], ["--t-lo", "0"], ["--t-lo", "-1"],
+        ["--x-n", "1"], ["--x-half", "0"], ["--x-half", "-8"]],
+        ids=lambda flags: " ".join(flags))
+    def test_malformed_residual_input_is_usage_error(self, capsys, flags):
+        code = run_cli(["residual", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("fracheat: ") and "Traceback" not in captured.err
+
+    def test_residual_reports_quadrature(self, capsys):
+        assert run_cli(["residual", "--t-lo", "1", "--t-hi", "1", "--t-n", "1"]) == 0
+        summary = capsys.readouterr().err
+        assert "converged=True" in summary
+        assert float(summary.rsplit("quad_error=", 1)[1]) < 1e-9
+
     def test_selftest(self, capsys):
         assert run_cli(["selftest"]) == 0
         out = capsys.readouterr().out
@@ -222,6 +239,11 @@ class TestCli:
     def test_selftest_mixture_levy_tail(self, capsys):
         assert run_cli(["selftest"]) == 0
         assert "PASS  mixture inverse density at r->0 equals the Levy tail" in capsys.readouterr().out
+
+    def test_selftest_weak_form_right_side(self, capsys):
+        assert run_cli(["selftest"]) == 0
+        assert ("PASS  weak-form right side equals the Mittag-Leffler integral"
+                in capsys.readouterr().out)
 
     def test_nonconvergence_exit_code(self, capsys, monkeypatch):
         from fracheat import cli as cli_mod

@@ -496,6 +496,32 @@ class TestWeakForm:
         for _, lhs, rhs in rep.rows:
             assert abs(lhs) < 1e-8 and abs(rhs) < 1e-8
 
+    @staticmethod
+    def _right_side_oracle(beta, t):
+        """int g'' u(t, .) dx for f = g = exp(-x**2) from the Mittag-Leffler
+        function alone: G'(r) = -1/2 int lam**(1/2) e**(-lam/2) e**(-lam r) dlam
+        and E[e**(-lam E_t)] = E_beta(-lam t**beta); lam = mu**2 here."""
+        val, _ = integrate.quad(
+            lambda mu: mu * mu * math.exp(-0.5 * mu * mu) * mittag_leffler(beta, mu * mu * t ** beta),
+            0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+        return -val
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.95, 0.99])
+    def test_right_side_matches_mittag_leffler(self, beta):
+        bump = GaussianBump()
+        rep = caputo_weak_residual(beta, bump, bump, np.array([0.3, 1.0]),
+                                   np.linspace(-8.0, 8.0, 257))
+        for t, _, rhs in rep.rows:
+            assert rhs == pytest.approx(self._right_side_oracle(beta, t), rel=1e-10)
+        assert rep.converged and rep.quad_error < 1e-9
+
+    @pytest.mark.parametrize("beta", [0.9, 0.99])
+    def test_initial_error_as_order_nears_one(self, beta):
+        bump = GaussianBump()
+        rep = caputo_weak_residual(beta, bump, bump, np.array([0.3]),
+                                   np.linspace(-8.0, 8.0, 257))
+        assert rep.initial_error <= 1e-12
+
     def test_heat_evolution_closed_form(self):
         bump = GaussianBump(center=1.0, width=2.0, amplitude=0.5)
         xs = np.linspace(-3.0, 5.0, 7)
