@@ -174,7 +174,7 @@ def _cmd_verify(args):
     print(f"near: n={report.near_summary.count} spread={report.near_summary.spread!r}; "
           f"off: n={report.off_summary.count} spread={report.off_summary.spread!r}; "
           f"off log-ratio: [{report.off_log_lo!r}, {report.off_log_hi!r}]; "
-          f"all_finite={report.all_finite}", file=sys.stderr)
+          f"all_finite={report.all_finite}; flagged={report.flagged}", file=sys.stderr)
     return 0 if report.all_finite else 1
 
 
@@ -200,6 +200,10 @@ def _cmd_sample(args):
     return 0
 
 
+# the weak-form bounds of acceptance criterion 13
+_RESIDUAL_BOUND, _INITIAL_BOUND = 0.05, 1e-6
+
+
 def _cmd_residual(args):
     if args.t_n < 0 or args.x_n < 0:
         raise DomainError("--t-n and --x-n cannot be negative")
@@ -217,7 +221,9 @@ def _cmd_residual(args):
     print(f"max residual: {report.residual!r}; initial error: {report.initial_error!r}; "
           f"richardson_warning={report.richardson_warning}; converged={report.converged}; "
           f"quad_error={report.quad_error!r}", file=sys.stderr)
-    return 0
+    passed = (report.residual <= _RESIDUAL_BOUND and report.initial_error <= _INITIAL_BOUND
+              and report.converged)
+    return 0 if passed else 1
 
 
 def _cmd_selftest(args):
@@ -250,6 +256,8 @@ def _cmd_selftest(args):
                                epsabs=0.0, epsrel=1e-13, limit=200)
     checks.append(("weak-form right side equals the Mittag-Leffler integral",
                    abs(weak.rows[0][2] / oracle - 1.0) < 1e-10))
+    checks.append(("mass conservation",
+                   solution.mass_residual(ExactGaussian(1), model, 1.0) < 1e-10))
     mix = parse_exponent("mixture:1,0.3;1,0.7")
     h_small = SubordinatorModel(mix).inverse_density(1.0, 1e-8)
     checks.append(("mixture inverse density at r->0 equals the Levy tail",

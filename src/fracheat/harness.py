@@ -136,6 +136,7 @@ class SandwichRow:
     log_ratio: Optional[float] = None
     method: str = "quad"
     error: Optional[str] = None
+    converged: Optional[bool] = None   # of p; not a CSV column
 
 
 @dataclass(frozen=True)
@@ -157,41 +158,58 @@ class SandwichReport:
     off_log_lo: float                   # L(t, z) range over diffusion off rows
     off_log_hi: float
     all_finite: bool
+    flagged: int                        # rows whose p came back not converged
 
 
-def _evaluate_row(kernel, model, emodel, cfg, index, t, z):
+def _quad_row(kernel, model, t, zs):
+    """p(t, z) at every z of one t by one row call of density_quadrature.
+    A FracheatError it raises stands for every z, as per-point calls would
+    have raised it: density errors do not depend on z > 0."""
+    try:
+        return solution.density_quadrature(kernel, model, t, np.array(zs))
+    except FracheatError as exc:
+        return [exc] * len(zs)
+
+
+def _evaluate_row(kernel, model, emodel, cfg, index, t, z, quad):
     try:
         tag = emodel.classify(t, z)
         if cfg.method == "mc":
             est_p = solution.density_monte_carlo(
                 kernel, model, t, z, cfg.mc_samples, RngStream(cfg.seed, index))
+        elif isinstance(quad, FracheatError):
+            raise quad
         else:
-            est_p = solution.density_quadrature(kernel, model, t, z)
+            est_p = quad
         shape = emodel.estimate(t, z)
         if shape.value is not None:
             ratio = est_p.value / shape.value if shape.value > 0 else np.inf
             return SandwichRow(t, z, tag.regime.value, est_p.value, est_p.error,
-                               shape.value, None, ratio, None, est_p.method)
+                               shape.value, None, ratio, None, est_p.method,
+                               converged=est_p.converged)
         log_ratio = -np.log(est_p.value / shape.prefactor) / shape.exponent_arg
         return SandwichRow(t, z, tag.regime.value, est_p.value, est_p.error,
                            shape.prefactor, shape.exponent_arg, None,
-                           float(log_ratio), est_p.method)
+                           float(log_ratio), est_p.method, converged=est_p.converged)
     except FracheatError as exc:  # a failed row is recorded, the run continues
         return SandwichRow(t, z, "error", method=cfg.method, error=str(exc))
 
 
 def verify_sandwich(cfg):
-    """Run one campaign and summarize per-regime comparability."""
+    """Run one campaign and summarize per-regime comparability.  By
+    quadrature, p is evaluated a t-row of z at a time."""
     kernel, model, emodel = build_models(cfg)
     t_grid = np.geomspace(cfg.t_lo, cfg.t_hi, cfg.t_n) if cfg.t_n else np.array([])
     v_grid = np.geomspace(cfg.z_lo, cfg.z_hi, cfg.z_n) if cfg.z_n else np.array([])
     rows = []
     for i, t in enumerate(t_grid):
         phi_t = emodel.exponent.phi(1.0 / t)
-        for j, v in enumerate(v_grid):
-            z = emodel.scale.inverse(v / phi_t) if cfg.z_mode == "regime" else v
-            rows.append(_evaluate_row(kernel, model, emodel, cfg, i * len(v_grid) + j,
-                                      float(t), float(z)))
+        zs = [float(emodel.scale.inverse(v / phi_t)) if cfg.z_mode == "regime" else float(v)
+              for v in v_grid]
+        quad = (_quad_row(kernel, model, float(t), zs) if cfg.method == "quad"
+                else [None] * len(zs))
+        rows.extend(_evaluate_row(kernel, model, emodel, cfg, i * len(zs) + j, float(t), z, p)
+                    for j, (z, p) in enumerate(zip(zs, quad)))
     rows = tuple(rows)
 
     near = [r.ratio for r in rows if r.regime == "near" and r.ratio is not None]
@@ -211,7 +229,8 @@ def verify_sandwich(cfg):
     all_finite = bool(ratios_ok and logs_ok and no_errors)
     off_log_lo = min(logs) if logs else float("nan")
     off_log_hi = max(logs) if logs else float("nan")
-    return SandwichReport(rows, near_s, off_s, off_log_lo, off_log_hi, all_finite)
+    flagged = sum(not r.converged for r in rows if r.error is None)
+    return SandwichReport(rows, near_s, off_s, off_log_lo, off_log_hi, all_finite, flagged)
 
 
 def _fmt(value):

@@ -15,18 +15,25 @@ independent ways:
   flagged,
 * quadrature against h_t (`density_quadrature`): one vectorized adaptive
   Gauss-Kronrod panel rule in log s, whose error is the summed
-  |K15 - G7| difference plus a rounding bound.  A stable or stable-mixture time change tries
-  the contour first, as the fast path, and takes this rule only when the
-  kernel has no resolvent or the contour result is flagged,
+  |K15 - G7| difference plus a rounding bound.  A stable or
+  stable-mixture time change tries the contour first, as the fast path,
+  and takes this rule only when the kernel has no resolvent or the
+  contour result is flagged,
 * Monte Carlo over inverse-subordinator samples,
 * for stable subordinators and 1-d Gaussian/Cauchy kernels, the
   Fourier-Mittag-Leffler representation
       p(t, z) = (1/pi) int_0^inf cos(xi z) E_beta(-xi**alpha t**beta) dxi,
   which never touches the subordination path and serves as an oracle.
 
+The contour and the quadrature take a scalar z or a 1-d array of z at
+one t, through one core: a row of z shares the contour nodes, and the z
+left to the Gauss-Kronrod rule share one pass, with h_t evaluated once
+per node.
+
 The module also carries the Mittag-Leffler evaluator E_beta(-x), a mass
-conservation check, and the weak-form residual test for the fractional-
-in-time evolution driven by the 1-d Laplacian.  The residual uses the
+conservation check (one Gauss-Kronrod pass in log y over that row form),
+and the weak-form residual test for the fractional-in-time evolution
+driven by the 1-d Laplacian.  The residual uses the
 self-similarity E_s = s**beta E_1 of the stable time change: each t is
 one Gauss-Kronrod pass in log(r / s**beta) whose rows, one per memory
 time and one for the right side, share the density of E_1; the report
@@ -59,26 +66,46 @@ class SolutionEstimate:
     converged: bool = True
 
 
+def _along_z(row_form):
+    """Let row_form(kernel, model, t, z) of a 1-d array z, which returns one
+    estimate per z in a list, take a scalar z too, which gives one estimate."""
+    @wraps(row_form)
+    def wrapped(kernel, model, t, z):
+        zs = np.asarray(z, dtype=float)
+        if zs.ndim > 1:
+            raise DomainError("z must be a scalar or a 1-d array")
+        row = row_form(kernel, model, t, zs.reshape(-1))
+        return row if zs.ndim else row[0]
+    return wrapped
+
+
+def _check_domain(kernel, model, t, z):
+    """t > 0 and every z >= 0; for z = 0, see _check_on_diagonal_integrable."""
+    z_min = min(z.tolist(), default=1.0)
+    if t <= 0.0 or z_min < 0.0:
+        raise DomainError("density needs t > 0 and z >= 0")
+    if z_min == 0.0:
+        _check_on_diagonal_integrable(kernel, model, t)
+
+
 def _log_panels(kernel, model, t, z):
-    """Panel boundaries in log s for the integrand of p: geometric over
-    (s_lo, s_hi), outside which it is negligible, and split where it
-    changes character, at the kernel's own time scale at distance z and the
-    inverse-subordinator time scale.  Off the diagonal q(s, z) vanishes as
-    s -> 0; on it q may blow up like s**-1/2, which leaves a head of
-    relative size (s_lo / scale)**(1/2)."""
+    """Panel boundaries in log s for the integrands of p along the z row:
+    geometric over (s_lo, s_hi), outside which they are negligible, and
+    split where one changes character, at the kernel's own time scale at
+    each distance z and the inverse-subordinator time scale.  Off the
+    diagonal q(s, z) vanishes as s -> 0; on it q may blow up like s**-1/2,
+    which leaves a head of relative size (s_lo / scale)**(1/2)."""
     inv_phi = 1.0 / model.exponent.phi(1.0 / t)
-    splits = {inv_phi, 2.0 * inv_phi, kernel.time_scale(z)} - {0.0}
+    splits = {inv_phi, 2.0 * inv_phi, *map(kernel.time_scale, z.tolist())} - {0.0}
     s_hi = model.inverse_support(t)
-    s_lo = min(min(splits), s_hi) * (1e-36 if z == 0.0 else 1e-18)
+    s_lo = min(min(splits), s_hi) * (1e-18 if z.all() else 1e-36)
     return np.log(geometric_boundaries(s_lo, s_hi, per_decade=2, extra=sorted(splits)))
 
 
-def _check_on_diagonal_integrable(kernel, model, t, z):
+def _check_on_diagonal_integrable(kernel, model, t):
     """p(t, 0) is infinite when q(s, 0) blows up at least like 1/s at
     s -> 0 (the inverse-time density is positive there); refuse to return
     a roundoff-limited finite number for it."""
-    if z != 0.0:
-        return
     scale = model.inverse_support(t)
     s1, s2 = 1e-10 * scale, 1e-8 * scale
     q1, q2 = float(kernel.q(s1, 0.0)), float(kernel.q(s2, 0.0))
@@ -91,32 +118,42 @@ def _check_on_diagonal_integrable(kernel, model, t, z):
             f"blow-up exponent {slope:.3f} <= -1)")
 
 
+@_along_z
 def density_quadrature(kernel, model, t, z):
-    """p(t, z) by quadrature of q(s, z) against the density of E_t.
+    """p(t, z) by quadrature of q(s, z) against the density of E_t, for a
+    scalar z or each z of a 1-d array, as one estimate or a list of them.
 
-    `density_laplace` goes first, being far cheaper, and its result is kept
-    when the kernel has a resolvent and the result is not flagged.  Else
-    one vectorized composite Gauss-Kronrod rule in u = log s on geometric
-    panels split at the change-of-character points, bisected where
-    |K15 - G7| exceeds the panel's share of rel_tol*|p|; the error is the
-    sum of those differences plus a rounding bound, and `converged` says
-    whether it meets rel_tol*|p|.
+    The contour of `density_laplace` goes first, being far cheaper: it is
+    summed once for the whole row, and its result is kept at each z where
+    it is not flagged.  The kernels without a resolvent, and the flagged z,
+    take one vectorized composite Gauss-Kronrod pass in u = log s with a
+    row per z: the rows share the panels, which `_log_panels` splits at the
+    change-of-character points of every row, and h_t, evaluated once per
+    node.  A panel is bisected where |K15 - G7| exceeds its share of
+    rel_tol*|p| in some row; each row's error is the sum of those
+    differences plus a rounding bound, and its `converged` says whether
+    that meets rel_tol*|p| of the row.
     """
-    try:  # density_laplace checks the domain and the diagonal first
-        est = density_laplace(kernel, model, t, z)
-        if est.converged:
-            return est
-    except UnsupportedModelError:
-        pass  # no closed-form resolvent, or no stable parts
+    _check_domain(kernel, model, t, z)
+    try:
+        row = _contour_row(kernel, model, t, z)
+    except UnsupportedModelError:  # no closed-form resolvent, or no stable parts
+        row = [None] * z.size
+    flagged = [i for i, est in enumerate(row) if est is None or not est.converged]
+    if not flagged:
+        return row
+    rows = z[flagged]
 
     def in_log_s(u):
         s = np.exp(u)
-        return model.inverse_density_grid(t, s) * kernel.q(s, z) * s
+        return model.inverse_density_grid(t, s) * kernel.q(s, rows[:, None]) * s
 
     cfg = model.quadrature
-    bounds = _log_panels(kernel, model, t, z)
-    total, err, ok = kronrod_quad(in_log_s, bounds, cfg.rel_tol, cfg.abs_floor)
-    return SolutionEstimate(total, err, "quad", ok)
+    bounds = _log_panels(kernel, model, t, rows)
+    total, error, ok = kronrod_quad(in_log_s, bounds, cfg.rel_tol, cfg.abs_floor)
+    for i, value, err, conv in zip(flagged, total.tolist(), error.tolist(), ok.tolist()):
+        row[i] = SolutionEstimate(value, err, "quad", conv)
+    return row
 
 
 # Weideman & Trefethen (2007) hyperbola lambda(theta) = mu (1 + sin(i theta
@@ -130,46 +167,63 @@ _LAPLACE_NODES = (16, 24)
 _LAPLACE_SAFETY = 2.0
 
 
+@lru_cache(maxsize=None)
+def _hyperbola_shape(n):
+    """The t-free parts of `_hyperbola`: h, 1 + sin(i k h - alpha) and
+    cos(i k h - alpha) for 0 <= k <= n."""
+    h = _WT_STEP / n
+    arg = 1j * h * np.arange(n + 1) - _WT_ALPHA
+    shape, slope = 1.0 + np.sin(arg), np.cos(arg)
+    shape.flags.writeable = slope.flags.writeable = False  # shared by every caller
+    return h, shape, slope
+
+
 def _hyperbola(n, t):
     """Nodes lambda_k = lambda(k h), 0 <= k <= n, and weights w_k such
     that Re sum_k w_k F(lambda_k) is the trapezoid rule over |k| <= n for
     (1/2 pi i) int F dlambda, F being real on the real axis: the k < 0
     nodes are the conjugates of the k > 0 ones."""
-    h = _WT_STEP / n
+    h, shape, slope = _hyperbola_shape(n)
     mu = _WT_MU * n / t
-    arg = 1j * h * np.arange(n + 1) - _WT_ALPHA
-    weights = (h / np.pi) * mu * np.cos(arg)
+    weights = (h / np.pi) * mu * slope
     weights[0] *= 0.5
-    return mu * (1.0 + np.sin(arg)), weights
+    return mu * shape, weights
 
 
-def density_laplace(kernel, model, t, z):
-    """p(t, z) by inverting its Laplace transform in t on a hyperbola.
-
-    The transform is phi(lam)/lam * R_{phi(lam)}(z), with R_mu the
-    kernel's resolvent.  The trapezoid rule runs on the Weideman-Trefethen
-    contour at two node counts; the error is _LAPLACE_SAFETY times their
-    difference plus the rounding bound eps * sum |terms|.  Off the
-    diagonal p is tiny against the terms, so the error exceeds rel_tol*|p|
-    and the result comes back flagged, as does any non-finite value.
-    """
-    if t <= 0.0 or z < 0.0:
-        raise DomainError("density needs t > 0 and z >= 0")
-    _check_on_diagonal_integrable(kernel, model, t, z)
+def _contour_row(kernel, model, t, z):
+    """The contour estimates of p(t, z) at each z of the 1-d array z: the
+    transform's z-free factor is formed once on the shared nodes, and the
+    resolvent on the (z, node) grid."""
     terms = model._components()
     lam, weights = (np.concatenate(part) for part in
                     zip(*(_hyperbola(n, t) for n in _LAPLACE_NODES)))
     phi = sum(a * lam ** b for a, b in terms)
     with np.errstate(all="ignore"):
-        vals = weights * np.exp(lam * t) * phi / lam * kernel.resolvent(phi, z)
-        first, second = (float(part.sum().real) for part in
-                         np.split(vals, [_LAPLACE_NODES[0] + 1]))
-        rounding = EPS * float(np.abs(vals).sum())
-        error = _LAPLACE_SAFETY * (abs(first - second) + rounding)
-    if not math.isfinite(error):
-        error = math.inf
-    ok = error <= model.quadrature.rel_tol * abs(second)
-    return SolutionEstimate(second, error, "laplace", ok)
+        vals = (weights * np.exp(lam * t) * phi / lam) * kernel.resolvent(phi, z[:, None])
+        cut = _LAPLACE_NODES[0] + 1
+        first, second = vals[:, :cut].sum(axis=-1).real, vals[:, cut:].sum(axis=-1).real
+        rounding = EPS * np.abs(vals).sum(axis=-1)
+        error = _LAPLACE_SAFETY * (np.abs(first - second) + rounding)
+        ok = error <= model.quadrature.rel_tol * np.abs(second)
+    return [SolutionEstimate(v, e if math.isfinite(e) else math.inf, "laplace", k)
+            for v, e, k in zip(second.tolist(), error.tolist(), ok.tolist())]
+
+
+@_along_z
+def density_laplace(kernel, model, t, z):
+    """p(t, z) by inverting its Laplace transform in t on a hyperbola, for
+    a scalar z or each z of a 1-d array, as one estimate or a list of them.
+
+    The transform is phi(lam)/lam * R_{phi(lam)}(z), with R_mu the
+    kernel's resolvent.  The trapezoid rule runs on the Weideman-Trefethen
+    contour at two node counts, shared by every z; the error at each z is
+    _LAPLACE_SAFETY times their difference plus the rounding bound
+    eps * sum |terms|.  Off the diagonal p is tiny against the terms, so
+    the error exceeds rel_tol*|p| and the result comes back flagged, as
+    does any non-finite value.
+    """
+    _check_domain(kernel, model, t, z)
+    return _contour_row(kernel, model, t, z)
 
 
 def density_monte_carlo(kernel, model, t, z, n, rng):
@@ -388,22 +442,35 @@ def _fourier(beta, alpha, t, z):
 # Mass conservation
 # --------------------------------------------------------------------------
 
+# the mass pass runs in log y from _MASS_REACH**-1 to _MASS_REACH times the
+# length scale L of p, starting at one panel per two decades with knots
+# at L/10, L and 10 L
+_MASS_REACH = 1e16
+
+
 def mass_residual(kernel, model, t):
-    """|int_R p(t, |y|) dy - 1| for 1-d exact kernels."""
+    """|int_R p(t, |y|) dy - 1| for 1-d exact kernels.
+
+    One Gauss-Kronrod pass in log y whose integrand, p(t, y) y, is the row
+    form of `density_quadrature` at the nodes of each round, so one round
+    is one contour sum and at most one shared-h_t pass.  L is the kernel's
+    length scale at 1/phi(1/t); beyond L * _MASS_REACH the mass of the
+    Cauchy tail, the slowest, is of order 1/_MASS_REACH.
+    """
     if getattr(kernel, "dim", None) != 1:
         raise DomainError("mass check needs a 1-d exact kernel")
     length = kernel.length_scale(1.0 / model.exponent.phi(1.0 / t))
 
-    def p_of_y(y):
-        return density_quadrature(kernel, model, t, y).value
+    def in_log_y(v):
+        y = np.exp(v)
+        return np.array([est.value for est in density_quadrature(kernel, model, t, y)]) * y
 
-    # the improper integral needs the interior scale resolved explicitly
-    head, _ = integrate.quad(p_of_y, 0.0, 10.0 * length,
-                             points=[0.1 * length, length],
-                             epsabs=1e-12, epsrel=1e-10, limit=500)
-    tail, _ = integrate.quad(p_of_y, 10.0 * length, np.inf,
-                             epsabs=1e-12, epsrel=1e-10, limit=500)
-    return abs(2.0 * (head + tail) - 1.0)
+    bounds = np.log(geometric_boundaries(
+        length / _MASS_REACH, length * _MASS_REACH, per_decade=0.5,
+        extra=(0.1 * length, length, 10.0 * length)))
+    cfg = model.quadrature
+    half, _, _ = kronrod_quad(in_log_y, bounds, cfg.rel_tol, cfg.abs_floor)
+    return abs(2.0 * half - 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -453,6 +520,8 @@ _WEAK_NODES = 32
 # the rows integrate in log rho from _WEAK_HEAD times the support bound of
 # E_1 up to that bound, starting from one panel per two decades
 _WEAK_HEAD = 1e-16
+# the E-scale s**beta of the time at which the initial check takes u(s, .)
+_WEAK_START = 1e-16
 # (r, x) values per block of heat-evolution profiles: each temporary stays
 # near 128 kB, which is faster than larger blocks as well as smaller
 _WEAK_BLOCK = 1 << 14
@@ -521,8 +590,10 @@ def caputo_weak_residual(beta, f, g, t_grid, x_grid):
     G(r) = int g T_r f dx, so each t is one self-similar Gauss-Kronrod
     pass in log rho with a row per memory time (four difference times by
     the v nodes) and one for the right side, all sharing h_1.  The initial
-    check u(0+, .) = f takes the same rule with a row per x.  `converged`
-    and `quad_error` report the Kronrod rows.
+    check u(0+, .) = f takes the same rule with a row per x, at the time
+    s0 with s0**beta = _WEAK_START: u(s0, .) - f is of order s0**beta, so
+    the check measures the quadrature error at every beta rather than the
+    true deviation.  `converged` and `quad_error` report the Kronrod rows.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -562,9 +633,9 @@ def caputo_weak_residual(beta, f, g, t_grid, x_grid):
         rows.append((float(t), float(lhs_half), float(rhs)))
         max_res = max(max_res, abs(lhs_half - rhs) / max(abs(rhs), 1e-8))
 
-    start = (1e-16 * float(t_grid.min())) ** beta
+    # u(s0, .) at the E-scale s0**beta = _WEAK_START: E_s0 = s0**beta E_1
     passes.append(_self_similar_rows(
-        model, lambda rho: f.heat_evolution(start * rho, x_grid[:, None])))
+        model, lambda rho: f.heat_evolution(_WEAK_START * rho, x_grid[:, None])))
     initial_error = float(np.max(np.abs(passes[-1][0] - f_vals)))
     total, error, ok = (np.concatenate(part) for part in zip(*passes))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -60,6 +60,31 @@ class TestVerify:
         assert mc.off_summary.spread == pytest.approx(
             quad.off_summary.spread, rel=0.05)
 
+    def test_quad_takes_one_call_per_t(self, monkeypatch):
+        from fracheat import solution
+        calls = []
+        row_form = solution.density_quadrature
+        monkeypatch.setattr(solution, "density_quadrature",
+                            lambda *args: calls.append(args[3]) or row_form(*args))
+        rep = verify_sandwich(small_jump_config())
+        assert [z.size for z in calls] == [3, 3, 3]
+        assert [r.z for r in rep.rows] == [z for row in calls for z in row.tolist()]
+
+    def test_row_error_recorded_per_point(self, monkeypatch):
+        from fracheat import solution
+
+        def explode(kernel, model, t, z):
+            if t > 1.0:
+                raise DomainError("no density here")
+            return [solution.SolutionEstimate(1e-3, 1e-4, "quad", z_i < 1.0) for z_i in z]
+
+        monkeypatch.setattr(solution, "density_quadrature", explode)
+        rep = verify_sandwich(small_jump_config())
+        assert [r.error for r in rep.rows[6:]] == ["no density here"] * 3
+        assert all(r.error is None for r in rep.rows[:6])
+        assert not rep.all_finite
+        assert rep.flagged == sum(r.z >= 1.0 for r in rep.rows[:6]) > 0
+
     def test_diffusion_campaign_logs(self):
         cfg = VerifyConfig(subordinator="stable:0.5", kernel="gaussian:1",
                            phi_scale="power:2", volume="power:1",
@@ -107,6 +132,16 @@ class TestCli:
         assert run_cli(["verify", "--config", str(CAMPAIGNS / name),
                         "--t-n", "3", "--z-n", "3", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2 + 9
+        assert capsys.readouterr().err.rstrip().endswith("; flagged=0")
+
+    @pytest.mark.parametrize("name", ["jump.cfg", "diffusion.cfg"])
+    def test_campaign_csv_is_byte_identical(self, name, tmp_path, capsys):
+        texts = []
+        for k in range(2):
+            out = tmp_path / f"rows{k}.csv"
+            assert run_cli(["verify", "--config", str(CAMPAIGNS / name), "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
 
     def test_eval_quad(self, capsys):
         code = run_cli(["eval", "--beta", "0.5", "--kernel", "gaussian:1",
@@ -240,6 +275,10 @@ class TestCli:
         assert run_cli(["selftest"]) == 0
         assert "PASS  mixture inverse density at r->0 equals the Levy tail" in capsys.readouterr().out
 
+    def test_selftest_mass(self, capsys):
+        assert run_cli(["selftest"]) == 0
+        assert "PASS  mass conservation" in capsys.readouterr().out
+
     def test_selftest_weak_form_right_side(self, capsys):
         assert run_cli(["selftest"]) == 0
         assert ("PASS  weak-form right side equals the Mittag-Leffler integral"
@@ -257,6 +296,21 @@ class TestCli:
                         "--t", "1", "--z", "0"])
         assert code == 3
         assert "non-convergence" in capsys.readouterr().err
+
+    def test_residual_small_order(self, capsys):
+        # the initial check takes u at a fixed E-scale, so even at beta = 0.1
+        # it measures the quadrature error, not u(s0) - f ~ s0**beta
+        code = run_cli(["residual", "--beta", "0.1", "--t-lo", "0.5", "--t-hi", "1",
+                        "--t-n", "2"])
+        summary = capsys.readouterr().err
+        assert code == 0
+        assert float(summary.split("initial error: ", 1)[1].split(";")[0]) < 1e-12
+
+    def test_residual_failure_exit_code(self, capsys, monkeypatch):
+        from fracheat import solution
+        report = solution.WeakFormReport(0.5, ((1.0, 1.0, 1.5),), False, 0.0, True, 0.0)
+        monkeypatch.setattr(solution, "caputo_weak_residual", lambda *args: report)
+        assert run_cli(["residual", "--t-n", "1"]) == 1
 
     def test_residual_small(self, capsys):
         code = run_cli(["residual", "--beta", "0.5", "--t-lo", "0.5",

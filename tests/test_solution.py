@@ -15,11 +15,12 @@ import pytest
 from scipy import integrate, special
 
 from fracheat import (DomainError, ExactCauchy, ExactGaussian, GaussianBump,
-                      JumpSurrogate, PowerLaw, RngStream, Stable, StableMixture,
-                      SubordinatorModel, UnsupportedModelError,
+                      JumpSurrogate, PowerLaw, RngStream, SolutionEstimate, Stable,
+                      StableMixture, SubordinatorModel, UnsupportedModelError,
                       caputo_weak_residual, cbf_from_scale, density_fourier,
                       density_laplace, density_monte_carlo, density_quadrature,
                       mass_residual, mittag_leffler)
+from fracheat import solution
 from fracheat.numerics import kronrod_quad
 from fracheat.solution import _fourier
 
@@ -290,6 +291,68 @@ class TestQuadrature:
         assert abs(est.value - contour.value) <= est.error + contour.error
 
 
+def _row_against_points(kernel, model, t, zs):
+    """The row form at zs, checked point by point against scalar calls:
+    values within the sum of the two stated errors, the same method and
+    the same flag.  Returns the row."""
+    row = density_quadrature(kernel, model, t, np.asarray(zs))
+    assert isinstance(row, list) and len(row) == len(zs)
+    for z, est in zip(zs, row):
+        point = density_quadrature(kernel, model, t, z)
+        assert (est.method, est.converged) == (point.method, point.converged), f"z={z}"
+        assert abs(est.value - point.value) <= est.error + point.error, f"z={z}"
+    return row
+
+
+class TestRow:
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.9])
+    def test_stable_rows(self, gauss, cauchy, beta):
+        model = SubordinatorModel(Stable(beta))
+        for kernel in (gauss, cauchy):
+            for t in (0.1, 1.0, 10.0):
+                _row_against_points(kernel, model, t, [0.05, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0])
+
+    def test_mixture_row(self, gauss, cauchy, mix):
+        for kernel in (gauss, cauchy):
+            _row_against_points(kernel, mix, 1.0, [0.1, 0.5, 2.0])
+
+    def test_row_without_resolvent_shares_one_kronrod_pass(self, half, monkeypatch):
+        # a surrogate kernel has no resolvent, so every z takes the
+        # Gauss-Kronrod rule; the row form spends one pass on them all
+        from fracheat import numerics
+        kernel = JumpSurrogate(PowerLaw(1.0), PowerLaw(1.0))
+        zs = [0.01, 0.2, 1.0, 5.0, 40.0]
+        passes = []
+        quad = numerics.kronrod_quad
+        monkeypatch.setattr(solution, "kronrod_quad",
+                            lambda *args: passes.append(1) or quad(*args))
+        row = density_quadrature(kernel, half, 1.0, np.asarray(zs))
+        assert len(passes) == 1
+        assert all(est.method == "quad" and est.converged for est in row)
+        _row_against_points(kernel, half, 1.0, zs)
+
+    def test_row_mixes_contour_and_flagged(self, gauss, half, mix):
+        # (1, 30) is flagged on the contour (p ~ 1e-36 for the mixture)
+        for model in (half, mix):
+            row = _row_against_points(gauss, model, 1.0, [0.0, 0.5, 30.0])
+            assert [est.method for est in row] == ["laplace", "laplace", "quad"]
+            assert all(est.converged for est in row)
+
+    def test_forms(self, gauss, half):
+        assert isinstance(density_quadrature(gauss, half, 1.0, 0.5), SolutionEstimate)
+        one = density_quadrature(gauss, half, 1.0, np.array([0.5]))
+        assert isinstance(one, list) and len(one) == 1
+        assert density_quadrature(gauss, half, 1.0, np.array([])) == []
+        row = density_laplace(gauss, half, 1.0, [0.5, 1.0])
+        assert row[1].value == pytest.approx(density_laplace(gauss, half, 1.0, 1.0).value, rel=1e-14)
+        with pytest.raises(DomainError):
+            density_quadrature(gauss, half, 1.0, np.array([0.5, -1.0]))
+        with pytest.raises(DomainError):
+            density_quadrature(gauss, half, 1.0, np.ones((2, 2)))
+        with pytest.raises(DomainError):
+            density_quadrature(ExactCauchy(1), half, 1.0, np.array([1.0, 0.0]))
+
+
 class TestLaplace:
     def test_against_closed_form(self, gauss, cauchy, half):
         accepted = 0
@@ -471,6 +534,15 @@ class TestFourierOracle:
 class TestMass:
     def test_spot(self, gauss, half):
         assert mass_residual(gauss, half, 1.0) < 1e-6
+
+    def test_mixture(self, cauchy, mix):
+        assert mass_residual(cauchy, mix, 1.0) < 1e-6
+
+    def test_no_quadpack(self, gauss, half, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.integrate.quad called")
+        monkeypatch.setattr(integrate, "quad", refuse)
+        assert mass_residual(gauss, half, 0.1) < 1e-10
 
     def test_needs_exact_kernel(self, half):
         from fracheat import JumpSurrogate, PowerLaw
