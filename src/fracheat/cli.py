@@ -220,6 +220,7 @@ def _cmd_residual(args):
             fh.write(f"{t!r},{lhs!r},{rhs!r},{res!r}\n")
     print(f"max residual: {report.residual!r}; initial error: {report.initial_error!r}; "
           f"richardson_warning={report.richardson_warning}; converged={report.converged}; "
+          f"n_profiles={report.n_profiles}; table_error={report.table_error!r}; "
           f"quad_error={report.quad_error!r}", file=sys.stderr)
     passed = (report.residual <= _RESIDUAL_BOUND and report.initial_error <= _INITIAL_BOUND
               and report.converged)

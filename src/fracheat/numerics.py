@@ -6,6 +6,7 @@ followed by a safeguarded bracketing refinement.  Panel quadrature builds
 composite Gauss-Legendre rules on geometric subdivisions; it is used where
 an integrand must be evaluated vectorized for speed.  The adaptive
 composite Gauss-Kronrod rule does the same with an embedded error estimate.
+A piecewise Chebyshev table stands in for a costly smooth function.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
+from scipy import fft, optimize
 
 from .errors import BracketError
 
@@ -178,3 +179,68 @@ def kronrod_quad(f, boundaries, rel_tol, abs_floor):
     total, error = val.sum(axis=-1), err.sum(axis=-1) + EPS * np.abs(val).sum(axis=-1)
     ok = error <= np.maximum(rel_tol * np.abs(total), abs_floor)
     return (total, error, ok) if total.ndim else (float(total), float(error), bool(ok))
+
+
+# piecewise Chebyshev tables: the degree, the starting and the narrowest
+# panel width, and the points per evaluation block (temporaries near 128 kB)
+_CHEB_DEGREE, _CHEB_WIDTH, _CHEB_MIN_WIDTH, _CHEB_BLOCK = 24, 2.0, 2.0 / 64, 1 << 14
+# the Chebyshev points of the first kind, in the order of the DCT-II
+_CHEB_X = np.cos(np.pi * (np.arange(_CHEB_DEGREE + 1) + 0.5) / (_CHEB_DEGREE + 1))
+
+
+@dataclass(frozen=True, eq=False)
+class ChebyshevTable:
+    """Rows of Chebyshev series on the panels between `edges`, from
+    chebyshev_table; `error` and `peak` are per row."""
+
+    edges: np.ndarray
+    coeffs: np.ndarray     # (row, degree, panel)
+    error: np.ndarray      # the stated absolute error
+    peak: np.ndarray       # the largest |value| at the nodes
+    nodes: int             # points at which the rows were evaluated
+    converged: bool        # every panel met the tolerance
+
+    def __call__(self, y, row):
+        """Row `row` at the points y by Clenshaw's recurrence, a block at a time."""
+        flat, out, coeffs = np.ravel(y), np.empty(np.size(y)), self.coeffs[row]
+        for i in range(0, flat.size, _CHEB_BLOCK):
+            block = flat[i:i + _CHEB_BLOCK]
+            k = np.clip(np.searchsorted(self.edges, block) - 1, 0, self.edges.size - 2)
+            lo, hi = self.edges[k], self.edges[k + 1]
+            x2 = (4.0 * block - 2.0 * (lo + hi)) / (hi - lo)
+            b1 = b2 = 0.0
+            for c in coeffs[:0:-1]:
+                b1, b2 = c[k] + x2 * b1 - b2, b1
+            out[i:i + _CHEB_BLOCK] = coeffs[0][k] + 0.5 * x2 * b1 - b2
+        return out.reshape(np.shape(y))
+
+
+def chebyshev_table(f, lo, hi, rel_tol):
+    """Piecewise Chebyshev table on [lo, hi] of f, which maps a 1-d array of
+    points to rows of values, the point index last.  Panels start about
+    _CHEB_WIDTH wide and are bisected, down to _CHEB_MIN_WIDTH, until the
+    last three coefficients of every row are at most rel_tol times the row's
+    peak.  A row's stated error is the worst over its panels of the largest
+    of those three, taken as the level of each coefficient, times the number
+    of coefficients, plus the rounding bound eps * sum |coefficients|."""
+    edges = np.linspace(lo, hi, int(np.ceil((hi - lo) / _CHEB_WIDTH)) + 1)
+    todo_lo, todo_hi = edges[:-1], edges[1:]
+    kept, peak, nodes = [], 0.0, 0
+    while todo_lo.size:
+        mid, half = 0.5 * (todo_hi + todo_lo), 0.5 * (todo_hi - todo_lo)
+        vals = f((mid[:, None] + half[:, None] * _CHEB_X).ravel())
+        vals = vals.reshape(-1, mid.size, _CHEB_X.size)
+        nodes, peak = nodes + vals[0].size, np.maximum(peak, np.abs(vals).max(axis=(1, 2)))
+        coeffs = np.moveaxis(fft.dct(vals, type=2) / _CHEB_X.size, 1, 2)
+        coeffs[:, 0] *= 0.5
+        bad = (np.abs(coeffs[:, -3:]) > rel_tol * peak[:, None, None]).any(axis=(0, 1))
+        split = bad & (half >= _CHEB_MIN_WIDTH)
+        kept.append((todo_lo[~split], coeffs[..., ~split], bad[~split]))
+        todo_lo = np.append(todo_lo[split], mid[split])
+        todo_hi = np.append(mid[split], todo_hi[split])
+    starts, coeffs, bad = (np.concatenate(part, axis=-1) for part in zip(*kept))
+    order = np.argsort(starts)
+    coeffs = np.ascontiguousarray(coeffs[..., order])
+    error = _CHEB_X.size * np.abs(coeffs[:, -3:]).max(axis=1) + EPS * np.abs(coeffs).sum(axis=1)
+    return ChebyshevTable(np.append(starts[order], hi), coeffs, error.max(axis=1), peak,
+                          nodes, not bad.any())

@@ -11,7 +11,8 @@ here:
 
 * ``subgaussian_exponent``: the unique m > 0 with t/m = Phi(r/m), the
   chaining exponent of sub-Gaussian bounds.  Closed form
-  m = (r**a / t)**(1/(a-1)) for a pure power law Phi(r) = r**a.
+  m = (r**a / t)**(1/(a-1)) for a pure power law Phi(r) = r**a, and
+  branch by branch for a two-branch profile.
 
 * ``subordinated_exponent``: the unique n > 0 with
   1/phi(n/t) = Phi(r/n), its analogue after time change by an inverse
@@ -134,7 +135,8 @@ def subgaussian_exponent(scale, t, r):
     """Unique m > 0 with t/m = Phi(r/m); needs lower index > 1.
 
     Non-increasing in t for fixed r, and equal to 1 at t = Phi(r) for pure
-    power laws.  Vectorized over t for power-law scales.
+    power laws.  A closed form for both profile classes, vectorized over t
+    and r.
     """
     if scale.exponent_lo <= 1.0:
         raise DomainError(
@@ -144,13 +146,13 @@ def subgaussian_exponent(scale, t, r):
     if isinstance(scale, PowerLaw):
         a = scale.exponent
         return ((np.asarray(r) ** a / np.asarray(t)) ** (1.0 / (a - 1.0)))[()]
-
-    def balance(m):
-        # log[(t/m) / Phi(r/m)], strictly increasing in m
-        return np.log(t / m) - np.log(scale.value(r / m))
-
-    guess = (r ** scale.exponent_hi / t) ** (1.0 / (scale.exponent_hi - 1.0))
-    return monotone_root(balance, x0=float(guess))
+    # Phi(x)/x = t/r at x = r/m, a power of x on each branch of Phi
+    lo, hi = scale.exp_low, scale.exp_high
+    r = np.asarray(r, dtype=float)
+    ratio = np.asarray(t, dtype=float) / r
+    x = np.where(ratio <= scale.r_break ** (lo - 1.0), ratio ** (1.0 / (lo - 1.0)),
+                 (ratio / scale._coef_high) ** (1.0 / (hi - 1.0)))
+    return (r / x)[()]
 
 
 def subordinated_exponent(scale, exponent, t, r):

@@ -36,8 +36,10 @@ and the weak-form residual test for the fractional-in-time evolution
 driven by the 1-d Laplacian.  The residual uses the
 self-similarity E_s = s**beta E_1 of the stable time change: each t is
 one Gauss-Kronrod pass in log(r / s**beta) whose rows, one per memory
-time and one for the right side, share the density of E_1; the report
-says whether every row converged and gives the worst row error.
+time and one for the right side, share the density of E_1 and read the
+x integrals from one piecewise-Chebyshev table in log r per call; the
+report says whether every row and the table converged and gives the
+worst row error, the table error and the number of heat profiles.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from scipy import integrate, special
 
 from .bernstein import Stable
 from .errors import DomainError, UnsupportedModelError
-from .numerics import EPS, geometric_boundaries, kronrod_quad, panel_nodes
+from .numerics import EPS, chebyshev_table, geometric_boundaries, kronrod_quad, panel_nodes
 from .rng import RngStream
 from .subordinator import SubordinatorModel
 
@@ -511,8 +513,10 @@ class WeakFormReport:
     rows: tuple                # (t, lhs, rhs) triples
     richardson_warning: bool   # finite-difference step not yet converged
     initial_error: float       # max |u(0+, x) - f(x)| on the grid
-    converged: bool            # every Gauss-Kronrod row met its tolerance
+    converged: bool            # every Gauss-Kronrod row and the G table met its tolerance
     quad_error: float          # worst Gauss-Kronrod row error over |row value|
+    n_profiles: int            # heat profiles T_r f of the G table and the initial check
+    table_error: float         # worst G-table row error over the row's maximum
 
 
 # Gauss-Legendre nodes of the memory integral in the substituted variable v
@@ -522,6 +526,8 @@ _WEAK_NODES = 32
 _WEAK_HEAD = 1e-16
 # the E-scale s**beta of the time at which the initial check takes u(s, .)
 _WEAK_START = 1e-16
+# the bound on the last Chebyshev coefficients of the G table, per row maximum
+_WEAK_TABLE_TOL = 1e-14
 # (r, x) values per block of heat-evolution profiles: each temporary stays
 # near 128 kB, which is faster than larger blocks as well as smaller
 _WEAK_BLOCK = 1 << 14
@@ -537,27 +543,26 @@ def _simpson_weights(x_grid):
 
 
 def _x_integrals(f, r, weights, x_grid):
-    """weights @ (T_r f on x_grid) at each r of the array r, the profiles
-    built a block of r at a time."""
-    flat = r.ravel()
-    out = np.empty(flat.size)
+    """weights.T @ (T_r f on x_grid) at each r of the 1-d array r, a row per
+    column of weights, the profiles built a block of r at a time."""
+    out = np.empty((weights.shape[1], r.size))
     step = max(1, _WEAK_BLOCK // x_grid.size)
-    for i in range(0, flat.size, step):
-        out[i:i + step] = f.heat_evolution(flat[i:i + step, None], x_grid) @ weights
-    return out.reshape(r.shape)
+    for i in range(0, r.size, step):
+        out[:, i:i + step] = (f.heat_evolution(r[i:i + step, None], x_grid) @ weights).T
+    return out
 
 
 def _self_similar_rows(model, rows):
-    """int h_1(rho) row(rho) drho for each row of rows(rho), an array with
-    the rho index last, by one Gauss-Kronrod pass in log rho on which every
-    row shares the nodes and h_1, the density of E_1, is evaluated once per
-    node.  Returns (total, error, converged) per row."""
+    """int h_1(rho) row(rho) drho for each row of rows(log rho), an array
+    with the rho index last, by one Gauss-Kronrod pass in log rho on which
+    every row shares the nodes and h_1, the density of E_1, is evaluated
+    once per node.  Returns (total, error, converged) per row."""
     rho_hi = model.inverse_support(1.0)
     bounds = np.log(geometric_boundaries(_WEAK_HEAD * rho_hi, rho_hi, per_decade=0.5))
 
     def in_log_rho(y):
         rho = np.exp(y)
-        return model.inverse_density_grid(1.0, rho) * rho * rows(rho)
+        return model.inverse_density_grid(1.0, rho) * rho * rows(y)
 
     cfg = model.quadrature
     return kronrod_quad(in_log_rho, bounds, cfg.rel_tol, cfg.abs_floor)
@@ -589,11 +594,15 @@ def caputo_weak_residual(beta, f, g, t_grid, x_grid):
         int g (u(s, .) - f) dx = int h_1(rho) [G(s**beta rho) - G(0)] drho,
     G(r) = int g T_r f dx, so each t is one self-similar Gauss-Kronrod
     pass in log rho with a row per memory time (four difference times by
-    the v nodes) and one for the right side, all sharing h_1.  The initial
-    check u(0+, .) = f takes the same rule with a row per x, at the time
-    s0 with s0**beta = _WEAK_START: u(s0, .) - f is of order s0**beta, so
-    the check measures the quadrature error at every beta rather than the
-    true deviation.  `converged` and `quad_error` report the Kronrod rows.
+    the v nodes) and one for the right side, all sharing h_1.  G, and G2
+    with g'' for the right side, come from one piecewise-Chebyshev table in
+    log r over every t, resolved to _WEAK_TABLE_TOL of each row's maximum;
+    as int h_1 <= 1, each row's error gains its table row's stated error.
+    The initial check u(0+, .) = f takes the same rule with a row per x, at
+    the time s0 with s0**beta = _WEAK_START: u(s0, .) - f is of order
+    s0**beta, so the check measures the quadrature error at every beta
+    rather than the true deviation.  `converged` and `quad_error` report
+    the Kronrod rows with the table error, `converged` the table too.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -610,6 +619,16 @@ def caputo_weak_residual(beta, f, g, t_grid, x_grid):
     v_weights = 0.5 * gl_weights
     pref_const = 1.0 / ((1.0 - beta) * math.gamma(1.0 - beta))
     shrink = 1.0 - v_nodes ** (1.0 / (1.0 - beta))
+    # G and G2 at r = s**beta rho for every rho of the Kronrod passes and every
+    # memory time s of every t, 0.999 t min(shrink) <= s <= 1.001 t
+    rho_hi = model.inverse_support(1.0)
+    table = chebyshev_table(
+        lambda y: _x_integrals(f, np.exp(y), np.stack([wg, wg2], 1), x_grid),
+        math.log(_WEAK_HEAD * rho_hi * (0.999 * t_grid.min() * shrink.min()) ** beta),
+        math.log(rho_hi * (1.001 * t_grid.max()) ** beta), _WEAK_TABLE_TOL)
+    # each row's error bound, as int h_1 <= 1: G's for memory rows, G2's for the right side
+    table_error = table.error[np.repeat([0, 1], [4 * _WEAK_NODES, 1])]
+    cfg = model.quadrature
 
     rows = []
     passes = []  # (total, error, converged) per row of every Kronrod pass
@@ -618,11 +637,12 @@ def caputo_weak_residual(beta, f, g, t_grid, x_grid):
     for t in t_grid:
         d = 1e-3 * t  # the central-difference step, checked against its half
         taus = t + d * np.array([1.0, -1.0, 0.5, -0.5])
-        scales = ((taus[:, None] * shrink) ** beta).ravel()
-        passes.append(_self_similar_rows(model, lambda rho: np.vstack([
-            _x_integrals(f, scales[:, None] * rho, wg, x_grid) - g0,
-            _x_integrals(f, t ** beta * rho, wg2, x_grid)])))
-        total = passes[-1][0]
+        log_scales = beta * np.log(taus[:, None] * shrink).ravel()
+        total, error, ok = _self_similar_rows(model, lambda y: np.vstack([
+            table(log_scales[:, None] + y, 0) - g0, table(beta * math.log(t) + y, 1)]))
+        error = error + table_error
+        tol = np.maximum(cfg.rel_tol * np.abs(total), cfg.abs_floor)
+        passes.append((total, error, ok & (error <= tol)))
         # int g(x) I_tau^w(u(., x)) dx at each difference time tau
         memory = taus ** (1.0 - beta) * pref_const * (total[:-1].reshape(4, -1) @ v_weights)
         lhs = (memory[0] - memory[1]) / (2.0 * d)
@@ -634,11 +654,14 @@ def caputo_weak_residual(beta, f, g, t_grid, x_grid):
         max_res = max(max_res, abs(lhs_half - rhs) / max(abs(rhs), 1e-8))
 
     # u(s0, .) at the E-scale s0**beta = _WEAK_START: E_s0 = s0**beta E_1
-    passes.append(_self_similar_rows(
-        model, lambda rho: f.heat_evolution(_WEAK_START * rho, x_grid[:, None])))
+    sizes = []  # the rho nodes of this pass, one heat profile each
+    passes.append(_self_similar_rows(model, lambda y: sizes.append(y.size) or f.heat_evolution(
+        _WEAK_START * np.exp(y), x_grid[:, None])))
     initial_error = float(np.max(np.abs(passes[-1][0] - f_vals)))
     total, error, ok = (np.concatenate(part) for part in zip(*passes))
     with np.errstate(divide="ignore", invalid="ignore"):
         quad_error = float(np.where(error > 0.0, error / np.abs(total), 0.0).max())
+    table_ratio = np.divide(table.error, table.peak, out=np.zeros(2), where=table.peak > 0.0)
     return WeakFormReport(float(max_res), tuple(rows), warn, initial_error,
-                          bool(ok.all()), quad_error)
+                          bool(ok.all()) and table.converged, quad_error,
+                          table.nodes + sum(sizes), float(table_ratio.max()))

@@ -237,7 +237,7 @@ def test_criterion_12_tail_bounds():
 
 
 def test_criterion_13_weak_form_residual():
-    with Budget(120.0) as b:
+    with Budget(10.0) as b:
         f = GaussianBump()
         g = GaussianBump()
         rep = caputo_weak_residual(0.5, f, g,

@@ -152,6 +152,14 @@ class TestCli:
         value = float(out.strip().splitlines()[-1].split(",")[2])
         assert value == pytest.approx(0.40802446954913144, abs=1e-7)
 
+    def test_eval_piecewise_scale(self, capsys):
+        # a two-branch phi-scale takes the exponent at every node at once
+        code = run_cli(["eval", "--kernel", "diffusion", "--phi-scale", "power2:2,3,1",
+                        "--volume", "power:1", "--beta", "0.5", "--t", "1", "--z", "1"])
+        out = capsys.readouterr()
+        assert code == 0 and "Traceback" not in out.err
+        assert np.isfinite(float(out.out.strip().splitlines()[-1].split(",")[2]))
+
     def test_eval_mixture(self, capsys):
         code = run_cli(["eval", "--subordinator", "mixture:1,0.3;1,0.7",
                         "--kernel", "cauchy:1", "--t", "1", "--z", "0.5"])
@@ -308,7 +316,8 @@ class TestCli:
 
     def test_residual_failure_exit_code(self, capsys, monkeypatch):
         from fracheat import solution
-        report = solution.WeakFormReport(0.5, ((1.0, 1.0, 1.5),), False, 0.0, True, 0.0)
+        report = solution.WeakFormReport(0.5, ((1.0, 1.0, 1.5),), False, 0.0, True, 0.0,
+                                         900, 0.0)
         monkeypatch.setattr(solution, "caputo_weak_residual", lambda *args: report)
         assert run_cli(["residual", "--t-n", "1"]) == 1
 

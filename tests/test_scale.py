@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from fracheat import (DomainError, PiecewisePower, PowerLaw, Stable,
                       parse_profile, subgaussian_exponent,
                       subordinated_exponent)
+from fracheat.numerics import monotone_root
 
 
 class TestProfiles:
@@ -70,6 +71,19 @@ class TestSubgaussianExponent:
         for t, r in ((0.3, 2.0), (5.0, 0.4), (1.0, 1.0)):
             m = subgaussian_exponent(scale, t, r)
             assert t / m == pytest.approx(scale.value(r / m), rel=1e-10)
+
+    @pytest.mark.parametrize("scale", [PiecewisePower(1.5, 3.0, 2.0),
+                                       PiecewisePower(3.0, 1.2, 0.5)])
+    def test_piecewise_matches_root(self, scale):
+        r = 1.7
+        # t/r on the low branch, at the kink r_break**(exp_low - 1), and beyond
+        ts = r * scale.r_break ** (scale.exp_low - 1.0) * np.array([0.01, 0.3, 1.0, 4.0, 100.0])
+        ms = subgaussian_exponent(scale, ts, r)
+        assert ms.shape == ts.shape
+        for t, m in zip(ts, ms):
+            root = monotone_root(lambda m: np.log(t / m) - np.log(scale.value(r / m)),
+                                 x0=1.0, rtol=1e-15)
+            assert m == pytest.approx(root, rel=1e-13)
 
     def test_monotone_in_t(self):
         scale = PiecewisePower(1.5, 3.0, 1.0)

@@ -21,7 +21,7 @@ from fracheat import (DomainError, ExactCauchy, ExactGaussian, GaussianBump,
                       density_laplace, density_monte_carlo, density_quadrature,
                       mass_residual, mittag_leffler)
 from fracheat import solution
-from fracheat.numerics import kronrod_quad
+from fracheat.numerics import chebyshev_table, kronrod_quad
 from fracheat.solution import _fourier
 
 P_ONE_ZERO = math.gamma(0.25) / (4.0 ** 0.75 * math.pi)
@@ -608,6 +608,96 @@ class TestWeakForm:
         h = 1e-5
         fd = (bump(xs + h) - 2.0 * bump(xs) + bump(xs - h)) / h ** 2
         assert np.allclose(bump.second_derivative(xs), fd, atol=1e-5)
+
+
+class TestChebyshevTable:
+    @pytest.mark.parametrize("f, gs, x", [
+        (GaussianBump(), (GaussianBump(), GaussianBump().second_derivative),
+         np.linspace(-8.0, 8.0, 257)),
+        (GaussianBump(center=20.0),
+         (GaussianBump(center=-20.0), GaussianBump(center=-20.0).second_derivative),
+         np.linspace(-28.0, 28.0, 161)),
+        (GaussianBump(), (lambda x: 1.0 / np.cosh(x),), np.linspace(-8.0, 8.0, 257)),
+    ], ids=["centred", "disjoint", "sech"])
+    def test_within_stated_error(self, f, gs, x):
+        def direct(y):
+            """G(e**y) = int g T_r f dx for each g, by scipy's Simpson rule."""
+            profiles = f.heat_evolution(np.exp(y)[:, None], x)
+            return np.stack([integrate.simpson(g(x) * profiles, x=x) for g in gs])
+
+        lo, hi = -45.0, 8.0
+        table = chebyshev_table(direct, lo, hi, 1e-14)
+        y = np.random.default_rng(11).uniform(lo, hi, 2000)
+        ref = direct(y)
+        assert table.converged
+        for row in range(len(gs)):
+            assert np.abs(table(y, row) - ref[row]).max() <= table.error[row]
+            assert table.error[row] <= 1e-12 * table.peak[row]
+
+
+class TestWeakFormTable:
+    @staticmethod
+    def _direct_rows(beta, bump, t, x_grid):
+        """(lhs, rhs) at t with G and G2 evaluated directly at every
+        Gauss-Kronrod node of the 128 memory rows and the right side."""
+        model = SubordinatorModel(Stable(beta))
+        weights = solution._simpson_weights(x_grid)
+        wg, wg2 = weights * bump(x_grid), weights * bump.second_derivative(x_grid)
+        g0 = float(wg @ bump(x_grid))
+
+        def x_integrals(r, w):
+            flat = r.ravel()
+            return np.concatenate([bump.heat_evolution(flat[i:i + 64, None], x_grid) @ w
+                                   for i in range(0, flat.size, 64)]).reshape(r.shape)
+
+        nodes, gl_weights = np.polynomial.legendre.leggauss(solution._WEAK_NODES)
+        v, v_weights = 0.5 * (nodes + 1.0), 0.5 * gl_weights
+        d = 1e-3 * t
+        taus = t + d * np.array([1.0, -1.0, 0.5, -0.5])
+        scales = ((taus[:, None] * (1.0 - v ** (1.0 / (1.0 - beta)))) ** beta).ravel()
+        total, _, _ = solution._self_similar_rows(model, lambda y: np.vstack([
+            x_integrals(scales[:, None] * np.exp(y), wg) - g0,
+            x_integrals(t ** beta * np.exp(y), wg2)]))
+        memory = (taus ** (1.0 - beta) / ((1.0 - beta) * math.gamma(1.0 - beta))
+                  * (total[:-1].reshape(4, -1) @ v_weights))
+        return (memory[2] - memory[3]) / d, total[-1]
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.99])
+    def test_rows_match_direct_evaluation(self, beta):
+        bump = GaussianBump()
+        x_grid = np.linspace(-8.0, 8.0, 257)
+        rep = caputo_weak_residual(beta, bump, bump, np.array([0.3, 1.7]), x_grid)
+        for t, lhs, rhs in rep.rows:
+            ref_lhs, ref_rhs = self._direct_rows(beta, bump, t, x_grid)
+            assert rhs == pytest.approx(ref_rhs, rel=1e-14)
+            assert lhs == pytest.approx(ref_lhs, rel=1e-11)
+        assert rep.converged and rep.table_error < 1e-13
+
+    def test_profile_count(self, monkeypatch):
+        seen = []
+        heat = GaussianBump.heat_evolution
+
+        def counting(self, r, x):
+            seen.append(np.size(r))
+            return heat(self, r, x)
+
+        monkeypatch.setattr(GaussianBump, "heat_evolution", counting)
+        bump = GaussianBump()
+        rep = caputo_weak_residual(0.5, bump, bump, np.linspace(0.2, 2.0, 10),
+                                   np.linspace(-8.0, 8.0, 257))
+        assert rep.n_profiles == sum(seen) <= 2000
+
+    def test_unmet_table_tolerance_is_flagged(self, monkeypatch):
+        from fracheat import numerics
+        # one panel over the whole range in log r, which bisection may not split
+        monkeypatch.setattr(numerics, "_CHEB_WIDTH", 100.0)
+        monkeypatch.setattr(numerics, "_CHEB_MIN_WIDTH", 100.0)
+        bump = GaussianBump()
+        rep = caputo_weak_residual(0.5, bump, bump, np.array([1.0]),
+                                   np.linspace(-8.0, 8.0, 257))
+        assert not rep.converged
+        assert rep.table_error > 1e-8
+        assert rep.quad_error >= rep.table_error
 
 
 def test_quadrature_config_validation():
