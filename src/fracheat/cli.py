@@ -126,21 +126,18 @@ def _cmd_eval(args):
         beta = getattr(model.exponent, "beta", None)
         if beta is None:
             raise DomainError("the Fourier oracle needs a stable subordinator")
-        value, err = solution._fourier(beta, _spatial_order(kernel), args.t, args.z)
-        method = "fourier"
+        est = solution._fourier(beta, _spatial_order(kernel), args.t, args.z)
     elif args.method == "mc":
         est = solution.density_monte_carlo(kernel, model, args.t, args.z,
                                            args.n, RngStream(args.seed, 0))
-        value, err, method = est.value, est.error, est.method
     else:
         est = solution.density_quadrature(kernel, model, args.t, args.z)
-        if not est.converged:
-            raise QuadratureError("eval did not converge", est.value, est.error)
-        value, err, method = est.value, est.error, est.method
+    if not est.converged:
+        raise QuadratureError("eval did not converge", est.value, est.error)
     with _out_stream(args.out) as fh:
         fh.write(CSV_HEADER_COMMENT + "\n")
         fh.write("t,z,p,err,method\n")
-        fh.write(f"{args.t!r},{args.z!r},{float(value)!r},{float(err)!r},{method}\n")
+        fh.write(f"{args.t!r},{args.z!r},{float(est.value)!r},{float(est.error)!r},{est.method}\n")
     return 0
 
 

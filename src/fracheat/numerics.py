@@ -68,11 +68,12 @@ def expand_bracket(f, x0=1.0, factor=2.0):
 
 
 def monotone_root(f, x0=1.0, rtol=1e-13):
-    """Root of a monotone function via bracket expansion + Brent refinement."""
+    """Root of a monotone function via bracket expansion + Brent refinement;
+    rtol is clamped at 4 eps, the smallest that brentq accepts."""
     a, b = expand_bracket(f, x0)
     if a == b:
         return a
-    return optimize.brentq(f, a, b, rtol=max(rtol, 4.5e-16), xtol=1e-300)
+    return optimize.brentq(f, a, b, rtol=max(rtol, 4.0 * EPS), xtol=1e-300)
 
 
 @lru_cache(maxsize=64)

@@ -134,7 +134,8 @@ def density_quadrature(kernel, model, t, z):
     node.  A panel is bisected where |K15 - G7| exceeds its share of
     rel_tol*|p| in some row; each row's error is the sum of those
     differences plus a rounding bound, and its `converged` says whether
-    that meets rel_tol*|p| of the row.
+    that meets rel_tol*|p| of the row with p != 0: an underflowed p is
+    flagged, wherever it came from.
     """
     _check_domain(kernel, model, t, z)
     try:
@@ -153,6 +154,7 @@ def density_quadrature(kernel, model, t, z):
     cfg = model.quadrature
     bounds = _log_panels(kernel, model, t, rows)
     total, error, ok = kronrod_quad(in_log_s, bounds, cfg.rel_tol, cfg.abs_floor)
+    ok &= total != 0.0  # an underflowed p meets any tolerance, but is no answer
     for i, value, err, conv in zip(flagged, total.tolist(), error.tolist(), ok.tolist()):
         row[i] = SolutionEstimate(value, err, "quad", conv)
     return row
@@ -206,7 +208,7 @@ def _contour_row(kernel, model, t, z):
         first, second = vals[:, :cut].sum(axis=-1).real, vals[:, cut:].sum(axis=-1).real
         rounding = EPS * np.abs(vals).sum(axis=-1)
         error = _LAPLACE_SAFETY * (np.abs(first - second) + rounding)
-        ok = error <= model.quadrature.rel_tol * np.abs(second)
+        ok = (error <= model.quadrature.rel_tol * np.abs(second)) & (second != 0.0)
     return [SolutionEstimate(v, e if math.isfinite(e) else math.inf, "laplace", k)
             for v, e, k in zip(second.tolist(), error.tolist(), ok.tolist())]
 
@@ -222,7 +224,7 @@ def density_laplace(kernel, model, t, z):
     _LAPLACE_SAFETY times their difference plus the rounding bound
     eps * sum |terms|.  Off the diagonal p is tiny against the terms, so
     the error exceeds rel_tol*|p| and the result comes back flagged, as
-    does any non-finite value.
+    does any non-finite value and p = 0.
     """
     _check_domain(kernel, model, t, z)
     return _contour_row(kernel, model, t, z)
@@ -392,22 +394,54 @@ def _ml_asymptotic(beta, x):
 # integrations by parts that close the z > 0 tail at xi_end, where
 # z xi_end >= 40: each one shrinks the remainder by ~(alpha + j)/(z xi_end)
 _FOURIER_PARTS = 8
+# the table of log E_beta(-e**u) spans u in [_ML_TABLE_LO, _ML_TABLE_HI]:
+# below, E = 1 to rounding; above, the asymptotic series takes over; its
+# Chebyshev tail is held to _ML_TABLE_TOL of its peak, |log E(-e**20)| ~ 20
+_ML_TABLE_LO, _ML_TABLE_HI, _ML_TABLE_TOL = -40.0, 20.0, 1e-15
+# log-spaced starting panels of the z > 0 head, per decade from the knee / 100
+_FOURIER_PER_DECADE = 4
+
+
+@lru_cache(maxsize=16)
+def _ml_table(beta):
+    """Piecewise Chebyshev table of F(u) = log E_beta(-e**u) on
+    [_ML_TABLE_LO, _ML_TABLE_HI], built from `mittag_leffler`; its stated
+    error is absolute in F, so relative in E."""
+    return chebyshev_table(lambda u: np.log(mittag_leffler(beta, np.exp(u)))[None, :],
+                           _ML_TABLE_LO, _ML_TABLE_HI, _ML_TABLE_TOL)
+
+
+def _ml_tabulated(beta, x):
+    """E_beta(-x) at x >= 0 from `_ml_table`: 1 below e**_ML_TABLE_LO and the
+    asymptotic series above e**_ML_TABLE_HI."""
+    with np.errstate(divide="ignore"):
+        u = np.log(x)
+    out = np.where(u < _ML_TABLE_LO, 1.0,
+                   np.exp(_ml_table(beta)(np.clip(u, _ML_TABLE_LO, _ML_TABLE_HI), 0)))
+    far = u > _ML_TABLE_HI
+    if far.any():
+        out[far] = _ml_asymptotic(beta, x[far])
+    return out
 
 
 def density_fourier(beta, spatial_alpha, t, z):
     """p(t, z) = (1/pi) int_0^inf cos(xi z) E_beta(-xi**alpha t**beta) dxi."""
-    return _fourier(beta, spatial_alpha, t, z)[0]
+    return _fourier(beta, spatial_alpha, t, z).value
 
 
 def _fourier(beta, alpha, t, z):
-    """(p(t, z), error) by the Fourier-Mittag-Leffler representation, 1-d
-    only; alpha selects the Gaussian (2) or Cauchy (1) spatial generator.
+    """p(t, z) by the Fourier-Mittag-Leffler representation, as a
+    `SolutionEstimate` with method "fourier", 1-d only; alpha selects the
+    Gaussian (2) or Cauchy (1) spatial generator.
 
-    The head up to xi_end is one adaptive Gauss-Kronrod pass split where
-    xi**alpha t**beta = 1 and, for z > 0, at every quarter period of
-    cos(xi z).  The tail follows from the asymptotic expansion of E_beta,
-    integrated by parts for z > 0 and term by term for z = 0.  The error
-    is the Kronrod error plus the size of the last closing term.
+    The head up to xi_end is one adaptive Gauss-Kronrod pass that reads E
+    from `_ml_table`, split where xi**alpha t**beta = 1 and, for z > 0, at
+    every quarter period of cos(xi z) and _FOURIER_PER_DECADE times per
+    decade from a hundredth of that knee.  The tail follows from the
+    asymptotic expansion of E_beta, integrated by parts for z > 0 and term
+    by term for z = 0.  The error is the Kronrod error, plus the table's
+    error times xi_end, which bounds int E over the head as E <= 1, plus
+    the size of the last closing term; `converged` is the head's.
     """
     if alpha not in (1, 2):
         raise DomainError("spatial order must be 1 or 2")
@@ -422,22 +456,29 @@ def _fourier(beta, alpha, t, z):
         bounds = np.append(0.0, geometric_boundaries(knee, xi_end))
     else:
         xi_end = max((30.0 / tb) ** (1.0 / alpha), 40.0 / z)
-        bounds = np.unique(np.append(np.arange(0.0, xi_end, 0.5 * math.pi / z), (knee, xi_end)))
-    head, err, _ = kronrod_quad(
-        lambda xi: mittag_leffler(beta, xi ** alpha * tb) * np.cos(xi * z), bounds,
+        bounds = np.unique(np.concatenate([
+            np.arange(0.0, xi_end, 0.5 * math.pi / z),
+            geometric_boundaries(0.01 * knee, xi_end, _FOURIER_PER_DECADE, (knee,))]))
+    head, err, converged = kronrod_quad(
+        lambda xi: _ml_tabulated(beta, xi ** alpha * tb) * np.cos(xi * z), bounds,
         rel_tol=1e-11, abs_floor=1e-13)
+    err += float(_ml_table(beta).error[0]) * xi_end
     k, coef = _ml_asymptotic_coeffs(beta)
     if z == 0.0:
         terms = _up_to_smallest(coef * tb ** -k * xi_end ** (1.0 - alpha * k) / (alpha * k - 1.0))
-        return (head + terms.sum()) / math.pi, (err + abs(terms[terms != 0.0][-1])) / math.pi
-    # with f^(j)(a), a = xi_end, from the asymptotic expansion, n integrations
-    # by parts give Re e^{iza} sum_{j<n} f^(j)(a) (i/z)^(j+1) for the tail,
-    # with a remainder of at most |f^(n-1)(a)|/z^n: f^(n-1) decays monotonically
-    terms = _up_to_smallest(coef * (tb * xi_end ** alpha) ** -k)
-    falling = np.cumprod(-(alpha * k[:, None] + np.arange(_FOURIER_PARTS - 1.0)), axis=1)
-    derivs = np.append(terms.sum(), terms @ falling / xi_end ** np.arange(1.0, _FOURIER_PARTS))
-    tail = (np.exp(1j * z * xi_end) * (derivs @ (1j / z) ** np.arange(1, _FOURIER_PARTS + 1))).real
-    return (head + tail) / math.pi, (err + abs(derivs[-1]) / z ** _FOURIER_PARTS) / math.pi
+        tail, closing = terms.sum(), abs(terms[terms != 0.0][-1])
+    else:
+        # with f^(j)(a), a = xi_end, from the asymptotic expansion, n integrations
+        # by parts give Re e^{iza} sum_{j<n} f^(j)(a) (i/z)^(j+1) for the tail,
+        # with a remainder of at most |f^(n-1)(a)|/z^n: f^(n-1) decays monotonically
+        terms = _up_to_smallest(coef * (tb * xi_end ** alpha) ** -k)
+        falling = np.cumprod(-(alpha * k[:, None] + np.arange(_FOURIER_PARTS - 1.0)), axis=1)
+        derivs = np.append(terms.sum(), terms @ falling / xi_end ** np.arange(1.0, _FOURIER_PARTS))
+        tail = (np.exp(1j * z * xi_end)
+                * (derivs @ (1j / z) ** np.arange(1, _FOURIER_PARTS + 1))).real
+        closing = abs(derivs[-1]) / z ** _FOURIER_PARTS
+    return SolutionEstimate(float(head + tail) / math.pi, float(err + closing) / math.pi,
+                            "fourier", converged)
 
 
 # --------------------------------------------------------------------------

@@ -95,6 +95,17 @@ class TestVerify:
         assert np.isfinite(rep.off_log_lo) and np.isfinite(rep.off_log_hi)
         assert 0.0 < rep.off_log_lo <= rep.off_log_hi
 
+    def test_underflowed_rows_are_flagged(self):
+        # past n ~ 1.7e4 p underflows to 0 on the contour and on the
+        # Gauss-Kronrod rule; a zero is no converged answer
+        base = config_from_mapping(read_config(CAMPAIGNS / "diffusion.cfg"))
+        cfg = config_from_mapping(dict(t_n=3, z_n=4, z_lo=1e3, z_hi=1e8), base=base)
+        with np.errstate(divide="ignore"):  # L = -log(0/prefactor)/n
+            rep = verify_sandwich(cfg)
+        zeros = [r for r in rep.rows if r.p == 0.0]
+        assert len(zeros) == 6 and rep.flagged == 6
+        assert not any(r.converged for r in zeros)
+
 
 class TestConfig:
     def test_file_round_trip(self, tmp_path):
@@ -302,6 +313,17 @@ class TestCli:
         monkeypatch.setattr(cli_mod.solution, "density_quadrature", explode)
         code = run_cli(["eval", "--beta", "0.5", "--kernel", "gaussian:1",
                         "--t", "1", "--z", "0"])
+        assert code == 3
+        assert "non-convergence" in capsys.readouterr().err
+
+    def test_fourier_nonconvergence_exit_code(self, capsys, monkeypatch):
+        # a Fourier head whose Gauss-Kronrod pass did not converge is refused
+        from fracheat import solution
+        quad = solution.kronrod_quad
+        monkeypatch.setattr(solution, "kronrod_quad",
+                            lambda *args, **kwargs: (*quad(*args, **kwargs)[:2], False))
+        code = run_cli(["eval", "--beta", "0.5", "--kernel", "gaussian:1",
+                        "--t", "1", "--z", "0", "--method", "fourier"])
         assert code == 3
         assert "non-convergence" in capsys.readouterr().err
 

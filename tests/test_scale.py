@@ -1,5 +1,7 @@
 """Scale/volume profiles and the implicit solvers m(t, r), n(t, r)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -175,3 +177,9 @@ def test_subordinated_residual_property(t, r, alpha, beta):
     n = subordinated_exponent(PowerLaw(alpha), exp_, t, r)
     assert 1.0 / exp_.phi(n / t) == pytest.approx(
         PowerLaw(alpha).value(r / n), rel=1e-10)
+
+
+def test_monotone_root_below_brent_precision():
+    # rtol under 4 eps is clamped to it, not refused by brentq
+    assert monotone_root(lambda x: x * x - 2.0, 1.0, rtol=1e-16) == pytest.approx(
+        math.sqrt(2.0), rel=1e-15)

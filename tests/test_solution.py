@@ -7,6 +7,7 @@ time change,
 (recomputed here from the Gamma integral; equivalently 1/(2 Gamma(3/4))).
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -403,6 +404,19 @@ class TestLaplace:
         est = density_laplace(cauchy, mix, 1e-3, 3.0)
         assert not est.converged and est.error == math.inf
 
+    def test_zero_is_not_converged(self, gauss, half, monkeypatch):
+        # p(1, 1467.8) underflows to 0, which meets any relative tolerance
+        # but is no answer: the contour flags it, and so does the
+        # Gauss-Kronrod rule it falls through to, with or without a resolvent
+        contour = density_laplace(gauss, half, 1.0, 1467.8)
+        assert contour.value == 0.0 and not contour.converged
+        quad = density_quadrature(gauss, half, 1.0, np.array([0.5, 1467.8]))
+        assert quad[0].converged and quad[0].method == "laplace"
+        assert (quad[1].value, quad[1].method, quad[1].converged) == (0.0, "quad", False)
+        monkeypatch.setattr(ExactGaussian, "resolvent", _no_resolvent)
+        quad = density_quadrature(gauss, half, 1.0, 1467.8)
+        assert (quad.value, quad.method, quad.converged) == (0.0, "quad", False)
+
     def test_unsupported_models(self, gauss, half):
         with pytest.raises(UnsupportedModelError):
             density_laplace(ExactGaussian(2), half, 1.0, 0.5)
@@ -512,15 +526,40 @@ class TestFourierOracle:
         # beta = 1/2, against the closed form at z = 0 and the QUADPACK
         # reference on a 10 x 10 grid, for both spatial orders
         for t in (0.1, 1.0, 10.0):
-            value, err = _fourier(0.5, 2, t, 0.0)
+            est = _fourier(0.5, 2, t, 0.0)
+            value, err = est.value, est.error
             assert abs(value - P_ONE_ZERO * t ** -0.25) <= err
         for alpha, kind in ((2, "gaussian"), (1, "cauchy")):
             for t in np.geomspace(0.1, 10.0, 10):
                 for z in np.geomspace(0.1, 2.0, 10):
-                    value, err = _fourier(0.5, alpha, t, z)
+                    est = _fourier(0.5, alpha, t, z)
+                    value, err = est.value, est.error
                     ref = _half_stable_reference(kind, t, z)
                     assert abs(value - ref) <= err, f"alpha={alpha} t={t} z={z}"
                     assert err <= 1e-5 * ref
+
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.7, 0.9, 0.99])
+    def test_table_matches_mittag_leffler(self, beta):
+        # x from 0 to 1e12: both ends of the table, e**-40 and e**20, and
+        # the branch switch points of mittag_leffler at 1 and 50
+        edges = [0.0, math.exp(solution._ML_TABLE_LO), math.exp(solution._ML_TABLE_HI), 1.0, 50.0]
+        x = np.concatenate([np.geomspace(1e-30, 1e12, 3000),
+                            np.random.default_rng(5).uniform(0.0, 60.0, 1000),
+                            *([e, np.nextafter(e, 0.0), np.nextafter(e, np.inf)] for e in edges)])
+        got, ref = solution._ml_tabulated(beta, x), mittag_leffler(beta, x)
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+    def test_error_counts_the_table(self, monkeypatch):
+        # at z = 0, xi_end = (60 / t**beta)**(1/alpha): the stated error
+        # carries the table's error times xi_end, over pi
+        est = _fourier(0.5, 2, 1.0, 0.0)
+        table = solution._ml_table(0.5)
+        assert est.converged and est.error >= table.error[0] * math.sqrt(60.0) / math.pi
+        worse = dataclasses.replace(table, error=table.error + 1e-6)
+        monkeypatch.setattr(solution, "_ml_table", lambda beta: worse)
+        shifted = _fourier(0.5, 2, 1.0, 0.0)
+        assert shifted.value == est.value
+        assert shifted.error - est.error == pytest.approx(1e-6 * math.sqrt(60.0) / math.pi, rel=1e-6)
 
     def test_classical_limit(self, gauss):
         got = density_fourier(0.999, 2, 1.0, 0.0)
