@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .errors import DomainError, QuadratureError, UnsupportedModelError
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, monotone_root
+from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, kronrod_quad, monotone_root
 
 
 def _check_positive(name, value):
@@ -169,29 +169,22 @@ class ConstructedCBF(LaplaceExponent):
         return self.scale.exponent_hi / self.alpha3
 
     def phi(self, lam):
+        """The defining integral in w = log u + log(lam)/alpha3, where it is
+        alpha3 int expit(alpha3 w) dw / Phi(u): one Gauss-Kronrod pass on
+        panels about 2 wide that do not move with lam, split at w = 0 and
+        at the kink of a two-branch Phi, between the points where the
+        integrand has fallen below e**-40 of its peak."""
         _check_positive("lam", lam)
-        lam = float(lam)
-        a3 = self.alpha3
-
-        def integrand(u):
-            # lam*u^a3/(lam*u^a3+1) written as 1/(1 + 1/(lam u^a3)) so the
-            # large-u branch cannot produce inf/inf
-            with np.errstate(over="ignore", divide="ignore"):
-                ratio = 1.0 / (1.0 + 1.0 / (lam * u ** a3))
-            return a3 * ratio / (u * self.scale.value(u))
-
-        split = lam ** (-1.0 / a3)
-        cfg = self.quadrature
-        total = 0.0
-        err = 0.0
-        for lo, hi in ((0.0, split), (split, np.inf)):
-            val, abserr = integrate.quad(
-                integrand, lo, hi,
-                epsabs=cfg.abs_floor, epsrel=cfg.rel_tol,
-                limit=cfg.max_subdivisions)
-            total += val
-            err += abserr
-        if not np.isfinite(total) or (total > 0 and err > 1e-6 * total):
+        a3, scale, cfg = self.alpha3, self.scale, self.quadrature
+        shift = math.log(lam) / a3
+        lo, hi = -40.0 / (a3 - scale.exponent_hi), 40.0 / scale.exponent_lo
+        kinks = [0.0, math.log(scale.r_break) + shift] if hasattr(scale, "r_break") else [0.0]
+        edges = np.union1d(np.linspace(lo, hi, int((hi - lo) / 2.0) + 2),
+                           [k for k in kinks if lo < k < hi])
+        total, err, ok = kronrod_quad(
+            lambda w: a3 * special.expit(a3 * w) / scale.value(np.exp(w - shift)),
+            edges, cfg.rel_tol, cfg.abs_floor)
+        if not ok:
             raise QuadratureError(
                 f"constructed exponent quadrature did not converge at lam={lam}",
                 value=total, error=err)

@@ -20,10 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy import integrate
+import numpy as np
 
 from .bernstein import LaplaceExponent, Stable
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
+from .numerics import geometric_boundaries, kronrod_quad
 from .scale import PowerLaw, subordinated_exponent
 
 
@@ -76,7 +77,8 @@ class EstimateModel:
         """int from Phi(z)*phi(1/t) to 2 of dr / V(Phi^-1(r / phi(1/t))).
 
         The upper limit 2 is part of the estimate's normalization.  Closed
-        form for pure power laws; adaptive quadrature otherwise.  Diverges
+        form for pure power laws; otherwise one Gauss-Kronrod pass in log r
+        split at the kinks of two-branch profiles.  Diverges
         (returns inf) at z = 0 when the volume grows at least as fast as
         the scale.
         """
@@ -98,14 +100,21 @@ class EstimateModel:
             lower = 0.0 if a == 0.0 else a ** (1.0 - ratio)
             return front * (2.0 ** (1.0 - ratio) - lower)
 
-        def integrand(s):
-            return 1.0 / self.volume.value(self.scale.inverse(s / phi_t))
-
         if a == 0.0 and self.volume.exponent_hi >= self.scale.exponent_lo:
             return math.inf
-        val, _ = integrate.quad(integrand, a, 2.0, epsabs=1e-13, epsrel=1e-11,
-                                limit=500)
-        return val
+        # at a = 0 the integrand in log r falls at least like r**(1 - rho),
+        # rho = V's upper over Phi's lower index: start where that is e**-40
+        rho = self.volume.exponent_hi / self.scale.exponent_lo
+        lo = a or 2.0 * math.exp(max(-40.0 / (1.0 - rho), -700.0))
+        kinks = tuple(phi_t * self.scale.value(p.r_break) for p in (self.scale, self.volume)
+                      if hasattr(p, "r_break"))
+        total, err, ok = kronrod_quad(
+            lambda v: np.exp(v) / self.volume.value(self.scale.inverse(np.exp(v) / phi_t)),
+            np.log(geometric_boundaries(lo, 2.0, per_decade=2, extra=kinks)), 1e-11, 0.0)
+        if not ok:
+            raise QuadratureError(f"near-diagonal integral did not converge at t={t}, z={z}",
+                                  value=total, error=err)
+        return total
 
     def estimate(self, t, z):
         """The applicable estimate shape at (t, z)."""

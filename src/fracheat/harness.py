@@ -7,8 +7,9 @@ diffusion rows report the normalized log-ratio
     L(t, z) = -log(p * V(Phi^-1(1/phi(1/t)))) / n(t, z),
 since only two-sided exponential comparability is claimed there.  The
 report asserts nothing about the (unknown) comparability constants; it
-records finiteness and per-regime spread, and acceptance thresholds live
-with the test suite.
+records finiteness and per-regime spread over the rows whose p converged
+and counts the flagged rest, and acceptance thresholds live with the test
+suite.
 
 Rows are evaluated in (t-index, z-index) order and Monte Carlo rows use
 stream index = row index, so output is byte-identical across runs.
@@ -157,7 +158,7 @@ class SandwichReport:
     off_summary: RegimeSummary          # ratio-based off rows (jump flavor)
     off_log_lo: float                   # L(t, z) range over diffusion off rows
     off_log_hi: float
-    all_finite: bool
+    all_finite: bool                    # no row errored, every converged row is finite
     flagged: int                        # rows whose p came back not converged
 
 
@@ -187,7 +188,8 @@ def _evaluate_row(kernel, model, emodel, cfg, index, t, z, quad):
             return SandwichRow(t, z, tag.regime.value, est_p.value, est_p.error,
                                shape.value, None, ratio, None, est_p.method,
                                converged=est_p.converged)
-        log_ratio = -np.log(est_p.value / shape.prefactor) / shape.exponent_arg
+        ratio = est_p.value / shape.prefactor  # an underflowed p = 0 gives L = inf
+        log_ratio = -np.log(ratio) / shape.exponent_arg if ratio > 0 else np.inf
         return SandwichRow(t, z, tag.regime.value, est_p.value, est_p.error,
                            shape.prefactor, shape.exponent_arg, None,
                            float(log_ratio), est_p.method, converged=est_p.converged)
@@ -212,9 +214,11 @@ def verify_sandwich(cfg):
                     for j, (z, p) in enumerate(zip(zs, quad)))
     rows = tuple(rows)
 
-    near = [r.ratio for r in rows if r.regime == "near" and r.ratio is not None]
-    off = [r.ratio for r in rows if r.regime == "off" and r.ratio is not None]
-    logs = [r.log_ratio for r in rows if r.log_ratio is not None]
+    # a flagged row's p carries no verdict: it is counted in `flagged` only
+    kept = [r for r in rows if r.converged]
+    near = [r.ratio for r in kept if r.regime == "near" and r.ratio is not None]
+    off = [r.ratio for r in kept if r.regime == "off" and r.ratio is not None]
+    logs = [r.log_ratio for r in kept if r.log_ratio is not None]
 
     def summarize(vals):
         finite = [v for v in vals if np.isfinite(v) and v > 0]

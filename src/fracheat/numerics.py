@@ -1,16 +1,18 @@
 """Shared numerical utilities: root bracketing, panel quadrature, config.
 
-All root targets in this package are monotone on (0, inf), so the solver
-strategy is geometric bracket expansion (factor 2) from a starting guess
-followed by a safeguarded bracketing refinement.  Panel quadrature builds
-composite Gauss-Legendre rules on geometric subdivisions; it is used where
-an integrand must be evaluated vectorized for speed.  The adaptive
-composite Gauss-Kronrod rule does the same with an embedded error estimate.
-A piecewise Chebyshev table stands in for a costly smooth function.
+All root targets in this package are monotone on (0, inf), so the one
+solver brackets the root in log x, with steps that double from log 2 on
+both sides of a starting guess, and refines it by Brent's method in log x.
+Panel quadrature builds composite Gauss-Legendre rules on geometric
+subdivisions; it is used where an integrand must be evaluated vectorized
+for speed.  The adaptive composite Gauss-Kronrod rule, the package's one
+adaptive quadrature, does the same with an embedded error estimate.  A
+piecewise Chebyshev table stands in for a costly smooth function.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,54 +28,37 @@ class QuadratureConfig:
 
     rel_tol: float = 1e-10
     abs_floor: float = 1e-300
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be >= 10")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
-_BRACKET_LO = 1e-300
-_BRACKET_HI = 1e300
-
-
-def expand_bracket(f, x0=1.0, factor=2.0):
-    """Expand geometrically from x0 until f changes sign.
-
-    Works for monotone f of either direction.  Returns (a, b) with
-    f(a) * f(b) <= 0.  Raises BracketError if no sign change is found
-    inside [1e-300, 1e300].
-    """
-    fx0 = f(x0)
-    if fx0 == 0.0:
-        return x0, x0
-    lo = hi = x0
-    while lo > _BRACKET_LO or hi < _BRACKET_HI:
-        if lo > _BRACKET_LO:
-            prev, lo = lo, max(lo / factor, _BRACKET_LO)
-            flo = f(lo)
-            if np.sign(flo) != np.sign(fx0):
-                return lo, lo if flo == 0.0 else prev
-        if hi < _BRACKET_HI:
-            prev, hi = hi, min(hi * factor, _BRACKET_HI)
-            fhi = f(hi)
-            if np.sign(fhi) != np.sign(fx0):
-                return hi if fhi == 0.0 else prev, hi
-    raise BracketError(
-        f"no sign change of target function inside [{_BRACKET_LO}, {_BRACKET_HI}]")
+# roots are sought in [1e-300, 1e300], in log x
+_LOG_LO, _LOG_HI = math.log(1e-300), math.log(1e300)
 
 
 def monotone_root(f, x0=1.0, rtol=1e-13):
-    """Root of a monotone function via bracket expansion + Brent refinement;
-    rtol is clamped at 4 eps, the smallest that brentq accepts."""
-    a, b = expand_bracket(f, x0)
-    if a == b:
-        return a
-    return optimize.brentq(f, a, b, rtol=max(rtol, 4.0 * EPS), xtol=1e-300)
+    """Root of a monotone f on (0, inf), increasing or decreasing: steps in
+    log x on both sides of x0, doubling from log 2, until f changes sign,
+    then Brent's method in log x, to rtol relative in x plus 4 eps relative
+    in log x.  Raises BracketError if f keeps its sign on [1e-300, 1e300]."""
+    def in_log(y):
+        return f(math.exp(y))
+
+    y0, step = math.log(x0), math.log(2.0)
+    sign0 = np.sign(in_log(y0))
+    if sign0 == 0.0:
+        return x0
+    while step < 2.0 * (_LOG_HI - _LOG_LO):  # the last step spans the range
+        for end in (max(y0 - step, _LOG_LO), min(y0 + step, _LOG_HI)):
+            if np.sign(in_log(end)) != sign0:
+                a, b = sorted((y0, end))
+                return math.exp(optimize.brentq(in_log, a, b, xtol=rtol, rtol=4.0 * EPS))
+        step *= 2.0
+    raise BracketError("no sign change of target function inside [1e-300, 1e300]")
 
 
 @lru_cache(maxsize=64)

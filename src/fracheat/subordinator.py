@@ -17,6 +17,8 @@ beta_i-stable.
   first-passage refinement.
 * S_r is at least each of its parts, so E_t is at most each part's own
   inverse time: the support bound of E_t is the least of the parts'.
+* The integrated-tail identities of a stable exponent integrate that
+  convolution over log r in one Gauss-Kronrod pass.
 
 Exponents constructed by quadrature have no stable parts, so only the
 estimate-evaluation paths accept them; distribution and sampling calls
@@ -29,19 +31,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import stable
 from .bernstein import LaplaceExponent, Stable
 from .errors import DomainError, QuadratureError, UnsupportedModelError
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, kronrod_quad
+from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, geometric_boundaries, kronrod_quad
 from .rng import RngStream
 
 # path steps one first-passage draw may take before it gives up
 _MAX_INCREMENTS = 4_000_000
 # convolutions start at this share of the argument, on _CONV_PANELS log
 # panels bisected until |K15 - G7| meets _CONV_TOL relative in each row;
-# a density of several parts takes _CONV_ROWS values of r a pass
+# a density of several parts or a tail mean takes _CONV_ROWS values of r a pass
 _CONV_HEAD, _CONV_PANELS, _CONV_TOL, _CONV_ROWS = 1e-14, 16, 1e-11, 4
 
 
@@ -321,19 +322,16 @@ class IdentityReport:
     first_identity: dict           # s -> relative residual of the windowed identity
 
 
-def _truncated_tail_mean(model, s, t):
-    """E[G(t - S_s); S_s <= t] by quadrature against the density of S_s."""
-    b = model.exponent.beta
-    c = s ** (1.0 / b)
-    g = model.exponent.integrated_tail
-
-    def f(u):
-        return g(t - u) * stable.density(b, u / c) / c
-
-    med = min(c * 1.0, 0.5 * t)
-    val, _ = integrate.quad(f, 0.0, t, points=[med], epsabs=1e-13, epsrel=1e-10,
-                            limit=model.quadrature.max_subdivisions)
-    return val
+def _truncated_tail_mean(model, rs, t):
+    """E[G(t - S_r); S_r <= t] at each r of rs by `_convolve` against the
+    density of S_r, plus the mass of S_r below the foot times G(t), on
+    panels shared by _CONV_ROWS values of r a pass."""
+    if rs.size > _CONV_ROWS:
+        return np.concatenate([_truncated_tail_mean(model, rs[i:i + _CONV_ROWS], t)
+                               for i in range(0, rs.size, _CONV_ROWS)])
+    b, g = model.exponent.beta, model.exponent.integrated_tail
+    foot, total = _convolve(t, lambda y, u: _part_density(b, rs[:, None], y) * g(u))
+    return total + _part_law(b, rs, foot, False) * g(t)
 
 
 def integrated_tail_identities(model, t):
@@ -346,27 +344,36 @@ def integrated_tail_identities(model, t):
         raise UnsupportedModelError("identity checks need a stable exponent")
     if t <= 0.0:
         raise DomainError("identity checks need t > 0")
-    b = model.exponent.beta
+    b, g, tol = model.exponent.beta, model.exponent.integrated_tail, model.quadrature.rel_tol
 
-    r_hi = model.inverse_support(t)
-    total, _ = integrate.quad(lambda r: _truncated_tail_mean(model, r, t),
-                              0.0, r_hi, points=[t ** b], epsabs=1e-12, epsrel=1e-8,
-                              limit=400)
+    def in_log_r(v):
+        return np.exp(v) * _truncated_tail_mean(model, np.exp(v), t)
+
+    # below r_lo the integrand is G(t) to a relative O(r t**-b), so the
+    # head int_0^r_lo is r_lo G(t) to about 1e-16 of the total
+    r_lo = 1e-8 * t ** b
+    bounds = np.log(geometric_boundaries(r_lo, model.inverse_support(t), per_decade=0.5,
+                                         extra=(t ** b,)))
+    total = r_lo * g(t) + kronrod_quad(in_log_r, bounds, tol, 0.0)[0]
     total_res = abs(total - t) / t
 
     # windowed identity: int_0^t w(t-r) P(S_s > r) dr
     #                    = G(t) - E[G(t - S_s); S_s <= t]
-    # with the endpoint singularity of w removed by r = t(1 - v**(1/(1-b)))
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    v = 0.5 * (nodes + 1.0)
-    w_gl = 0.5 * weights
+    # with the endpoint singularity of w removed by r = t(1 - (1 - q)**(1/(1-b))),
+    # which leaves pref * int_0^1 P(S_s > r) dq, by one pass in log q from
+    # r below about 1e-18 s**(1/b), where P(S_s > r) = 1: the head is q_lo
     pref = t ** (1.0 - b) / ((1.0 - b) * math.gamma(1.0 - b))
     first = {}
     for mult in (0.5, 1.0, 2.0):
         s = mult * t
-        rv = t * (1.0 - v ** (1.0 / (1.0 - b)))
-        sf = np.array([model.survival(s, r) if r > 0 else 1.0 for r in rv])
-        lhs = pref * np.dot(w_gl, sf)
-        rhs = model.exponent.integrated_tail(t) - _truncated_tail_mean(model, s, t)
+        q_lo = 1e-20 * min(1.0, s ** (1.0 / b) / t)
+
+        def in_log_q(u):
+            q = np.exp(u)
+            return q * _part_law(b, np.float64(s), -t * np.expm1(np.log1p(-q) / (1.0 - b)), True)
+
+        bounds = np.log(geometric_boundaries(q_lo, 1.0, per_decade=1))
+        lhs = pref * (q_lo + kronrod_quad(in_log_q, bounds, tol, 0.0)[0])
+        rhs = g(t) - _truncated_tail_mean(model, np.array([s]), t)[0]
         first[s] = abs(lhs - rhs) / abs(rhs)
     return IdentityReport(float(total_res), first)

@@ -2,11 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fracheat import (DomainError, PowerLaw, Stable,
+from fracheat import (DomainError, PiecewisePower, PowerLaw, Stable,
                       StableMixture, UnsupportedModelError, cbf_from_scale,
                       parse_exponent, scaling_report)
 
@@ -151,6 +152,37 @@ class TestConstructed:
         # d/dlam of c lam**(2/3) is (2/3) c lam**(-1/3)
         target = (2.0 / 3.0) * 2.0 * math.pi / math.sqrt(3.0)
         assert cbf.phi_prime(1.0) == pytest.approx(target, rel=1e-5)
+
+
+def test_constructed_closed_form_everywhere(cbf):
+    # phi(lam) = (pi / sin(2 pi/3)) lam**(2/3), and its difference quotient
+    # sees one rule, as the panels in w do not move with lam
+    c = math.pi / math.sin(2.0 * math.pi / 3.0)
+    for lam in np.geomspace(1e-6, 1e6, 25):
+        assert cbf.phi(lam) == pytest.approx(c * lam ** (2.0 / 3.0), rel=1e-12)
+        assert cbf.phi_prime(lam) == pytest.approx(
+            2.0 / 3.0 * c * lam ** (-1.0 / 3.0), rel=1e-8)
+
+
+def test_constructed_piecewise_against_mpmath():
+    # Phi = power2:1.5,2.5,1 has a kink at u = 1; mpmath splits there and
+    # at lam u**3 = 1
+    scale = PiecewisePower(1.5, 2.5, 1.0)
+    cbf = cbf_from_scale(scale, 3.0)
+    mpmath.mp.dps = 30
+    try:
+        for lam in (1e-6, 0.03, 1.0, 50.0, 1e6):
+            lam_mp = mpmath.mpf(lam)
+
+            def integrand(u):
+                phi = u ** 1.5 if u <= 1 else u ** 2.5
+                return 3 * lam_mp * u ** 3 / ((lam_mp * u ** 3 + 1) * u * phi)
+
+            split = sorted({mpmath.mpf(1), lam_mp ** (-mpmath.mpf(1) / 3)})
+            ref = mpmath.quad(integrand, [0, *split, mpmath.inf])
+            assert cbf.phi(lam) == pytest.approx(float(ref), rel=1e-10)
+    finally:
+        mpmath.mp.dps = 15
 
 
 class TestParse:

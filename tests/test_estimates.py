@@ -2,9 +2,10 @@
 
 import math
 
+import mpmath
 import pytest
 
-from fracheat import (DomainError, EstimateModel, PowerLaw, Regime, Stable,
+from fracheat import (DomainError, EstimateModel, PiecewisePower, PowerLaw, Regime, Stable,
                       dset_estimate, explicit_near_diagonal)
 
 
@@ -55,6 +56,28 @@ class TestNearDiagonalIntegral:
                 continue
             assert m2.near_diagonal_integral(t, z) == pytest.approx(
                 m1.near_diagonal_integral(t, z), rel=1e-9)
+
+    def test_kinked_profiles_against_mpmath(self):
+        # Phi = power2:1.5,2.5,1 and V = power2:0.5,1.2,0.7 put kinks at
+        # r = phi(1/t) Phi(1) and phi(1/t) Phi(0.7) inside (a, 2)
+        scale, volume = PiecewisePower(1.5, 2.5, 1.0), PiecewisePower(0.5, 1.2, 0.7)
+        m = EstimateModel(Stable(0.5), scale, volume, "jump")
+        mpmath.mp.dps = 30
+        try:
+            for t, z in ((1.0, 0.3), (0.3, 0.1), (4.0, 1.0)):
+                phi_t = mpmath.sqrt(mpmath.mpf(1) / t)
+
+                def integrand(r):
+                    x = r / phi_t
+                    u = x ** (1 / mpmath.mpf(1.5)) if x <= 1 else x ** (1 / mpmath.mpf(2.5))
+                    return 1 / (u ** 0.5 if u <= 0.7 else 0.7 ** -0.7 * u ** 1.2)
+
+                a = m.classify(t, z).scalar
+                kinks = [k for k in (phi_t, phi_t * mpmath.mpf(0.7) ** 1.5) if a < k < 2]
+                ref = mpmath.quad(integrand, sorted([mpmath.mpf(a), *kinks, mpmath.mpf(2)]))
+                assert m.near_diagonal_integral(t, z) == pytest.approx(float(ref), rel=1e-10)
+        finally:
+            mpmath.mp.dps = 15
 
     def test_regime_guard(self):
         m = model()

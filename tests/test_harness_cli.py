@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,8 +101,7 @@ class TestVerify:
         # Gauss-Kronrod rule; a zero is no converged answer
         base = config_from_mapping(read_config(CAMPAIGNS / "diffusion.cfg"))
         cfg = config_from_mapping(dict(t_n=3, z_n=4, z_lo=1e3, z_hi=1e8), base=base)
-        with np.errstate(divide="ignore"):  # L = -log(0/prefactor)/n
-            rep = verify_sandwich(cfg)
+        rep = verify_sandwich(cfg)
         zeros = [r for r in rep.rows if r.p == 0.0]
         assert len(zeros) == 6 and rep.flagged == 6
         assert not any(r.converged for r in zeros)
@@ -236,6 +236,23 @@ class TestCli:
 
     def test_sample_needs_value(self, capsys):
         assert run_cli(["sample", "--dist", "s", "--beta", "0.5"]) == 2
+
+    def test_verify_flagged_rows_exit_3(self, capsys):
+        # the six underflowed rows (p = 0) are flagged: they leave the
+        # verdict and the off log-ratio range, and the run is a
+        # non-convergence, not a verification failure
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["verify", "--config", str(CAMPAIGNS / "diffusion.cfg"), "--t-n", "3",
+                            "--z-n", "4", "--z-lo", "1e3", "--z-hi", "1e8"])
+        captured = capsys.readouterr()
+        assert code == 3
+        summary = captured.err.strip().splitlines()[-1]
+        assert summary.endswith("all_finite=True; flagged=6")
+        lo, hi = (float(v) for v in summary.split("off log-ratio: [")[1].split("]")[0].split(","))
+        assert lo == pytest.approx(0.4746362297905614, rel=1e-9)
+        assert hi == pytest.approx(0.4940753288435190, rel=1e-9)
+        assert captured.out.count(",inf,quad\n") == 6
 
     def test_missing_config_is_usage_error(self, capsys):
         code = run_cli(["verify", "--config", "does-not-exist.cfg"])

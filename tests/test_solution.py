@@ -583,6 +583,24 @@ class TestMass:
         monkeypatch.setattr(integrate, "quad", refuse)
         assert mass_residual(gauss, half, 0.1) < 1e-10
 
+    def test_no_quadpack_anywhere(self, half, monkeypatch, capsys):
+        # the identities, the constructed exponent, the kinked near-diagonal
+        # integral and the selftest oracle all take the Gauss-Kronrod rule
+        from fracheat import (EstimateModel, PiecewisePower, PowerLaw, Stable, cbf_from_scale,
+                              integrated_tail_identities)
+        from fracheat.cli import run_cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.integrate.quad called")
+        monkeypatch.setattr(integrate, "quad", refuse)
+        assert integrated_tail_identities(half, 1.0).total_residual < 1e-10
+        assert cbf_from_scale(PowerLaw(2.0), 3.0).phi(1.0) == pytest.approx(
+            2.0 * math.pi / math.sqrt(3.0), rel=1e-12)
+        emodel = EstimateModel(Stable(0.5), PiecewisePower(2.0, 3.0, 1.0), PowerLaw(1.0), "jump")
+        assert emodel.near_diagonal_integral(1.0, 0.5) > 0.0
+        assert run_cli(["selftest"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_needs_exact_kernel(self, half):
         from fracheat import JumpSurrogate, PowerLaw
         with pytest.raises(DomainError):
@@ -743,7 +761,5 @@ def test_quadrature_config_validation():
     from fracheat import QuadratureConfig
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=2.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=5)
     cfg = QuadratureConfig()
-    assert cfg.rel_tol == 1e-10 and cfg.max_subdivisions == 2000
+    assert cfg.rel_tol == 1e-10

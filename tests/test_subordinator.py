@@ -301,6 +301,13 @@ class TestIdentities:
         rep = integrated_tail_identities(half, 1e-4)
         assert rep.total_residual < 1e-3
 
+    @pytest.mark.parametrize("t", [1e-4, 0.5])
+    def test_windowed_identity_exact(self, half, t):
+        # the windowed identity holds exactly; the pass in log q resolves
+        # P(S_s > r) down to r far below s**2 << t
+        rep = integrated_tail_identities(half, t)
+        assert max(rep.first_identity.values()) <= 1e-10
+
     def test_needs_stable(self, mixture):
         with pytest.raises(UnsupportedModelError):
             integrated_tail_identities(mixture, 1.0)
