@@ -81,12 +81,17 @@ def _along_z(row_form):
     return wrapped
 
 
+def _check_point(t, z):
+    """A finite t > 0 and every z finite and >= 0, the domain of every
+    evaluator of p."""
+    if not (0.0 < t < math.inf and np.all((0.0 <= z) & (z < math.inf))):
+        raise DomainError("density needs a finite t > 0 and finite z >= 0")
+
+
 def _check_domain(kernel, model, t, z):
-    """t > 0 and every z >= 0; for z = 0, see _check_on_diagonal_integrable."""
-    z_min = min(z.tolist(), default=1.0)
-    if t <= 0.0 or z_min < 0.0:
-        raise DomainError("density needs t > 0 and z >= 0")
-    if z_min == 0.0:
+    """_check_point; for z = 0, see _check_on_diagonal_integrable."""
+    _check_point(t, z)
+    if min(z.tolist(), default=1.0) == 0.0:
         _check_on_diagonal_integrable(kernel, model, t)
 
 
@@ -234,6 +239,7 @@ def density_monte_carlo(kernel, model, t, z, n, rng):
     """p(t, z) as the sample mean of q over inverse-subordinator draws."""
     if n < 100:
         raise DomainError(f"need at least 100 samples, got {n}")
+    _check_domain(kernel, model, t, np.asarray(z, dtype=float).reshape(-1))
     if isinstance(rng, (int, np.integer)):
         rng = RngStream(rng)
     e_samples = model.sample_inverse(t, rng, n)
@@ -445,8 +451,7 @@ def _fourier(beta, alpha, t, z):
     """
     if alpha not in (1, 2):
         raise DomainError("spatial order must be 1 or 2")
-    if t <= 0.0 or z < 0.0:
-        raise DomainError("oracle needs t > 0, z >= 0")
+    _check_point(t, z)
     if z == 0.0 and alpha == 1:
         raise DomainError("on-diagonal value diverges for spatial order 1")
     tb = t ** beta

@@ -27,7 +27,14 @@ the scale (a r)**(1/beta) of a subordinator part may lie far outside float
 range; the functions of x itself are views of these two.
 
 Sampling uses Kanter's representation S = (A(U)/W)**((1-beta)/beta) with
-U ~ Uniform(0, pi) and W ~ Exponential(1).
+U ~ Uniform(0, pi) and W ~ Exponential(1).  A takes its three sines from
+half-angle tangents, sin x = 2 tau/(1 + tau**2) with tau = tan(x/2):
+numpy's float64 sin is a scalar libm loop, about 1.6 ms per 100k values
+on a 2-vCPU Xeon host (numpy 2.4), against 0.25 ms for its vectorized
+tan and 0.15 ms for log.  All of U and then all of W are drawn in stream
+order; log S is then formed in blocks of _DRAW_BLOCK draws, so that its
+temporaries stay in cache instead of each paying the page faults of a
+fresh array of n floats.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from .numerics import panel_nodes
 _EXP_CUT = 745.0       # |log| beyond which exp() under/overflows float64
 _SERIES_KMAX = 300
 _SERIES_CUT = 1e-18    # series terms below this share of the leading one are dropped
+_DRAW_BLOCK = 4096     # draws per block of log_sample: 32 kB per temporary
 
 
 def _check_beta(beta):
@@ -60,13 +68,24 @@ def a_zero(beta):
     return beta ** tilt(beta) * (1.0 - beta)
 
 
+def _sines(theta, beta):
+    """sin(beta theta), sin((1-beta) theta) and sin(theta), each as
+    2 tau/(1 + tau**2) with tau = tan(x/2) (see the module docstring)."""
+    half = 0.5 * theta
+    out = []
+    for x in (beta * half, (1.0 - beta) * half, half):
+        tau = np.tan(x)
+        out.append(2.0 * tau / (1.0 + tau * tau))
+    return out
+
+
 def log_a(theta, beta):
-    """log A(theta) on (0, pi), vectorized; A is strictly increasing."""
-    theta = np.asarray(theta, dtype=float)
-    bb = tilt(beta)
-    return (bb * np.log(np.sin(beta * theta))
-            + np.log(np.sin((1.0 - beta) * theta))
-            - (1.0 + bb) * np.log(np.sin(theta)))
+    """log A(theta) on (0, pi), vectorized; A is strictly increasing.
+
+    As bb log(s1/s3) + log(s2/s3): both ratios stay near beta and 1-beta
+    for small theta, where the three logs of the sines would cancel."""
+    s1, s2, s3 = _sines(np.asarray(theta, dtype=float), beta)
+    return tilt(beta) * np.log(s1 / s3) + np.log(s2 / s3)
 
 
 def _theta_at_levels(beta, log_targets, iters=40):
@@ -266,9 +285,20 @@ def density_grid(beta, xs):
     return np.divide(density_of_log(beta, _log(xs)), xs, out=np.zeros(xs.shape), where=xs > 0.0)
 
 
-def sample(beta, generator, n=1):
-    """n draws of S via Kanter's method (vectorized)."""
+def log_sample(beta, generator, n=1):
+    """log S of n draws of S via Kanter's method: all of U, then all of W,
+    from the generator, combined _DRAW_BLOCK draws at a time."""
     _check_beta(beta)
     theta = generator.uniform(0.0, np.pi, n)
     w = generator.exponential(1.0, n)
-    return np.exp((1.0 - beta) / beta * (log_a(theta, beta) - np.log(w)))
+    k = (1.0 - beta) / beta
+    out = np.empty(n)
+    for i in range(0, n, _DRAW_BLOCK):
+        block = slice(i, i + _DRAW_BLOCK)
+        out[block] = k * (log_a(theta[block], beta) - np.log(w[block]))
+    return out
+
+
+def sample(beta, generator, n=1):
+    """n draws of S via Kanter's method (vectorized)."""
+    return np.exp(log_sample(beta, generator, n))

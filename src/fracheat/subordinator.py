@@ -50,6 +50,14 @@ def _generator(rng):
     return rng.generator if isinstance(rng, RngStream) else rng
 
 
+def _check_draws(name, arg, value, n):
+    """A finite value > 0 of t or r and n >= 0 draws, as the samplers need."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} needs a finite {arg} > 0, got {value}")
+    if n < 0:
+        raise DomainError(f"{name} needs n >= 0 draws, got {n}")
+
+
 def _log_arg(b, ar, y):
     """log x, x = y * ar**(-1/b) the standard argument at y of the part
     ar**(1/b) X: the log of the product while that is a normal float, as a
@@ -204,8 +212,7 @@ class SubordinatorModel:
     def sample_subordinator(self, r, rng, n=1):
         """n draws of S_r."""
         comps = self._components()
-        if r <= 0.0:
-            raise DomainError("sample_subordinator needs r > 0")
+        _check_draws("sample_subordinator", "r", r, n)
         gen = _generator(rng)
         total = np.zeros(n)
         for a, b in comps:
@@ -214,14 +221,13 @@ class SubordinatorModel:
 
     def sample_inverse(self, t, rng, n=1, tol=1e-3):
         """n draws of E_t = inf{s : S_s > t}: (t / X)**beta / a for one
-        part, a discretized path for several."""
+        part, formed from log X, a discretized path for several."""
         comps = self._components()
-        if t <= 0.0:
-            raise DomainError("sample_inverse needs t > 0")
+        _check_draws("sample_inverse", "t", t, n)
         gen = _generator(rng)
         if len(comps) == 1:
             (a, b), = comps
-            return (t / stable.sample(b, gen, n)) ** b / a
+            return np.exp(b * (math.log(t) - stable.log_sample(b, gen, n))) / a
         return self._sample_inverse_path(t, gen, n, tol, comps)
 
     def _sample_inverse_path(self, t, gen, n, tol, comps):

@@ -237,6 +237,28 @@ class TestCli:
     def test_sample_needs_value(self, capsys):
         assert run_cli(["sample", "--dist", "s", "--beta", "0.5"]) == 2
 
+    @pytest.mark.parametrize("method", ["mc", "quad", "fourier"])
+    @pytest.mark.parametrize("t, z", [("nan", "1"), ("inf", "1"), ("1", "nan"), ("1", "inf")])
+    def test_eval_non_finite_point_is_usage_error(self, capsys, method, t, z):
+        code = run_cli(["eval", "--method", method, "--beta", "0.5",
+                        "--t", t, "--z", z, "--n", "500"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "fracheat: density needs a finite t > 0 and finite z >= 0\n"
+
+    @pytest.mark.parametrize("flags", [
+        ["--dist", "e", "--t", "1", "--n", "-5"], ["--dist", "e", "--t", "inf"],
+        ["--dist", "e", "--t", "nan"], ["--dist", "e", "--t", "0"],
+        ["--dist", "s", "--r", "inf"], ["--dist", "s", "--r", "nan"],
+        ["--dist", "s", "--r", "1", "--n", "-5"]], ids=" ".join)
+    def test_sample_bad_input_is_usage_error(self, capsys, flags):
+        code = run_cli(["sample", "--beta", "0.5", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("fracheat: sample_") and "Traceback" not in captured.err
+
     def test_verify_flagged_rows_exit_3(self, capsys):
         # the six underflowed rows (p = 0) are flagged: they leave the
         # verdict and the off log-ratio range, and the run is a

@@ -180,6 +180,43 @@ class TestSampler:
         assert not np.array_equal(a, b)
 
 
+BLOCK = stable._DRAW_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_sample_blocks_match_one_shot(n):
+    # the blocks change no digit: all of theta, then all of W, from the
+    # stream, as one-shot arithmetic on a twin stream
+    for beta in (0.05, 0.5, 0.999):
+        twin = RngStream(12, n).generator
+        theta = twin.uniform(0.0, np.pi, n)
+        w = twin.exponential(1.0, n)
+        one_shot = np.exp((1.0 - beta) / beta * (stable.log_a(theta, beta) - np.log(w)))
+        assert np.array_equal(stable.sample(beta, RngStream(12, n).generator, n), one_shot)
+
+
+def log_a_mp(theta, beta):
+    th, b = mpmath.mpf(float(theta)), mpmath.mpf(beta)
+    bb = b / (1 - b)
+    return float(bb * mpmath.log(mpmath.sin(b * th)) + mpmath.log(mpmath.sin((1 - b) * th))
+                 - (1 + bb) * mpmath.log(mpmath.sin(th)))
+
+
+# Absolute error bounds on log A: twice the largest errors measured on
+# these grids.  Near pi the rounding of beta*theta dominates.
+@pytest.mark.parametrize("beta, small_bound, near_pi_bound", [
+    (0.5, 1.8e-15, 1.42e-14), (0.9, 8.8e-15, 5.6e-14),
+    (0.99, 8.8e-14, 1.82e-12), (0.999, 9.4e-13, 1.42e-10)])
+def test_log_a_against_mpmath(beta, small_bound, near_pi_bound):
+    regions = ((np.geomspace(1e-8, 1.0, 80), small_bound),
+               (np.linspace(0.5, 2.5, 80), 9.2e-13),
+               (np.pi - np.geomspace(1e-8, 0.3, 80), near_pi_bound))
+    with mpmath.workdps(40):
+        for thetas, bound in regions:
+            ref = np.array([log_a_mp(th, beta) for th in thetas])
+            assert np.max(np.abs(stable.log_a(thetas, beta) - ref)) <= bound
+
+
 class TestDomain:
     def test_bad_beta(self):
         for beta in (0.0, 1.0, -0.3, 2.0):

@@ -7,13 +7,24 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 
-from fracheat import subordinator
+from fracheat import stable, subordinator
 from fracheat import (DomainError, QuadratureError, RngStream, Stable, StableMixture,
                       SubordinatorModel, UnsupportedModelError, cbf_from_scale,
                       integrated_tail_identities, tail_bounds_report)
 from fracheat.numerics import geometric_boundaries, panel_nodes
 from fracheat.scale import PowerLaw
 from fracheat.solution import _hyperbola
+
+
+def parent_sample(beta, gen, n):
+    """Kanter draws of S from three logs of np.sin, one-shot over all n:
+    the reference for the half-angle sines and the blocks of stable.py."""
+    theta = gen.uniform(0.0, np.pi, n)
+    w = gen.exponential(1.0, n)
+    bb = beta / (1.0 - beta)
+    la = (bb * np.log(np.sin(beta * theta)) + np.log(np.sin((1.0 - beta) * theta))
+          - (1.0 + bb) * np.log(np.sin(theta)))
+    return np.exp((1.0 - beta) / beta * (la - np.log(w)))
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +264,20 @@ class TestSampling:
         ref = 16.0 / special.erfcinv(0.5) ** 2 / 4.0  # median of S_1 = 1/(4 erfcinv(1/2)^2), scaled
         med = np.median(draws)
         assert med == pytest.approx(ref, rel=0.05)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.9, 0.999])
+    def test_inverse_matches_power_of_draws(self, beta):
+        # exp(b (log t - log S)) / a against (t / S)**b / a with S drawn
+        # by np.sin, across the draw blocks of stable.log_sample
+        block = stable._DRAW_BLOCK
+        for a in (1.0, 2.0):
+            model = SubordinatorModel(StableMixture(((a, beta),)))
+            for n in (1, block - 1, block, block + 1, 3 * block + 5):
+                for t in (1e-3, 1.0, 1e3):
+                    draws = model.sample_inverse(t, RngStream(12, n), n)
+                    old = parent_sample(beta, RngStream(12, n).generator, n)
+                    ref = (t / old) ** beta / a
+                    assert np.max(np.abs(draws / ref - 1.0)) <= 1e-14
 
     def test_mixture_inverse_against_cdf(self, mixture):
         draws = np.sort(mixture.sample_inverse(0.7, RngStream(21, 0), 300, tol=5e-3))
