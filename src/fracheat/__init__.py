@@ -11,14 +11,13 @@ from .bernstein import (ConstructedCBF, LaplaceExponent, ScalingReport, Stable,
                         scaling_report)
 from .errors import (BracketError, DomainError, FracheatError, QuadratureError,
                      UnsupportedModelError)
-from .estimates import (EstimateModel, EstimateValue, PowerLawEstimate, Regime,
-                        RegimeTag, dset_estimate, explicit_near_diagonal)
+from .estimates import (EstimateModel, EstimateValue, Regime, RegimeTag,
+                        explicit_near_diagonal)
 from .harness import (SandwichReport, SandwichRow, VerifyConfig, build_models,
                       verify_sandwich, write_report_csv)
 from .kernels import (DerivativeReport, DiffusionSurrogate, ExactCauchy,
                       ExactGaussian, JumpSurrogate, SpatialKernel, parse_kernel,
                       time_derivative_report)
-from .numerics import QuadratureConfig
 from .rng import RngStream
 from .scale import (PiecewisePower, PowerLaw, parse_profile,
                     subgaussian_exponent, subordinated_exponent)

@@ -18,14 +18,14 @@ pure functions of their arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 from scipy import special
 
 from .errors import DomainError, QuadratureError, UnsupportedModelError
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, kronrod_quad, monotone_root
+from .numerics import ABS_FLOOR, REL_TOL, kronrod_quad, monotone_root
 
 
 def _check_positive(name, value):
@@ -152,7 +152,6 @@ class ConstructedCBF(LaplaceExponent):
 
     scale: object
     alpha3: float
-    quadrature: QuadratureConfig = field(default_factory=lambda: DEFAULT_QUADRATURE)
 
     def __post_init__(self):
         if self.alpha3 <= self.scale.exponent_hi:
@@ -175,7 +174,7 @@ class ConstructedCBF(LaplaceExponent):
         at the kink of a two-branch Phi, between the points where the
         integrand has fallen below e**-40 of its peak."""
         _check_positive("lam", lam)
-        a3, scale, cfg = self.alpha3, self.scale, self.quadrature
+        a3, scale = self.alpha3, self.scale
         shift = math.log(lam) / a3
         lo, hi = -40.0 / (a3 - scale.exponent_hi), 40.0 / scale.exponent_lo
         kinks = [0.0, math.log(scale.r_break) + shift] if hasattr(scale, "r_break") else [0.0]
@@ -183,7 +182,7 @@ class ConstructedCBF(LaplaceExponent):
                            [k for k in kinks if lo < k < hi])
         total, err, ok = kronrod_quad(
             lambda w: a3 * special.expit(a3 * w) / scale.value(np.exp(w - shift)),
-            edges, cfg.rel_tol, cfg.abs_floor)
+            edges, REL_TOL, ABS_FLOOR)
         if not ok:
             raise QuadratureError(
                 f"constructed exponent quadrature did not converge at lam={lam}",
@@ -196,9 +195,9 @@ class ConstructedCBF(LaplaceExponent):
         return (self.phi(lam + h) - self.phi(lam - h)) / (2.0 * h)
 
 
-def cbf_from_scale(scale, alpha3, quadrature=None):
+def cbf_from_scale(scale, alpha3):
     """Build the complete Bernstein function matched to a scale function."""
-    return ConstructedCBF(scale, float(alpha3), quadrature or DEFAULT_QUADRATURE)
+    return ConstructedCBF(scale, float(alpha3))
 
 
 @dataclass(frozen=True)

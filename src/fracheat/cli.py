@@ -24,7 +24,7 @@ from .bernstein import parse_exponent
 from .errors import BracketError, DomainError, FracheatError, QuadratureError
 from .harness import CSV_HEADER_COMMENT, VerifyConfig
 from .kernels import ExactCauchy, ExactGaussian
-from .numerics import DEFAULT_QUADRATURE, kronrod_quad
+from .numerics import kronrod_quad
 from .rng import RngStream
 from .subordinator import SubordinatorModel
 
@@ -231,7 +231,7 @@ def _cmd_selftest(args):
 
     checks = []
     s5 = Stable(0.5)
-    model = SubordinatorModel(s5, DEFAULT_QUADRATURE)
+    model = SubordinatorModel(s5)
     checks.append(("phi round-trip", abs(s5.phi_inverse(s5.phi(3.7)) - 3.7) < 1e-9))
     checks.append(("cdf closed form",
                    abs(model.cdf(2.0, 4.0) - special.erfc(0.5)) < 1e-10))

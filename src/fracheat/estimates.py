@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bernstein import LaplaceExponent, Stable
+from .bernstein import LaplaceExponent
 from .errors import DomainError, QuadratureError
 from .numerics import geometric_boundaries, kronrod_quad
 from .scale import PowerLaw, subordinated_exponent
@@ -67,8 +67,8 @@ class EstimateModel:
                     "diffusion estimates need scale index > subordinator index")
 
     def classify(self, t, z):
-        if t <= 0.0 or z < 0.0:
-            raise DomainError("classify needs t > 0, z >= 0")
+        if not (0.0 < t < math.inf and 0.0 <= z < math.inf):
+            raise DomainError(f"estimates need a finite t > 0 and z >= 0, got t={t}, z={z}")
         scalar = float(self.scale.value(z) * self.exponent.phi(1.0 / t))
         regime = Regime.NEAR if scalar <= 1.0 else Regime.OFF
         return RegimeTag(regime, scalar)
@@ -154,51 +154,3 @@ def explicit_near_diagonal(model, t, z):
         front = 1.0 / model.volume.value(model.scale.inverse(1.0 / phi_t))
         return "logarithmic", float(front * math.log(2.0 / rtag.scalar))
     return "not-applicable", None
-
-
-@dataclass(frozen=True)
-class PowerLawEstimate:
-    """d-set specialization: value, or (prefactor, exponent_arg) when local."""
-
-    near: bool
-    value: Optional[float] = None
-    prefactor: Optional[float] = None
-    exponent_arg: Optional[float] = None
-
-
-def dset_estimate(beta, alpha, d, local, t, z):
-    """Estimate shapes on an Ahlfors d-regular space with Phi = r**alpha
-    and a beta-stable time change.
-
-    Near-diagonal (z * phi(1/t)**(1/alpha) <= 1): the three-case power /
-    log / power-deficit form.  Off-diagonal: t**beta / z**(d+alpha) for
-    jump motions; for local (diffusion) motions the pair
-    (phi(1/t)**(d/alpha), t * inverse-power-ratio((z/t)**alpha)), whose
-    second member feeds exp(-c * arg) with an undetermined constant c.
-    The exponential's sign convention is negative.
-    """
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"stable index must lie in (0, 1), got {beta}")
-    if alpha <= 0.0 or d <= 0.0:
-        raise DomainError("need alpha > 0 and d > 0")
-    if local and alpha < 2.0:
-        raise DomainError("local (diffusion) shapes need alpha >= 2")
-    if t <= 0.0 or z < 0.0:
-        raise DomainError("need t > 0, z >= 0")
-    exp_ = Stable(beta)
-    phi_t = t ** -beta
-    near = z * phi_t ** (1.0 / alpha) <= 1.0
-    if near:
-        if d < alpha:
-            return PowerLawEstimate(True, value=phi_t ** (d / alpha))
-        if z == 0.0:
-            return PowerLawEstimate(True, value=math.inf)
-        if d == alpha:
-            return PowerLawEstimate(
-                True, value=phi_t * math.log(2.0 / (z * phi_t ** (1.0 / alpha))))
-        return PowerLawEstimate(True, value=phi_t / z ** (d - alpha))
-    if not local:
-        return PowerLawEstimate(False, value=1.0 / (phi_t * z ** (d + alpha)))
-    narg = t * exp_.power_ratio_inverse(alpha, (z / t) ** alpha)
-    return PowerLawEstimate(False, prefactor=phi_t ** (d / alpha),
-                            exponent_arg=float(narg))

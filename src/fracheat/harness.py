@@ -17,6 +17,7 @@ stream index = row index, so output is byte-identical across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -27,7 +28,6 @@ from .bernstein import parse_exponent
 from .errors import DomainError, FracheatError
 from .estimates import EstimateModel
 from .kernels import DiffusionSurrogate, ExactGaussian, parse_kernel
-from .numerics import DEFAULT_QUADRATURE
 from .rng import RngStream
 from .scale import parse_profile
 from .subordinator import SubordinatorModel
@@ -59,10 +59,13 @@ class VerifyConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        if self.t_lo <= 0 or self.z_lo <= 0 or self.t_hi < self.t_lo or self.z_hi < self.z_lo:
-            raise DomainError("grid ranges must be positive and ordered")
+        if not (0.0 < self.t_lo <= self.t_hi < math.inf
+                and 0.0 < self.z_lo <= self.z_hi < math.inf):
+            raise DomainError("grid ranges must be finite, positive and ordered")
         if self.t_n < 0 or self.z_n < 0:
             raise DomainError("point counts must be >= 0")
+        if self.mc_samples < 100:
+            raise DomainError(f"mc_samples must be >= 100, got {self.mc_samples}")
         if self.z_mode not in ("regime", "absolute"):
             raise DomainError(f"z_mode must be 'regime' or 'absolute', got {self.z_mode}")
         if self.method not in ("quad", "mc"):
@@ -111,7 +114,7 @@ def build_kernel_and_model(cfg):
     scale = parse_profile(cfg.phi_scale)
     volume = parse_profile(cfg.volume)
     kernel = parse_kernel(cfg.kernel, volume=volume, scale=scale)
-    return kernel, SubordinatorModel(exponent, DEFAULT_QUADRATURE)
+    return kernel, SubordinatorModel(exponent)
 
 
 def build_models(cfg):

@@ -1,4 +1,4 @@
-"""Shared numerical utilities: root bracketing, panel quadrature, config.
+"""Shared numerical utilities: root bracketing, panel quadrature, tolerances.
 
 All root targets in this package are monotone on (0, inf), so the one
 solver brackets the root in log x, with steps that double from log 2 on
@@ -22,19 +22,10 @@ from scipy import fft, optimize
 from .errors import BracketError
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances shared by the adaptive quadratures."""
-
-    rel_tol: float = 1e-10
-    abs_floor: float = 1e-300
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# the relative tolerance of the Gauss-Kronrod passes for p, its mass and weak-form
+# checks, the integrated-tail identities and ConstructedCBF.phi; the absolute floor
+# of all but the identities
+REL_TOL, ABS_FLOOR = 1e-10, 1e-300
 
 # roots are sought in [1e-300, 1e300], in log x
 _LOG_LO, _LOG_HI = math.log(1e-300), math.log(1e300)

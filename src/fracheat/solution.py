@@ -10,7 +10,7 @@ independent ways:
   (`density_laplace`), for stable and stable-mixture time changes and the
   1-d Gaussian and Cauchy kernels, whose resolvents are closed forms.  Its
   error is the difference of two node counts plus a rounding bound, and
-  the result is valid only when that error meets rel_tol*|p|: off the
+  the result is valid only when that error meets REL_TOL*|p|: off the
   diagonal p is tiny against the contour terms and the result comes back
   flagged,
 * quadrature against h_t (`density_quadrature`): one vectorized adaptive
@@ -53,8 +53,8 @@ from scipy import integrate, special
 
 from .bernstein import Stable
 from .errors import DomainError, UnsupportedModelError
-from .numerics import EPS, chebyshev_table, geometric_boundaries, kronrod_quad, panel_nodes
-from .rng import RngStream
+from .numerics import (ABS_FLOOR, EPS, REL_TOL, chebyshev_table, geometric_boundaries,
+                       kronrod_quad, panel_nodes)
 from .subordinator import SubordinatorModel
 
 
@@ -137,9 +137,9 @@ def density_quadrature(kernel, model, t, z):
     row per z: the rows share the panels, which `_log_panels` splits at the
     change-of-character points of every row, and h_t, evaluated once per
     node.  A panel is bisected where |K15 - G7| exceeds its share of
-    rel_tol*|p| in some row; each row's error is the sum of those
+    REL_TOL*|p| in some row; each row's error is the sum of those
     differences plus a rounding bound, and its `converged` says whether
-    that meets rel_tol*|p| of the row with p != 0: an underflowed p is
+    that meets REL_TOL*|p| of the row with p != 0: an underflowed p is
     flagged, wherever it came from.
     """
     _check_domain(kernel, model, t, z)
@@ -156,9 +156,8 @@ def density_quadrature(kernel, model, t, z):
         s = np.exp(u)
         return model.inverse_density_grid(t, s) * kernel.q(s, rows[:, None]) * s
 
-    cfg = model.quadrature
     bounds = _log_panels(kernel, model, t, rows)
-    total, error, ok = kronrod_quad(in_log_s, bounds, cfg.rel_tol, cfg.abs_floor)
+    total, error, ok = kronrod_quad(in_log_s, bounds, REL_TOL, ABS_FLOOR)
     ok &= total != 0.0  # an underflowed p meets any tolerance, but is no answer
     for i, value, err, conv in zip(flagged, total.tolist(), error.tolist(), ok.tolist()):
         row[i] = SolutionEstimate(value, err, "quad", conv)
@@ -213,7 +212,7 @@ def _contour_row(kernel, model, t, z):
         first, second = vals[:, :cut].sum(axis=-1).real, vals[:, cut:].sum(axis=-1).real
         rounding = EPS * np.abs(vals).sum(axis=-1)
         error = _LAPLACE_SAFETY * (np.abs(first - second) + rounding)
-        ok = (error <= model.quadrature.rel_tol * np.abs(second)) & (second != 0.0)
+        ok = (error <= REL_TOL * np.abs(second)) & (second != 0.0)
     return [SolutionEstimate(v, e if math.isfinite(e) else math.inf, "laplace", k)
             for v, e, k in zip(second.tolist(), error.tolist(), ok.tolist())]
 
@@ -228,7 +227,7 @@ def density_laplace(kernel, model, t, z):
     contour at two node counts, shared by every z; the error at each z is
     _LAPLACE_SAFETY times their difference plus the rounding bound
     eps * sum |terms|.  Off the diagonal p is tiny against the terms, so
-    the error exceeds rel_tol*|p| and the result comes back flagged, as
+    the error exceeds REL_TOL*|p| and the result comes back flagged, as
     does any non-finite value and p = 0.
     """
     _check_domain(kernel, model, t, z)
@@ -240,8 +239,6 @@ def density_monte_carlo(kernel, model, t, z, n, rng):
     if n < 100:
         raise DomainError(f"need at least 100 samples, got {n}")
     _check_domain(kernel, model, t, np.asarray(z, dtype=float).reshape(-1))
-    if isinstance(rng, (int, np.integer)):
-        rng = RngStream(rng)
     e_samples = model.sample_inverse(t, rng, n)
     q_vals = np.asarray(kernel.q(e_samples, z), dtype=float)
     mean = float(q_vals.mean())
@@ -516,8 +513,7 @@ def mass_residual(kernel, model, t):
     bounds = np.log(geometric_boundaries(
         length / _MASS_REACH, length * _MASS_REACH, per_decade=0.5,
         extra=(0.1 * length, length, 10.0 * length)))
-    cfg = model.quadrature
-    half, _, _ = kronrod_quad(in_log_y, bounds, cfg.rel_tol, cfg.abs_floor)
+    half, _, _ = kronrod_quad(in_log_y, bounds, REL_TOL, ABS_FLOOR)
     return abs(2.0 * half - 1.0)
 
 
@@ -610,8 +606,7 @@ def _self_similar_rows(model, rows):
         rho = np.exp(y)
         return model.inverse_density_grid(1.0, rho) * rho * rows(y)
 
-    cfg = model.quadrature
-    return kronrod_quad(in_log_rho, bounds, cfg.rel_tol, cfg.abs_floor)
+    return kronrod_quad(in_log_rho, bounds, REL_TOL, ABS_FLOOR)
 
 
 def _check_weak_grids(beta, t_grid, x_grid):
@@ -674,7 +669,6 @@ def caputo_weak_residual(beta, f, g, t_grid, x_grid):
         math.log(rho_hi * (1.001 * t_grid.max()) ** beta), _WEAK_TABLE_TOL)
     # each row's error bound, as int h_1 <= 1: G's for memory rows, G2's for the right side
     table_error = table.error[np.repeat([0, 1], [4 * _WEAK_NODES, 1])]
-    cfg = model.quadrature
 
     rows = []
     passes = []  # (total, error, converged) per row of every Kronrod pass
@@ -687,7 +681,7 @@ def caputo_weak_residual(beta, f, g, t_grid, x_grid):
         total, error, ok = _self_similar_rows(model, lambda y: np.vstack([
             table(log_scales[:, None] + y, 0) - g0, table(beta * math.log(t) + y, 1)]))
         error = error + table_error
-        tol = np.maximum(cfg.rel_tol * np.abs(total), cfg.abs_floor)
+        tol = np.maximum(REL_TOL * np.abs(total), ABS_FLOOR)
         passes.append((total, error, ok & (error <= tol)))
         # int g(x) I_tau^w(u(., x)) dx at each difference time tau
         memory = taus ** (1.0 - beta) * pref_const * (total[:-1].reshape(4, -1) @ v_weights)

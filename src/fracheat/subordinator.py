@@ -28,14 +28,14 @@ raise UnsupportedModelError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import stable
 from .bernstein import LaplaceExponent, Stable
 from .errors import DomainError, QuadratureError, UnsupportedModelError
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, geometric_boundaries, kronrod_quad
+from .numerics import REL_TOL, geometric_boundaries, kronrod_quad
 from .rng import RngStream
 
 # path steps one first-passage draw may take before it gives up
@@ -44,6 +44,8 @@ _MAX_INCREMENTS = 4_000_000
 # panels bisected until |K15 - G7| meets _CONV_TOL relative in each row;
 # a density of several parts or a tail mean takes _CONV_ROWS values of r a pass
 _CONV_HEAD, _CONV_PANELS, _CONV_TOL, _CONV_ROWS = 1e-14, 16, 1e-11, 4
+# the fine step of the mixture path sampler, relative to its pilot draw
+_PATH_TOL = 1e-3
 
 
 def _generator(rng):
@@ -152,7 +154,6 @@ class SubordinatorModel:
     """A subordinator identified by its Laplace exponent."""
 
     exponent: LaplaceExponent
-    quadrature: QuadratureConfig = field(default_factory=lambda: DEFAULT_QUADRATURE)
 
     def _components(self):
         """(a_i, beta_i): S_r is the sum of the independent (a_i r)**(1/beta_i) X_i."""
@@ -219,7 +220,7 @@ class SubordinatorModel:
             total += (a * r) ** (1.0 / b) * stable.sample(b, gen, n)
         return total
 
-    def sample_inverse(self, t, rng, n=1, tol=1e-3):
+    def sample_inverse(self, t, rng, n=1):
         """n draws of E_t = inf{s : S_s > t}: (t / X)**beta / a for one
         part, formed from log X, a discretized path for several."""
         comps = self._components()
@@ -228,14 +229,14 @@ class SubordinatorModel:
         if len(comps) == 1:
             (a, b), = comps
             return np.exp(b * (math.log(t) - stable.log_sample(b, gen, n))) / a
-        return self._sample_inverse_path(t, gen, n, tol, comps)
+        return self._sample_inverse_path(t, gen, n, comps)
 
-    def _sample_inverse_path(self, t, gen, n, tol, comps):
+    def _sample_inverse_path(self, t, gen, n, comps):
         """Discretized-path first passage with a per-sample pilot pass.
 
         A coarse pilot run sizes the sample, then the returned draw comes
-        from an independent fine path whose step is tol times the pilot
-        value, accepted unconditionally.  The step must never be chosen by
+        from an independent fine path whose step is _PATH_TOL times the
+        pilot value, accepted unconditionally.  The step must never be chosen by
         an accept/reject rule on the fine draw itself: accepting only
         paths whose passage index is large conditions on E being large and
         visibly skews the law.
@@ -244,7 +245,7 @@ class SubordinatorModel:
         out = np.empty(n)
         for i in range(n):
             pilot = self._first_passage(t, 0.05 * scale0, comps, gen)
-            delta = max(tol * pilot, 1e-9 * scale0)
+            delta = max(_PATH_TOL * pilot, 1e-9 * scale0)
             out[i] = self._first_passage(t, delta, comps, gen)
         return out
 
@@ -350,7 +351,7 @@ def integrated_tail_identities(model, t):
         raise UnsupportedModelError("identity checks need a stable exponent")
     if t <= 0.0:
         raise DomainError("identity checks need t > 0")
-    b, g, tol = model.exponent.beta, model.exponent.integrated_tail, model.quadrature.rel_tol
+    b, g = model.exponent.beta, model.exponent.integrated_tail
 
     def in_log_r(v):
         return np.exp(v) * _truncated_tail_mean(model, np.exp(v), t)
@@ -360,7 +361,7 @@ def integrated_tail_identities(model, t):
     r_lo = 1e-8 * t ** b
     bounds = np.log(geometric_boundaries(r_lo, model.inverse_support(t), per_decade=0.5,
                                          extra=(t ** b,)))
-    total = r_lo * g(t) + kronrod_quad(in_log_r, bounds, tol, 0.0)[0]
+    total = r_lo * g(t) + kronrod_quad(in_log_r, bounds, REL_TOL, 0.0)[0]
     total_res = abs(total - t) / t
 
     # windowed identity: int_0^t w(t-r) P(S_s > r) dr
@@ -379,7 +380,7 @@ def integrated_tail_identities(model, t):
             return q * _part_law(b, np.float64(s), -t * np.expm1(np.log1p(-q) / (1.0 - b)), True)
 
         bounds = np.log(geometric_boundaries(q_lo, 1.0, per_decade=1))
-        lhs = pref * (q_lo + kronrod_quad(in_log_q, bounds, tol, 0.0)[0])
+        lhs = pref * (q_lo + kronrod_quad(in_log_q, bounds, REL_TOL, 0.0)[0])
         rhs = g(t) - _truncated_tail_mean(model, np.array([s]), t)[0]
         first[s] = abs(lhs - rhs) / abs(rhs)
     return IdentityReport(float(total_res), first)

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from fracheat import (DomainError, EstimateModel, PiecewisePower, PowerLaw, Regime, Stable,
-                      dset_estimate, explicit_near_diagonal)
+                      explicit_near_diagonal)
 
 
 def model(beta=0.5, alpha=2.0, d=1.0, flavor="diffusion"):
@@ -14,6 +14,12 @@ def model(beta=0.5, alpha=2.0, d=1.0, flavor="diffusion"):
 
 
 class TestClassify:
+    @pytest.mark.parametrize("t, z", [(1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0),
+                                      (1.0, math.inf), (0.0, 1.0), (1.0, -1.0)])
+    def test_needs_finite_point(self, t, z):
+        with pytest.raises(DomainError):
+            model().classify(t, z)
+
     def test_boundary_inclusive(self):
         m = model()
         tag = m.classify(1.0, 1.0)  # Phi(1) * phi(1) = 1
@@ -123,45 +129,36 @@ class TestEstimate:
 
 
 class TestPowerLawSpecialization:
+    """The d-set shapes: EstimateModel with power profiles, a beta-stable
+    time change, and explicit_near_diagonal near the diagonal."""
+
     def test_near_flat_case(self):
-        est = dset_estimate(0.5, 2.0, 1.0, local=True, t=1.0, z=0.0)
-        assert est.near and est.value == pytest.approx(1.0, rel=1e-12)
+        m = model(0.5, 2.0, 1.0, "diffusion")
+        assert m.classify(1.0, 0.0).regime is Regime.NEAR
+        tag, val = explicit_near_diagonal(m, 1.0, 0.0)
+        assert tag == "time-scale" and val == pytest.approx(1.0, rel=1e-12)
 
     def test_near_time_shape(self):
-        est = dset_estimate(0.5, 2.0, 1.0, local=True, t=16.0, z=0.0)
-        assert est.value == pytest.approx(16.0 ** -0.25, rel=1e-12)
+        tag, val = explicit_near_diagonal(model(0.5, 2.0, 1.0, "diffusion"), 16.0, 0.0)
+        assert tag == "time-scale" and val == pytest.approx(16.0 ** -0.25, rel=1e-12)
 
     def test_off_local_pair(self):
-        est = dset_estimate(0.5, 2.0, 1.0, local=True, t=1.0, z=2.0)
-        assert not est.near
+        est = model(0.5, 2.0, 1.0, "diffusion").estimate(1.0, 2.0)
+        assert est.regime.regime is Regime.OFF
         assert est.prefactor == pytest.approx(1.0, rel=1e-12)
         assert est.exponent_arg == pytest.approx(2.0 ** (4.0 / 3.0), rel=1e-10)
 
     def test_off_jump_value(self):
-        est = dset_estimate(0.5, 1.0, 1.0, local=False, t=1.0, z=10.0)
+        est = model(0.5, 1.0, 1.0, "jump").estimate(1.0, 10.0)
         assert est.value == pytest.approx(0.01, rel=1e-12)
 
     def test_log_case(self):
-        est = dset_estimate(0.5, 1.0, 1.0, local=False, t=1.0, z=0.25)
-        assert est.value == pytest.approx(math.log(8.0), rel=1e-12)
+        tag, val = explicit_near_diagonal(model(0.5, 1.0, 1.0, "jump"), 1.0, 0.25)
+        assert tag == "logarithmic" and val == pytest.approx(math.log(8.0), rel=1e-12)
 
     def test_local_needs_alpha_two(self):
         with pytest.raises(DomainError):
-            dset_estimate(0.5, 1.0, 1.0, local=True, t=1.0, z=1.0)
-
-    def test_consistency_with_general_machinery(self):
-        # the general estimate differs from the specialization only by a
-        # (t, z)-independent factor in each regime
-        m = EstimateModel(Stable(0.5), PowerLaw(1.0), PowerLaw(1.0), "jump")
-        ratios = []
-        for t in (0.3, 1.0, 3.0):
-            for z in (5.0, 10.0, 40.0):
-                if m.classify(t, z).regime is not Regime.OFF:
-                    continue
-                general = m.estimate(t, z).value
-                short = dset_estimate(0.5, 1.0, 1.0, local=False, t=t, z=z).value
-                ratios.append(general / short)
-        assert max(ratios) / min(ratios) < 1.0 + 1e-9
+            model(0.5, 1.0, 1.0, "diffusion")
 
     def test_exponent_consistency_identity(self):
         # t * inv((z/t)**alpha) == inv(z**alpha/t**alpha)/inv(1/(phi(1/t) t**alpha))
@@ -176,9 +173,9 @@ class TestPowerLawSpecialization:
                 assert lhs == pytest.approx(num / den, rel=1e-9)
 
     def test_matches_subordinated_exponent(self):
-        from fracheat import subordinated_exponent
-        est = dset_estimate(0.5, 2.0, 1.0, local=True, t=1.0, z=2.0)
-        n = subordinated_exponent(PowerLaw(2.0), Stable(0.5), 1.0, 2.0)
+        t, z, alpha = 1.0, 2.0, 2.0
+        est = model(0.5, alpha, 1.0, "diffusion").estimate(t, z)
+        n = t * Stable(0.5).power_ratio_inverse(alpha, (z / t) ** alpha)
         assert est.exponent_arg == pytest.approx(n, rel=1e-9)
 
 

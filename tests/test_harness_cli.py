@@ -132,6 +132,10 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
             VerifyConfig(t_lo=-1.0)
+        for bad in ({"t_lo": float("nan")}, {"t_hi": float("inf")}, {"z_hi": float("inf")},
+                    {"z_lo": float("nan")}, {"mc_samples": 99}):
+            with pytest.raises(DomainError):
+                VerifyConfig(**bad)
         with pytest.raises(DomainError):
             VerifyConfig(method="dance")
 
@@ -258,6 +262,28 @@ class TestCli:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("fracheat: sample_") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "mc", "--mc-samples", "-5"], "mc_samples must be >= 100, got -5"),
+        (["--z-hi", "inf"], "grid ranges must be finite, positive and ordered"),
+        (["--t-lo", "nan"], "grid ranges must be finite, positive and ordered")],
+        ids=["mc_samples", "z_hi", "t_lo"])
+    def test_verify_bad_input_is_usage_error(self, capsys, flags, message):
+        code = run_cli(["verify", "--config", str(CAMPAIGNS / "jump.cfg"),
+                        "--t-n", "2", "--z-n", "2", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"fracheat: {message}\n"
+
+    @pytest.mark.parametrize("t, z", [("1", "nan"), ("nan", "1"), ("inf", "1")])
+    def test_estimate_non_finite_point_is_usage_error(self, capsys, t, z):
+        code = run_cli(["estimate", "--beta", "0.5", "--kernel", "cauchy:1", "--t", t, "--z", z])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("fracheat: estimates need a finite t > 0 and z >= 0, "
+                                f"got t={float(t)}, z={float(z)}\n")
 
     def test_verify_flagged_rows_exit_3(self, capsys):
         # the six underflowed rows (p = 0) are flagged: they leave the

@@ -166,8 +166,8 @@ class TestQuadrature:
         est = density_quadrature(gauss, half, 1.0, 30.0)  # flagged on the contour
         assert est.method == "quad" and est.converged
 
-    def test_unmet_tolerance_is_flagged(self, cauchy, monkeypatch):
-        from fracheat import QuadratureConfig, numerics
+    def test_unmet_tolerance_is_flagged(self, cauchy, half, monkeypatch):
+        from fracheat import numerics, solution
         evaluated = []
         panels = numerics._kronrod_panels
 
@@ -176,8 +176,8 @@ class TestQuadrature:
             return panels(f, lo, hi)
 
         monkeypatch.setattr(numerics, "_kronrod_panels", counting)
-        model = SubordinatorModel(Stable(0.5), QuadratureConfig(rel_tol=1e-20))
-        est = density_quadrature(cauchy, model, 1.0, 0.3)
+        monkeypatch.setattr(solution, "REL_TOL", 1e-20)
+        est = density_quadrature(cauchy, half, 1.0, 0.3)
         assert sum(evaluated[1:]) == 2 * numerics._MAX_BISECTIONS  # budget spent
         assert not est.converged
         assert math.isfinite(est.error) and est.error > 1e-20 * est.value
@@ -757,9 +757,21 @@ class TestWeakFormTable:
         assert rep.quad_error >= rep.table_error
 
 
-def test_quadrature_config_validation():
-    from fracheat import QuadratureConfig
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=2.0)
-    cfg = QuadratureConfig()
-    assert cfg.rel_tol == 1e-10
+def test_quadrature_tolerances():
+    from fracheat import numerics
+    assert (numerics.REL_TOL, numerics.ABS_FLOOR) == (1e-10, 1e-300)
+
+
+def test_tolerances_are_not_settable():
+    # the tolerances are module constants, and the d-set shapes are
+    # EstimateModel's: no model field, argument or export sets or repeats them
+    import dataclasses
+    import inspect
+
+    import fracheat
+    from fracheat import ConstructedCBF
+    assert [f.name for f in dataclasses.fields(SubordinatorModel)] == ["exponent"]
+    assert [f.name for f in dataclasses.fields(ConstructedCBF)] == ["scale", "alpha3"]
+    assert "tol" not in inspect.signature(SubordinatorModel.sample_inverse).parameters
+    for name in ("QuadratureConfig", "dset_estimate", "PowerLawEstimate"):
+        assert not hasattr(fracheat, name)

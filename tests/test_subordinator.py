@@ -280,15 +280,15 @@ class TestSampling:
                     assert np.max(np.abs(draws / ref - 1.0)) <= 1e-14
 
     def test_mixture_inverse_against_cdf(self, mixture):
-        draws = np.sort(mixture.sample_inverse(0.7, RngStream(21, 0), 300, tol=5e-3))
+        draws = np.sort(mixture.sample_inverse(0.7, RngStream(21, 0), 300))
         probe = draws[::15]
         cdf_vals = np.array([mixture.survival(float(r), 0.7) for r in probe])
         emp = (np.arange(1, draws.size + 1) / draws.size)[::15]
         assert np.max(np.abs(cdf_vals - emp)) < 0.12
 
     def test_mixture_path_cap_raises(self, mixture, monkeypatch):
-        # the fine step is tol times the pilot draw, so a path needs ~1/tol
-        # steps: one chunk of 512 cannot reach t
+        # the fine step is _PATH_TOL times the pilot draw, so a path needs
+        # ~1/_PATH_TOL steps: one chunk of 512 cannot reach t
         monkeypatch.setattr(subordinator, "_MAX_INCREMENTS", 512)
         with pytest.raises(QuadratureError):
             mixture.sample_inverse(0.7, RngStream(21, 0), 1)
