@@ -172,7 +172,8 @@ def _cmd_verify(args):
     print(f"near: n={report.near_summary.count} spread={report.near_summary.spread!r}; "
           f"off: n={report.off_summary.count} spread={report.off_summary.spread!r}; "
           f"off log-ratio: [{report.off_log_lo!r}, {report.off_log_hi!r}]; "
-          f"all_finite={report.all_finite}; flagged={report.flagged}", file=sys.stderr)
+          f"all_finite={report.all_finite}; flagged={report.flagged}; tilted={report.tilted}",
+          file=sys.stderr)
     return 1 if not report.all_finite else 3 if report.flagged else 0
 
 

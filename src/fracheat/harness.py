@@ -11,8 +11,9 @@ records finiteness and per-regime spread over the rows whose p converged
 and counts the flagged rest, and acceptance thresholds live with the test
 suite.
 
-Rows are evaluated in (t-index, z-index) order and Monte Carlo rows use
-stream index = row index, so output is byte-identical across runs.
+p is evaluated a t-row of z at a time, in (t-index, z-index) order, and
+a Monte Carlo t-row draws from the stream (seed, t index), so output is
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -163,28 +164,29 @@ class SandwichReport:
     off_log_hi: float
     all_finite: bool                    # no row errored, every converged row is finite
     flagged: int                        # rows whose p came back not converged
+    tilted: int                         # rows estimated from tilted Monte Carlo draws
 
 
-def _quad_row(kernel, model, t, zs):
-    """p(t, z) at every z of one t by one row call of density_quadrature.
-    A FracheatError it raises stands for every z, as per-point calls would
-    have raised it: density errors do not depend on z > 0."""
+def _p_row(kernel, model, cfg, index, t, zs):
+    """p(t, z) at every z of the t of index `index` by one row call: of
+    density_quadrature, or of density_monte_carlo on the stream
+    (seed, index).  A FracheatError it raises stands for every z, as
+    per-point calls would have raised it: density errors do not depend on
+    z > 0."""
     try:
+        if cfg.method == "mc":
+            return solution.density_monte_carlo(kernel, model, t, np.array(zs),
+                                                cfg.mc_samples, RngStream(cfg.seed, index))
         return solution.density_quadrature(kernel, model, t, np.array(zs))
     except FracheatError as exc:
         return [exc] * len(zs)
 
 
-def _evaluate_row(kernel, model, emodel, cfg, index, t, z, quad):
+def _evaluate_row(emodel, cfg, t, z, est_p):
     try:
         tag = emodel.classify(t, z)
-        if cfg.method == "mc":
-            est_p = solution.density_monte_carlo(
-                kernel, model, t, z, cfg.mc_samples, RngStream(cfg.seed, index))
-        elif isinstance(quad, FracheatError):
-            raise quad
-        else:
-            est_p = quad
+        if isinstance(est_p, FracheatError):
+            raise est_p
         shape = emodel.estimate(t, z)
         if shape.value is not None:
             ratio = est_p.value / shape.value if shape.value > 0 else np.inf
@@ -201,8 +203,8 @@ def _evaluate_row(kernel, model, emodel, cfg, index, t, z, quad):
 
 
 def verify_sandwich(cfg):
-    """Run one campaign and summarize per-regime comparability.  By
-    quadrature, p is evaluated a t-row of z at a time."""
+    """Run one campaign and summarize per-regime comparability; p is
+    evaluated a t-row of z at a time."""
     kernel, model, emodel = build_models(cfg)
     t_grid = np.geomspace(cfg.t_lo, cfg.t_hi, cfg.t_n) if cfg.t_n else np.array([])
     v_grid = np.geomspace(cfg.z_lo, cfg.z_hi, cfg.z_n) if cfg.z_n else np.array([])
@@ -211,10 +213,8 @@ def verify_sandwich(cfg):
         phi_t = emodel.exponent.phi(1.0 / t)
         zs = [float(emodel.scale.inverse(v / phi_t)) if cfg.z_mode == "regime" else float(v)
               for v in v_grid]
-        quad = (_quad_row(kernel, model, float(t), zs) if cfg.method == "quad"
-                else [None] * len(zs))
-        rows.extend(_evaluate_row(kernel, model, emodel, cfg, i * len(zs) + j, float(t), z, p)
-                    for j, (z, p) in enumerate(zip(zs, quad)))
+        row = _p_row(kernel, model, cfg, i, float(t), zs)
+        rows.extend(_evaluate_row(emodel, cfg, float(t), z, p) for z, p in zip(zs, row))
     rows = tuple(rows)
 
     # a flagged row's p carries no verdict: it is counted in `flagged` only
@@ -237,7 +237,9 @@ def verify_sandwich(cfg):
     off_log_lo = min(logs) if logs else float("nan")
     off_log_hi = max(logs) if logs else float("nan")
     flagged = sum(not r.converged for r in rows if r.error is None)
-    return SandwichReport(rows, near_s, off_s, off_log_lo, off_log_hi, all_finite, flagged)
+    tilted = sum(r.method == "mc-tilted" for r in rows)
+    return SandwichReport(rows, near_s, off_s, off_log_lo, off_log_hi, all_finite, flagged,
+                          tilted)
 
 
 def _fmt(value):

@@ -5,8 +5,8 @@ are backed by the Philox counter-based generator, so identical
 ``(seed, index)`` pairs reproduce identical sample sequences regardless of
 how many other streams are drawn from, and distinct indices give
 statistically independent streams.  This keeps campaigns bitwise
-reproducible: each row draws from its own stream, so no row's draws depend
-on another's.
+reproducible: each t of a campaign draws from its own stream, indexed by
+the t index, so no t's draws depend on another's.
 """
 
 from __future__ import annotations

@@ -19,16 +19,23 @@ independent ways:
   stable-mixture time change tries the contour first, as the fast path,
   and takes this rule only when the kernel has no resolvent or the
   contour result is flagged,
-* Monte Carlo over inverse-subordinator samples,
+* Monte Carlo over inverse-subordinator samples (`density_monte_carlo`),
+  one draw set per call shared by every z of the row.  A z whose sample
+  of q has an effective size (sum q)**2 / sum q**2 below _MC_MIN_ESS rests
+  on a handful of draws, so its stated error means nothing.  A stable time
+  change re-estimates it from exactly Esscher-tilted draws, weighted back
+  by exp(theta X - theta**beta), with theta set by the saddle of q against
+  the left tail of h_t; a z still below the floor, and every such z of a
+  mixture, comes back flagged,
 * for stable subordinators and 1-d Gaussian/Cauchy kernels, the
   Fourier-Mittag-Leffler representation
       p(t, z) = (1/pi) int_0^inf cos(xi z) E_beta(-xi**alpha t**beta) dxi,
   which never touches the subordination path and serves as an oracle.
 
-The contour and the quadrature take a scalar z or a 1-d array of z at
-one t, through one core: a row of z shares the contour nodes, and the z
-left to the Gauss-Kronrod rule share one pass, with h_t evaluated once
-per node.
+The contour, the quadrature and Monte Carlo take a scalar z or a 1-d
+array of z at one t, through one core: a row of z shares the contour
+nodes, the z left to the Gauss-Kronrod rule share one pass, with h_t
+evaluated once per node, and Monte Carlo shares its inverse-time draws.
 
 The module also carries the Mittag-Leffler evaluator E_beta(-x), a mass
 conservation check (one Gauss-Kronrod pass in log y over that row form),
@@ -51,11 +58,12 @@ from functools import lru_cache, wraps
 import numpy as np
 from scipy import integrate, special
 
+from . import stable
 from .bernstein import Stable
 from .errors import DomainError, UnsupportedModelError
 from .numerics import (ABS_FLOOR, EPS, REL_TOL, chebyshev_table, geometric_boundaries,
                        kronrod_quad, panel_nodes)
-from .subordinator import SubordinatorModel
+from .subordinator import SubordinatorModel, _generator
 
 
 @dataclass(frozen=True)
@@ -69,14 +77,15 @@ class SolutionEstimate:
 
 
 def _along_z(row_form):
-    """Let row_form(kernel, model, t, z) of a 1-d array z, which returns one
-    estimate per z in a list, take a scalar z too, which gives one estimate."""
+    """Let row_form(kernel, model, t, z, *args) of a 1-d array z, which
+    returns one estimate per z in a list, take a scalar z too, which gives
+    one estimate."""
     @wraps(row_form)
-    def wrapped(kernel, model, t, z):
+    def wrapped(kernel, model, t, z, *args):
         zs = np.asarray(z, dtype=float)
         if zs.ndim > 1:
             raise DomainError("z must be a scalar or a 1-d array")
-        row = row_form(kernel, model, t, zs.reshape(-1))
+        row = row_form(kernel, model, t, zs.reshape(-1), *args)
         return row if zs.ndim else row[0]
     return wrapped
 
@@ -101,12 +110,16 @@ def _log_panels(kernel, model, t, z):
     split where one changes character, at the kernel's own time scale at
     each distance z and the inverse-subordinator time scale.  Off the
     diagonal q(s, z) vanishes as s -> 0; on it q may blow up like s**-1/2,
-    which leaves a head of relative size (s_lo / scale)**(1/2)."""
+    which leaves a head of relative size (s_lo / scale)**(1/2).  Splits one
+    ulp apart in s, such as the time scale of a piecewise profile at
+    Phi(Phi^-1(s)) = s, meet in log s, so equal logs are merged: a
+    zero-width panel would divide 0/0 in kronrod_quad."""
     inv_phi = 1.0 / model.exponent.phi(1.0 / t)
     splits = {inv_phi, 2.0 * inv_phi, *map(kernel.time_scale, z.tolist())} - {0.0}
     s_hi = model.inverse_support(t)
     s_lo = min(min(splits), s_hi) * (1e-18 if z.all() else 1e-36)
-    return np.log(geometric_boundaries(s_lo, s_hi, per_decade=2, extra=sorted(splits)))
+    return np.unique(np.log(geometric_boundaries(s_lo, s_hi, per_decade=2,
+                                                 extra=sorted(splits))))
 
 
 def _check_on_diagonal_integrable(kernel, model, t):
@@ -234,16 +247,97 @@ def density_laplace(kernel, model, t, z):
     return _contour_row(kernel, model, t, z)
 
 
+# a z whose sample of q has an effective size (sum q)**2 / sum q**2 below
+# this rests on a few draws: it is tilted, or flagged
+_MC_MIN_ESS = 50
+# the saddle search in log s: points per grid, grids
+_SADDLE_GRID, _SADDLE_LEVELS = 32, 4
+
+
+def _mc_mean(values, method):
+    """The sample mean of values with its standard error, converged when the
+    effective sample size (sum v)**2 / sum v**2 reaches _MC_MIN_ESS.  Both
+    sums run on values / max(values), so that squares of tiny values do not
+    underflow, and give the variance too; an all-zero sample is no answer."""
+    peak = values.max()
+    if not peak > 0.0:
+        return SolutionEstimate(0.0, 0.0, method, False)
+    scaled = values / peak
+    n, total, square = values.size, scaled.sum(), scaled @ scaled
+    variance = max(square - total * total / n, 0.0) / (n - 1)
+    return SolutionEstimate(float(peak * (total / n)), float(peak * math.sqrt(variance / n)),
+                            method, bool(total * total >= _MC_MIN_ESS * square))
+
+
+def _saddle_tilt(kernel, model, t, z):
+    """The Esscher tilt theta = (b / X*)**(1/(1-b)) of the standard
+    b-stable X of the one-part exponent a lam**b, whose tilted mean
+    b theta**(b-1) is X* = t (a s*)**(-1/b), the X at which
+    E_t = (t/X)**b / a equals s*.  s* maximizes over s
+        log q(s, z) - (1-b) b**(b/(1-b)) (a s)**(1/(1-b)) t**(-b/(1-b)),
+    log q plus the left-tail exponent of the density of E_t (that of X at
+    X = t (a s)**(-1/b)).  The search in log s runs from e**-14 times the
+    typical size t**b / a of E_t to the support bound of h_t on a grid of
+    _SADDLE_GRID points, then _SADDLE_LEVELS times more on the two cells
+    around the best point; where q underflows the objective is +inf."""
+    (a, b), = model._components()
+    scale = (1.0 - b) * b ** (b / (1.0 - b)) * t ** (-b / (1.0 - b))
+
+    def minus_log_weight(u):
+        s = np.exp(u)
+        with np.errstate(divide="ignore", over="ignore"):
+            return scale * (a * s) ** (1.0 / (1.0 - b)) - np.log(kernel.q(s, z))
+
+    lo, hi = math.log(t ** b / a) - 14.0, math.log(model.inverse_support(t))
+    for _ in range(_SADDLE_LEVELS):
+        grid = np.linspace(lo, hi, _SADDLE_GRID)
+        k = int(np.argmin(minus_log_weight(grid)))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, _SADDLE_GRID - 1)]
+    u = 0.5 * (lo + hi)
+    log_x = math.log(t) - (math.log(a) + u) / b
+    return math.exp((math.log(b) - log_x) / (1.0 - b))
+
+
+def _tilted(kernel, model, t, z, n, generator):
+    """p(t, z) for a one-part exponent a lam**b from the Esscher-tilted X
+    of `stable.tilted_sample`, spending n Kanter draws of the generator: the
+    mean of q((t/X)**b / a, z) exp(theta X - theta**b).  None when fewer
+    than two tilted draws came out."""
+    (a, b), = model._components()
+    theta = _saddle_tilt(kernel, model, t, z)
+    x = stable.tilted_sample(b, theta, generator, n)
+    if x.size < 2:
+        return None
+    weights = np.exp(theta * x - theta ** b)
+    return _mc_mean(kernel.q(np.exp(b * (math.log(t) - np.log(x))) / a, z) * weights,
+                    "mc-tilted")
+
+
+@_along_z
 def density_monte_carlo(kernel, model, t, z, n, rng):
-    """p(t, z) as the sample mean of q over inverse-subordinator draws."""
+    """p(t, z) as the sample mean of q over n inverse-subordinator draws,
+    for a scalar z or each z of a 1-d array, as one estimate or a list of
+    them.  The draws are made once and shared by every z; q is formed one
+    z at a time, so no (z, draw) array is built, and the estimate at an
+    untilted z is the one a scalar call on the same stream gives.
+
+    A z whose effective sample size falls below _MC_MIN_ESS is re-estimated
+    for a one-part exponent by `_tilted`, whose draws continue the stream
+    after the shared ones, z by z in row order; it keeps the method
+    "mc-tilted" and is converged when its own ESS reaches the floor.  A
+    mixture's collapsed z comes back flagged."""
     if n < 100:
         raise DomainError(f"need at least 100 samples, got {n}")
-    _check_domain(kernel, model, t, np.asarray(z, dtype=float).reshape(-1))
+    _check_domain(kernel, model, t, z)
+    terms = model._components()
     e_samples = model.sample_inverse(t, rng, n)
-    q_vals = np.asarray(kernel.q(e_samples, z), dtype=float)
-    mean = float(q_vals.mean())
-    stderr = float(q_vals.std(ddof=1) / math.sqrt(n))
-    return SolutionEstimate(mean, stderr, "mc", True)
+    row = []
+    for zj in z.tolist():
+        est = _mc_mean(np.asarray(kernel.q(e_samples, zj), dtype=float), "mc")
+        if not est.converged and len(terms) == 1:
+            est = _tilted(kernel, model, t, zj, n, _generator(rng)) or est
+        row.append(est)
+    return row
 
 
 # --------------------------------------------------------------------------

@@ -34,11 +34,14 @@ on a 2-vCPU Xeon host (numpy 2.4), against 0.25 ms for its vectorized
 tan and 0.15 ms for log.  All of U and then all of W are drawn in stream
 order; log S is then formed in blocks of _DRAW_BLOCK draws, so that its
 temporaries stay in cache instead of each paying the page faults of a
-fresh array of n floats.
+fresh array of n floats.  ``tilted_sample`` draws S exactly under an
+exponential (Esscher) tilt by rejection of Kanter pieces (Hofert, ACM
+TOMACS 22(1), 2011).
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -302,3 +305,21 @@ def log_sample(beta, generator, n=1):
 def sample(beta, generator, n=1):
     """n draws of S via Kanter's method (vectorized)."""
     return np.exp(log_sample(beta, generator, n))
+
+
+def tilted_sample(beta, theta, generator, budget):
+    """Exact draws of S under the Esscher measure
+    exp(-theta S + theta**beta) P(dS), from `budget` Kanter draws.
+
+    S is the sum of m = ceil(theta**beta) independent pieces
+    Y = m**(-1/beta) X, and the tilt of a sum is the sum of the tilted
+    pieces.  Each piece is kept with probability exp(-theta Y), which has
+    mean exp(-theta**beta / m) >= 1/e; the kept pieces, in stream order,
+    are summed m at a time, and a remainder of fewer than m is dropped.
+    The budget draws of log_sample come first, then one exponential per
+    piece for the acceptance test."""
+    m = max(1, math.ceil(theta ** beta))
+    pieces = np.exp(log_sample(beta, generator, budget) - math.log(m) / beta)
+    kept = pieces[generator.exponential(1.0, budget) > theta * pieces]
+    count = kept.size // m
+    return kept[:count * m].reshape(count, m).sum(axis=1)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,30 @@ class TestVerify:
         rep = verify_sandwich(small_jump_config())
         assert [z.size for z in calls] == [3, 3, 3]
         assert [r.z for r in rep.rows] == [z for row in calls for z in row.tolist()]
+
+    def test_mc_takes_one_call_per_t(self, monkeypatch):
+        from fracheat import solution
+        calls = []
+        row_form = solution.density_monte_carlo
+        monkeypatch.setattr(solution, "density_monte_carlo",
+                            lambda *args: calls.append(args) or row_form(*args))
+        cfg = small_jump_config(method="mc", mc_samples=2000, seed=5)
+        rep = verify_sandwich(cfg)
+        assert [args[3].size for args in calls] == [3, 3, 3]
+        assert [(args[5].seed, args[5].index) for args in calls] == [(5, 0), (5, 1), (5, 2)]
+        assert [r.z for r in rep.rows] == [z for args in calls for z in args[3].tolist()]
+
+    def test_mc_deep_rows_are_tilted(self):
+        # the deepest diffusion column rests on a few plain draws; its rows
+        # come back tilted and converged, within 4 stated errors of quadrature
+        base = config_from_mapping(read_config(CAMPAIGNS / "diffusion.cfg"))
+        cfg = config_from_mapping(dict(t_n=2, z_n=3), base=base)
+        quad = verify_sandwich(cfg)
+        mc = verify_sandwich(replace(cfg, method="mc", mc_samples=50_000))
+        assert [r.method for r in mc.rows] == ["mc", "mc", "mc-tilted"] * 2
+        assert mc.tilted == 2 and mc.flagged == 0
+        for rq, rm in zip(quad.rows, mc.rows):
+            assert rm.converged and abs(rm.p - rq.p) < 4.0 * rm.p_err
 
     def test_row_error_recorded_per_point(self, monkeypatch):
         from fracheat import solution
@@ -147,7 +172,7 @@ class TestCli:
         assert run_cli(["verify", "--config", str(CAMPAIGNS / name),
                         "--t-n", "3", "--z-n", "3", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2 + 9
-        assert capsys.readouterr().err.rstrip().endswith("; flagged=0")
+        assert capsys.readouterr().err.rstrip().endswith("; flagged=0; tilted=0")
 
     @pytest.mark.parametrize("name", ["jump.cfg", "diffusion.cfg"])
     def test_campaign_csv_is_byte_identical(self, name, tmp_path, capsys):
@@ -182,6 +207,32 @@ class TestCli:
         row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
         assert row[-1] == "laplace"
         assert float(row[2]) == pytest.approx(0.241577, rel=1e-5)
+
+    def test_eval_mc_collapsed_mixture_exits_3(self, capsys):
+        code = run_cli(["eval", "--subordinator", "mixture:1,0.3;1,0.7", "--kernel",
+                        "gaussian:1", "--t", "1", "--z", "10", "--method", "mc", "--n", "200"])
+        assert code == 3
+        assert "non-convergence" in capsys.readouterr().err
+
+    def test_verify_mc_reports_tilted_rows(self, capsys):
+        code = run_cli(["verify", "--config", str(CAMPAIGNS / "diffusion.cfg"), "--t-n", "2",
+                        "--z-n", "3", "--method", "mc", "--mc-samples", "20000"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.rstrip().endswith("; flagged=0; tilted=2")
+        assert captured.out.count(",mc-tilted\n") == 2
+
+    def test_power2_jump_campaign(self, capsys):
+        # at v = 1 the kernel time scale Phi(Phi^-1(1/phi(1/t))) is one ulp
+        # from 1/phi(1/t): the two splits share a log and give no empty panel
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["verify", "--config", str(CAMPAIGNS / "jump.cfg"), "--kernel", "jump",
+                            "--phi-scale", "power2:0.5,1.5,1", "--t-n", "5", "--z-n", "5"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.rstrip().endswith("; flagged=0; tilted=0")
+        assert "nan" not in captured.out
 
     def test_eval_fourier(self, capsys):
         code = run_cli(["eval", "--beta", "0.5", "--kernel", "gaussian:1",
@@ -296,7 +347,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 3
         summary = captured.err.strip().splitlines()[-1]
-        assert summary.endswith("all_finite=True; flagged=6")
+        assert summary.endswith("all_finite=True; flagged=6; tilted=0")
         lo, hi = (float(v) for v in summary.split("off log-ratio: [")[1].split("]")[0].split(","))
         assert lo == pytest.approx(0.4746362297905614, rel=1e-9)
         assert hi == pytest.approx(0.4940753288435190, rel=1e-9)

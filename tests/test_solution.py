@@ -450,6 +450,120 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             density_monte_carlo(gauss, half, 1.0, 0.0, 10, RngStream(0, 0))
 
+    def test_row_matches_scalar_calls(self, gauss, cauchy, half):
+        # one draw set per call: an untilted z of a row is bitwise the
+        # scalar call on the same stream, tilted z in the row or not
+        for kernel, zs, methods in ((gauss, [0.0, 0.5, 3.0, 30.0, 8.0], "mc mc mc mc-tilted mc"),
+                                    (cauchy, [0.5, 3.0, 30.0, 8.0], "mc mc mc mc")):
+            row = density_monte_carlo(kernel, half, 1.0, np.array(zs), 20_000, RngStream(81, 2))
+            assert [est.method for est in row] == methods.split()
+            for z, est in zip(zs, row):
+                if est.method == "mc":
+                    assert est == density_monte_carlo(kernel, half, 1.0, z, 20_000,
+                                                      RngStream(81, 2))
+
+    def test_deep_row_is_tilted(self, gauss, half):
+        # at (1, 30) p ~ 8.748e-21 rests on a handful of plain draws; the
+        # tilted draws recover it within 4 stated standard errors
+        ref = _half_stable_reference("gaussian", 1.0, 30.0)
+        assert ref == pytest.approx(8.748e-21, rel=1e-3)
+        est = density_monte_carlo(gauss, half, 1.0, 30.0, 100_000, RngStream(82, 0))
+        assert est.method == "mc-tilted" and est.converged
+        assert abs(est.value - ref) < 4.0 * est.error
+        assert est.error < 0.02 * ref
+
+    def test_collapse_without_tilt_is_flagged(self, gauss, half, monkeypatch):
+        # the plain estimate at (1, 30) has an effective sample size of a
+        # few draws; with no tilted fallback it comes back flagged
+        monkeypatch.setattr(solution, "_tilted", lambda *args: None)
+        est = density_monte_carlo(gauss, half, 1.0, 30.0, 100_000, RngStream(82, 0))
+        assert est.method == "mc" and not est.converged
+
+    def test_collapsed_mixture_is_flagged(self, gauss, mix):
+        est = density_monte_carlo(gauss, mix, 1.0, 10.0, 200, RngStream(0, 0))
+        assert est.method == "mc" and not est.converged
+
+    def test_tilted_rows_deterministic(self, gauss, half):
+        zs = np.array([1.0, 20.0, 30.0, 40.0])
+        a = density_monte_carlo(gauss, half, 2.0, zs, 20_000, RngStream(83, 5))
+        b = density_monte_carlo(gauss, half, 2.0, zs, 20_000, RngStream(83, 5))
+        assert [e.method for e in a].count("mc-tilted") == 3
+        assert a == b
+
+    def test_zero_sample_is_flagged(self, gauss, half):
+        # q underflows at every plain draw; the tilted draws still reach it
+        # or the row is flagged, never a converged zero
+        est = density_monte_carlo(gauss, half, 1.0, 1e4, 1_000, RngStream(84, 0))
+        assert est.converged == (est.value > 0.0)
+
+
+SCALE_LAM = 2.0
+SCALE_POINTS = ((0.3, 0.2), (1.0, 1.5), (2.0, 4.0), (0.5, 6.0))
+
+
+def _scaled_pair(evaluate, alpha, beta):
+    """(p(t, z), lam * p(lam**(alpha/beta) t, lam z)) estimates at each
+    point: the two agree for a beta-stable time change of a 1-d kernel of
+    time scale z**alpha, as E_(c t) = c**beta E_t in law."""
+    for t, z in SCALE_POINTS:
+        yield evaluate(t, z), evaluate(SCALE_LAM ** (alpha / beta) * t, SCALE_LAM * z)
+
+
+def _assert_self_similar(base, scaled, slack=1e-14):
+    """Within the stated errors, plus a rounding slack for the scaled t."""
+    gap = abs(SCALE_LAM * scaled.value - base.value)
+    assert gap <= SCALE_LAM * scaled.error + base.error + slack * abs(base.value), (base, scaled)
+
+
+class TestSelfSimilarity:
+    """p(lam**(alpha/beta) t, lam z) = lam**-1 p(t, z) for stable:beta and
+    the Gaussian (alpha = 2) and Cauchy (alpha = 1) kernels, on every
+    evaluator of p."""
+
+    @pytest.mark.parametrize("beta", [0.5, 0.7])
+    def test_kronrod(self, gauss, cauchy, beta, monkeypatch):
+        model = SubordinatorModel(Stable(beta))
+        for kernel, alpha in ((gauss, 2), (cauchy, 1)):
+            monkeypatch.setattr(type(kernel), "resolvent", _no_resolvent)
+            for base, scaled in _scaled_pair(
+                    lambda t, z: density_quadrature(kernel, model, t, z), alpha, beta):
+                assert base.method == scaled.method == "quad"
+                assert base.converged and scaled.converged
+                _assert_self_similar(base, scaled)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.7])
+    def test_contour(self, gauss, cauchy, beta):
+        model = SubordinatorModel(Stable(beta))
+        checked = 0
+        for kernel, alpha in ((gauss, 2), (cauchy, 1)):
+            for base, scaled in _scaled_pair(
+                    lambda t, z: density_laplace(kernel, model, t, z), alpha, beta):
+                if base.converged and scaled.converged:
+                    _assert_self_similar(base, scaled)
+                    checked += 1
+        assert checked >= 4
+
+    @pytest.mark.parametrize("beta", [0.5, 0.7])
+    def test_fourier(self, beta):
+        for alpha in (1, 2):
+            for base, scaled in _scaled_pair(
+                    lambda t, z: _fourier(beta, alpha, t, z), alpha, beta):
+                assert base.converged and scaled.converged
+                _assert_self_similar(base, scaled)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.7])
+    def test_monte_carlo(self, gauss, cauchy, beta):
+        # the same stream scales every inverse-time draw by lam**alpha up
+        # to rounding, so untilted estimates agree far inside their errors
+        model = SubordinatorModel(Stable(beta))
+        for kernel, alpha in ((gauss, 2), (cauchy, 1)):
+            for base, scaled in _scaled_pair(
+                    lambda t, z: density_monte_carlo(kernel, model, t, z, 20_000,
+                                                     RngStream(85, 0)), alpha, beta):
+                assert base.method == scaled.method == "mc"
+                assert SCALE_LAM * scaled.value == pytest.approx(base.value, rel=1e-12)
+                assert SCALE_LAM * scaled.error == pytest.approx(base.error, rel=1e-9)
+
 
 class TestMittagLeffler:
     def test_identity_half(self):
