@@ -10,7 +10,14 @@ space with volume profile V and space-time scale Phi:
 
 with m the sub-Gaussian chaining exponent solving t/m = Phi(z/m).
 
-All kernels are radially symmetric, immutable and vectorized over t or z.
+All kernels are radially symmetric and immutable.  Each has a row form:
+``kernel.at(s)`` forms the factors of q(s, .) that do not depend on z once,
+for a scalar s or an array of s, and returns ``q_of(z, out=None)``, which
+broadcasts z against s.  ``q(t, z)`` is ``at(t)(z)``, so each kernel keeps
+one formula.  q_of does every step of that formula in one array: ``out``
+when given, else a fresh one of the broadcast shape.  A Monte Carlo row
+calls it once per z over the same draws of s, so the row needs one buffer
+rather than fresh arrays at every z, and its values are the same bits.
 """
 
 from __future__ import annotations
@@ -25,10 +32,21 @@ from .errors import DomainError, UnsupportedModelError
 from .scale import subgaussian_exponent
 
 
+def _row_out(out, s, z):
+    """out, or a fresh array of the broadcast shape of s and z."""
+    return np.empty(np.broadcast(s, z).shape) if out is None else out
+
+
 class SpatialKernel:
     """Base: q(t, z) >= 0, non-increasing in z for fixed t."""
 
     def q(self, t, z):
+        return self.at(t)(z)
+
+    def at(self, s):
+        """The row form of q at s: q_of(z, out=None) gives q(s, z), a
+        scalar for scalar s and z, else an array of their broadcast shape,
+        written into out when one is given."""
         raise NotImplementedError
 
     def time_scale(self, z):
@@ -58,11 +76,17 @@ class ExactGaussian(SpatialKernel):
 
     dim: int = 1
 
-    def q(self, t, z):
-        t = np.asarray(t, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return ((4.0 * np.pi * t) ** (-self.dim / 2.0)
-                * np.exp(-z * z / (4.0 * t)))[()]
+    def at(self, s):
+        s = np.asarray(s, dtype=float)
+        front = (4.0 * np.pi * s) ** (-self.dim / 2.0)
+        four_s = 4.0 * s
+
+        def q_of(z, out=None):
+            z = np.asarray(z, dtype=float)
+            out = np.divide(-z * z, four_s, out=_row_out(out, s, z))
+            np.exp(out, out=out)
+            return np.multiply(front, out, out=out)[()]
+        return q_of
 
     def time_scale(self, z):
         return float(z) ** 2
@@ -83,12 +107,19 @@ class ExactCauchy(SpatialKernel):
 
     dim: int = 1
 
-    def q(self, t, z):
-        t = np.asarray(t, dtype=float)
-        z = np.asarray(z, dtype=float)
+    def at(self, s):
+        s = np.asarray(s, dtype=float)
         d = self.dim
         const = math.gamma((d + 1) / 2.0) / np.pi ** ((d + 1) / 2.0)
-        return (const * t / (t * t + z * z) ** ((d + 1) / 2.0))[()]
+        top, sq = const * s, s * s
+
+        def q_of(z, out=None):
+            z = np.asarray(z, dtype=float)
+            out = np.add(sq, z * z, out=_row_out(out, s, z))
+            if d != 1:
+                out **= (d + 1) / 2.0  # ** 1.0 would leave every bit as it is
+            return np.divide(top, out, out=out)[()]
+        return q_of
 
     def time_scale(self, z):
         return float(z)
@@ -118,12 +149,16 @@ class JumpSurrogate(SpatialKernel):
     volume: object
     scale: object
 
-    def q(self, t, z):
-        t = np.asarray(t, dtype=float)
-        z = np.asarray(z, dtype=float)
-        near = t * self.volume.value(self.scale.inverse(t))
-        far = self.scale.value(z) * self.volume.value(z)
-        return (t / (near + far))[()]
+    def at(self, s):
+        s = np.asarray(s, dtype=float)
+        near = s * self.volume.value(self.scale.inverse(s))
+
+        def q_of(z, out=None):
+            z = np.asarray(z, dtype=float)
+            far = self.scale.value(z) * self.volume.value(z)
+            out = np.add(near, far, out=_row_out(out, s, z))
+            return np.divide(s, out, out=out)[()]
+        return q_of
 
     def time_scale(self, z):
         return float(self.scale.value(z))
@@ -145,15 +180,21 @@ class DiffusionSurrogate(SpatialKernel):
                 "diffusion surrogate needs a scale index > 1, "
                 f"got {self.scale.exponent_lo}")
 
-    def q(self, t, z):
-        t = np.asarray(t, dtype=float)
-        z = np.asarray(z, dtype=float)
-        front = 1.0 / self.volume.value(self.scale.inverse(t))
-        if np.ndim(z) == 0 and float(z) == 0.0:
-            return (front * np.ones_like(t))[()]
-        m = subgaussian_exponent(self.scale, t, np.maximum(z, 1e-300))
-        m = np.where(np.asarray(z) > 0, m, 0.0)
-        return (front * np.exp(-m))[()]
+    def at(self, s):
+        s = np.asarray(s, dtype=float)
+        front = 1.0 / self.volume.value(self.scale.inverse(s))
+
+        def q_of(z, out=None):
+            z = np.asarray(z, dtype=float)
+            out = _row_out(out, s, z)
+            if z.ndim == 0 and float(z) == 0.0:
+                out[...] = front
+                return out[()]
+            m = subgaussian_exponent(self.scale, s, np.maximum(z, 1e-300))
+            np.negative(np.where(z > 0, m, 0.0), out=out)
+            np.exp(out, out=out)
+            return np.multiply(front, out, out=out)[()]
+        return q_of
 
     def time_scale(self, z):
         return float(self.scale.value(z))

@@ -258,12 +258,13 @@ def _mc_mean(values, method):
     """The sample mean of values with its standard error, converged when the
     effective sample size (sum v)**2 / sum v**2 reaches _MC_MIN_ESS.  Both
     sums run on values / max(values), so that squares of tiny values do not
-    underflow, and give the variance too; an all-zero sample is no answer."""
+    underflow, and give the variance too; an all-zero sample is no answer.
+    It consumes values: the array is divided by its peak in place."""
     peak = values.max()
     if not peak > 0.0:
         return SolutionEstimate(0.0, 0.0, method, False)
-    scaled = values / peak
-    n, total, square = values.size, scaled.sum(), scaled @ scaled
+    values /= peak
+    n, total, square = values.size, values.sum(), values @ values
     variance = max(square - total * total / n, 0.0) / (n - 1)
     return SolutionEstimate(float(peak * (total / n)), float(peak * math.sqrt(variance / n)),
                             method, bool(total * total >= _MC_MIN_ESS * square))
@@ -317,8 +318,9 @@ def _tilted(kernel, model, t, z, n, generator):
 def density_monte_carlo(kernel, model, t, z, n, rng):
     """p(t, z) as the sample mean of q over n inverse-subordinator draws,
     for a scalar z or each z of a 1-d array, as one estimate or a list of
-    them.  The draws are made once and shared by every z; q is formed one
-    z at a time, so no (z, draw) array is built, and the estimate at an
+    them.  One array of draws is made per call and shared by every z, and
+    so is one q buffer: the kernel's row form at the draws fills it one z
+    at a time, so no (z, draw) array is built, and the estimate at an
     untilted z is the one a scalar call on the same stream gives.
 
     A z whose effective sample size falls below _MC_MIN_ESS is re-estimated
@@ -331,9 +333,10 @@ def density_monte_carlo(kernel, model, t, z, n, rng):
     _check_domain(kernel, model, t, z)
     terms = model._components()
     e_samples = model.sample_inverse(t, rng, n)
+    q_of, buf = kernel.at(e_samples), np.empty(n)
     row = []
     for zj in z.tolist():
-        est = _mc_mean(np.asarray(kernel.q(e_samples, zj), dtype=float), "mc")
+        est = _mc_mean(q_of(zj, out=buf), "mc")
         if not est.converged and len(terms) == 1:
             est = _tilted(kernel, model, t, zj, n, _generator(rng)) or est
         row.append(est)

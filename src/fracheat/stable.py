@@ -290,16 +290,17 @@ def density_grid(beta, xs):
 
 def log_sample(beta, generator, n=1):
     """log S of n draws of S via Kanter's method: all of U, then all of W,
-    from the generator, combined _DRAW_BLOCK draws at a time."""
+    from the generator, combined _DRAW_BLOCK draws at a time.  Block i of
+    log S needs only block i of theta = pi U and of W, so it overwrites that
+    block of theta, and the theta array is what is returned."""
     _check_beta(beta)
     theta = generator.uniform(0.0, np.pi, n)
     w = generator.exponential(1.0, n)
     k = (1.0 - beta) / beta
-    out = np.empty(n)
     for i in range(0, n, _DRAW_BLOCK):
         block = slice(i, i + _DRAW_BLOCK)
-        out[block] = k * (log_a(theta[block], beta) - np.log(w[block]))
-    return out
+        theta[block] = k * (log_a(theta[block], beta) - np.log(w[block]))
+    return theta
 
 
 def sample(beta, generator, n=1):

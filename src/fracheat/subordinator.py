@@ -222,13 +222,19 @@ class SubordinatorModel:
 
     def sample_inverse(self, t, rng, n=1):
         """n draws of E_t = inf{s : S_s > t}: (t / X)**beta / a for one
-        part, formed from log X, a discretized path for several."""
+        part, formed from log X in place on the array of log X, a
+        discretized path for several."""
         comps = self._components()
         _check_draws("sample_inverse", "t", t, n)
         gen = _generator(rng)
         if len(comps) == 1:
             (a, b), = comps
-            return np.exp(b * (math.log(t) - stable.log_sample(b, gen, n))) / a
+            e = stable.log_sample(b, gen, n)
+            np.subtract(math.log(t), e, out=e)
+            e *= b
+            np.exp(e, out=e)
+            e /= a
+            return e
         return self._sample_inverse_path(t, gen, n, comps)
 
     def _sample_inverse_path(self, t, gen, n, comps):

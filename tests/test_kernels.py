@@ -11,6 +11,7 @@ from fracheat import (DiffusionSurrogate, DomainError, ExactCauchy,
                       ExactGaussian, JumpSurrogate, PowerLaw, parse_kernel,
                       time_derivative_report)
 from fracheat.kernels import _dq_dt
+from fracheat.scale import subgaussian_exponent
 
 
 class TestExactKernels:
@@ -78,6 +79,60 @@ class TestSurrogates:
         assert isinstance(k, JumpSurrogate)
         with pytest.raises(DomainError):
             parse_kernel("heat")
+
+
+def _plain_q(kernel, t, z):
+    """q(t, z) as one expression over fresh arrays, with every factor
+    formed at each call: the bits the row form must keep."""
+    t = np.asarray(t, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if isinstance(kernel, ExactGaussian):
+        return ((4.0 * np.pi * t) ** (-kernel.dim / 2.0) * np.exp(-z * z / (4.0 * t)))[()]
+    if isinstance(kernel, ExactCauchy):
+        d = kernel.dim
+        const = math.gamma((d + 1) / 2.0) / np.pi ** ((d + 1) / 2.0)
+        return (const * t / (t * t + z * z) ** ((d + 1) / 2.0))[()]
+    vol = kernel.volume.value(kernel.scale.inverse(t))
+    if isinstance(kernel, JumpSurrogate):
+        return (t / (t * vol + kernel.scale.value(z) * kernel.volume.value(z)))[()]
+    if np.ndim(z) == 0 and float(z) == 0.0:
+        return (1.0 / vol * np.ones_like(t))[()]
+    m = subgaussian_exponent(kernel.scale, t, np.maximum(z, 1e-300))
+    return (1.0 / vol * np.exp(-np.where(z > 0, m, 0.0)))[()]
+
+
+ROW_KERNELS = [ExactGaussian(1), ExactGaussian(3), ExactCauchy(1), ExactCauchy(3),
+               JumpSurrogate(PowerLaw(1.0), PowerLaw(2.0)),
+               DiffusionSurrogate(PowerLaw(1.0), PowerLaw(2.0))]
+ROW_IDS = ["gaussian:1", "gaussian:3", "cauchy:1", "cauchy:3", "jump", "diffusion"]
+# (s, z): one point, a row of 1e3 draws at one z, and the quadrature's
+# (n_z, 1) column of z against its (n_s,) nodes in s
+ROW_CASES = {
+    "point": (0.7, 1.3),
+    "draws": (np.random.default_rng(5).lognormal(0.0, 4.0, 1000), 2.5),
+    "quadrature": (np.geomspace(1e-3, 1e3, 40), np.array([[0.0], [0.5], [3.0], [40.0]])),
+}
+
+
+class TestRowForm:
+    @pytest.mark.parametrize("kernel", ROW_KERNELS, ids=ROW_IDS)
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_row_form_is_q_bit_for_bit(self, kernel, case):
+        s, z = ROW_CASES[case]
+        zs = [z] if np.ndim(z) or isinstance(kernel, (ExactGaussian, ExactCauchy)) else [z, 0.0]
+        for zj in zs:
+            want = _plain_q(kernel, s, zj)
+            q_of = kernel.at(s)
+            assert np.array_equal(kernel.q(s, zj), want)
+            assert np.array_equal(q_of(zj), want)
+            buf = np.empty(np.broadcast_shapes(np.shape(s), np.shape(zj)))
+            got = q_of(zj, out=buf)
+            assert np.array_equal(got, want) and np.array_equal(buf, want)
+            assert np.shares_memory(got, buf) or np.ndim(got) == 0
+
+    def test_point_gives_a_scalar(self):
+        for kernel in ROW_KERNELS:
+            assert np.ndim(kernel.at(1.0)(0.5)) == 0
 
 
 class TestDerivativeStructure:
