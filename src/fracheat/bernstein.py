@@ -94,8 +94,8 @@ class StableMixture(LaplaceExponent):
             raise DomainError("mixture needs at least one component")
         object.__setattr__(self, "terms", tuple((float(a), float(b)) for a, b in self.terms))
         for a, b in self.terms:
-            if a <= 0.0:
-                raise DomainError(f"mixture weights must be positive, got {a}")
+            if not 0.0 < a < math.inf:
+                raise DomainError(f"mixture weights must be finite and positive, got {a}")
             if not 0.0 < b < 1.0:
                 raise DomainError(f"mixture indices must lie in (0, 1), got {b}")
 

@@ -259,9 +259,11 @@ def _cmd_selftest(args):
     checks.append(("mass conservation",
                    solution.mass_residual(ExactGaussian(1), model, 1.0) < 1e-10))
     mix = parse_exponent("mixture:1,0.3;1,0.7")
-    h_small = SubordinatorModel(mix).inverse_density(1.0, 1e-8)
+    mixed = SubordinatorModel(mix)
     checks.append(("mixture inverse density at r->0 equals the Levy tail",
-                   abs(h_small / mix.levy_tail(1.0) - 1.0) < 1e-6))
+                   abs(mixed.inverse_density(1.0, 1e-8) / mix.levy_tail(1.0) - 1.0) < 1e-6))
+    checks.append(("mixture cdf + survival = 1",
+                   abs(mixed.cdf(1.0, 0.5) + mixed.survival(1.0, 0.5) - 1.0) < 1e-13))
     ok = True
     for name, passed in checks:
         print(f"{'PASS' if passed else 'FAIL'}  {name}")

@@ -64,6 +64,11 @@ class SpatialKernel:
             f"{type(self).__name__} has no closed-form resolvent")
 
 
+def _check_dim(kernel):
+    if not kernel.dim >= 1:
+        raise DomainError(f"kernel dimension must be >= 1, got {kernel.dim}")
+
+
 def _check_one_dimensional(kernel):
     if kernel.dim != 1:
         raise UnsupportedModelError(
@@ -75,6 +80,7 @@ class ExactGaussian(SpatialKernel):
     """(4 pi t)**(-d/2) * exp(-z**2 / (4t))."""
 
     dim: int = 1
+    __post_init__ = _check_dim
 
     def at(self, s):
         s = np.asarray(s, dtype=float)
@@ -106,6 +112,7 @@ class ExactCauchy(SpatialKernel):
     """Gamma((d+1)/2) / pi**((d+1)/2) * t / (t**2 + z**2)**((d+1)/2)."""
 
     dim: int = 1
+    __post_init__ = _check_dim
 
     def at(self, s):
         s = np.asarray(s, dtype=float)

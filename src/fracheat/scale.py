@@ -37,8 +37,8 @@ class PowerLaw:
     exponent: float
 
     def __post_init__(self):
-        if not self.exponent > 0.0:
-            raise DomainError(f"exponent must be positive, got {self.exponent}")
+        if not 0.0 < self.exponent < np.inf:
+            raise DomainError(f"exponent must be finite and positive, got {self.exponent}")
 
     @property
     def exponent_lo(self):
@@ -76,8 +76,8 @@ class PiecewisePower:
 
     def __post_init__(self):
         for name in ("exp_low", "exp_high", "r_break"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise DomainError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
     @property
     def exponent_lo(self):

@@ -7,7 +7,7 @@ Evaluation strategy, by argument size:
          * x**(-k*beta - 1),
   whose terms decrease monotonically from k = 1 on this range, so there is
   no cancellation growth.  The survival function has the matching series
-  with Gamma(k*beta) and x**(-k*beta).
+  with Gamma(k*beta) = Gamma(k*beta + 1)/(k*beta) and x**(-k*beta).
 
 * ``x < 1``: the Zolotarev integral representation
   g(x) = beta/(1-beta) * x**(-1/(1-beta)) * (1/pi)
@@ -22,9 +22,10 @@ Evaluation strategy, by argument size:
   underflowed are skipped; only ``log_cdf`` lays its own shifted ladder,
   past that level.
 
-Every evaluation starts from log x (``law_at``, ``density_of_log``), so
-the scale (a r)**(1/beta) of a subordinator part may lie far outside float
-range; the functions of x itself are views of these two.
+One evaluator, ``law_rows``, returns the rows (P(S <= x), P(S > x),
+x g(x)) from one matrix of series terms or of grid values.  It starts
+from log x, so the scale (a r)**(1/beta) of a subordinator part may lie
+far outside float range; the functions of x itself are views of it.
 
 Sampling uses Kanter's representation S = (A(U)/W)**((1-beta)/beta) with
 U ~ Uniform(0, pi) and W ~ Exponential(1).  A takes its three sines from
@@ -144,7 +145,7 @@ def log_cdf(beta, x):
 
 def log_cdf_at(beta, log_x):
     """log P(S <= x) at x = exp(log_x), stable deep into the left tail."""
-    f = law_at(beta, [log_x], upper=False)[0]  # checks beta
+    f = law_rows(beta, [log_x])[0, 0]  # checks beta
     if f > 1e-280:
         return float(np.log(f))
     if _log_w0(beta, log_x) > 700.0:
@@ -164,12 +165,13 @@ def log_cdf_at(beta, log_x):
 
 @lru_cache(maxsize=32)
 def _series_coeffs(beta):
-    """(k, sign, log |coefficient|) of the density and of the survival series.
+    """(k, sign, log |coefficient|) of the x >= 1 series of x g(x).
 
     The term magnitude at x = 1 decays like exp(-(1-beta) k (log k - 1)),
-    so the count needed grows as beta -> 1; that estimate caps it.  Each
+    so the count needed grows as beta -> 1; that estimate caps it.  The
     series then keeps the terms whose bound at x = 1, the worst case on
-    x >= 1, is within _SERIES_CUT of its leading term.
+    x >= 1, is within _SERIES_CUT of its leading term, a cut that the
+    survival terms, these divided by k beta, meet sooner.
     """
     kmax = _SERIES_KMAX
     for _ in range(4):
@@ -177,23 +179,9 @@ def _series_coeffs(beta):
     kmax = int(np.clip(kmax, _SERIES_KMAX, 30000))
     k = np.arange(1, kmax + 1, dtype=float)
     sign = np.sin(np.pi * k * beta) * (-1.0) ** (k + 1)
-    log_den = special.gammaln(k * beta + 1.0) - special.gammaln(k + 1.0)
-    log_sf = special.gammaln(k * beta) - special.gammaln(k + 1.0)
-    return _cut_series(k, sign, log_den), _cut_series(k, sign, log_sf)
-
-
-def _cut_series(k, sign, log_coef):
-    n = np.flatnonzero(log_coef >= log_coef[0] + np.log(_SERIES_CUT))[-1] + 1
-    return k[:n], sign[:n], log_coef[:n]
-
-
-def _series(coeffs, beta, log_x):
-    """(1/pi) sum_k sign_k exp(log c_k - k beta log_x), the x >= 1 series
-    at x = exp(log_x) of P(S >= x), or with the density coefficients of
-    x g(x): a power series in x**-beta, formed from log x so that no x
-    beyond float range, nor a denormal x**(-1-beta), enters it."""
-    k, sign, log_c = coeffs
-    return (sign[:, None] * np.exp(log_c[:, None] - k[:, None] * beta * log_x)).sum(axis=0) / np.pi
+    log_c = special.gammaln(k * beta + 1.0) - special.gammaln(k + 1.0)
+    n = np.flatnonzero(log_c >= log_c[0] + np.log(_SERIES_CUT))[-1] + 1
+    return k[:n], sign[:n], log_c[:n]
 
 
 @lru_cache(maxsize=32)
@@ -221,9 +209,9 @@ def _common_grid(beta):
 
 
 def _live_grid(beta, c):
-    """The cached grid up to where min(c) * A passes 755 + 10.
+    """The cached grid up to where min(c) * A passes 745 + 10.
 
-    Past that point both integrands are exp(< -745) = 0 in every row, so
+    Past that point exp(log A - c A) < exp(-745) is 0 in every row, so
     the cut changes no value; it skips numpy's slow exp path for
     arguments that underflow.
     """
@@ -232,60 +220,49 @@ def _live_grid(beta, c):
     return weights[:n], la[:n], a_vals[:n]
 
 
-def law_at(beta, log_x, upper):
-    """P(S > x) if upper else P(S <= x) at x = exp(log_x), vectorized: the
-    series for x >= 1 and the grid integral below, where the survival is
-    1 - cdf and stays above 0.1 for beta <= 0.9999, so the difference
-    costs less than one digit."""
+def law_rows(beta, log_x):
+    """The rows (P(S <= x), P(S > x), x g(x)) at x = exp(log_x), vectorized.
+    x g, the density of log S, stays in float range however far x does not.
+
+    For x >= 1 the series terms, formed from log x so that no x beyond
+    float range enters them, give x g, and divided by k beta the survival.
+    Below, the grid matrix exp(log A - c A) gives x g, and weighted by 1/A
+    the cdf; the survival there is 1 - cdf, above 0.1 for beta <= 0.9999."""
     _check_beta(beta)
     lx = np.asarray(log_x, dtype=float)
-    out = np.zeros(lx.shape)  # the survival for x >= 1, the cdf below
+    low, high, xg = rows = np.zeros((3,) + lx.shape)
     hi = lx >= 0.0
     if hi.any():
-        out[hi] = _series(_series_coeffs(beta)[1], beta, lx[hi])
-    lo = ~hi & (_log_w0(beta, lx) <= np.log(_EXP_CUT))
-    if lo.any():
-        c = np.exp(-tilt(beta) * lx[lo])
-        weights, _, a_vals = _live_grid(beta, c)
-        out[lo] = np.exp(-c[:, None] * a_vals[None, :]) @ weights / np.pi
-    flip = ~hi if upper else hi
-    out[flip] = 1.0 - out[flip]
-    return out
-
-
-def density_of_log(beta, log_x):
-    """Density of log S at log_x, x g(x) with g the density of S,
-    vectorized.  It stays in float range however far x does not, so the
-    density of sigma S at y is density_of_log(beta, log(y/sigma)) / y."""
-    _check_beta(beta)
-    lx = np.asarray(log_x, dtype=float)
-    out = np.zeros(lx.shape)
-    hi = lx >= 0.0
-    if hi.any():
-        out[hi] = _series(_series_coeffs(beta)[0], beta, lx[hi])
+        k, sign, log_c = _series_coeffs(beta)
+        terms = sign[:, None] * np.exp(log_c[:, None] - k[:, None] * beta * lx[hi])
+        xg[hi] = terms.sum(axis=0) / np.pi
+        high[hi] = (1.0 / (k * beta)) @ terms / np.pi
     lo = ~hi & (_log_w0(beta, lx) <= np.log(_EXP_CUT))
     if lo.any():
         c = np.exp(-tilt(beta) * lx[lo])
         weights, la, a_vals = _live_grid(beta, c)
-        integ = np.exp(la[None, :] - c[:, None] * a_vals[None, :]) @ weights / np.pi
-        out[lo] = tilt(beta) * c * integ
-    return out
+        grid = np.exp(la[None, :] - c[:, None] * a_vals[None, :])
+        xg[lo] = tilt(beta) * c * (grid @ weights / np.pi)
+        low[lo] = grid @ (weights / a_vals) / np.pi
+    np.subtract(1.0, high, out=low, where=hi)
+    np.subtract(1.0, low, out=high, where=~hi)
+    return rows
 
 
 def cdf_grid(beta, xs):
     """P(S <= x) vectorized over an array of x > 0."""
-    return law_at(beta, _log(xs), upper=False)
+    return law_rows(beta, _log(xs))[0]
 
 
 def survival_grid(beta, xs):
     """P(S >= x) vectorized over an array of x > 0."""
-    return law_at(beta, _log(xs), upper=True)
+    return law_rows(beta, _log(xs))[1]
 
 
 def density_grid(beta, xs):
     """Density vectorized over an array of x > 0."""
     xs = np.asarray(xs, dtype=float)
-    return np.divide(density_of_log(beta, _log(xs)), xs, out=np.zeros(xs.shape), where=xs > 0.0)
+    return np.divide(law_rows(beta, _log(xs))[2], xs, out=np.zeros(xs.shape), where=xs > 0.0)
 
 
 def log_sample(beta, generator, n=1):

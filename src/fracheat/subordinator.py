@@ -7,11 +7,11 @@ beta_i-stable.
 
 * Each part's law is evaluated from the log of its standard argument
   x (a r)**(-1/beta_i), so a scale outside float range costs no digits.
-* The law of S_r is the stable law for one part and otherwise a
-  convolution conditioned on the first part (`_sum_law`).
-* E_t has density h_t(r) = M(t)/r, M = sum_i E[Y_i/beta_i; S_r in dx]/dx,
-  as P(E_t <= r) = P(S_r >= t), with M = x f(x)/beta for one part and the
-  same conditioning for several, vectorized over r (`_sum_density`).
+* One recursion, `_sum_rows`, gives the law and the density of S_r and
+  M = sum_i E[Y_i/beta_i; S_r in dx]/dx, vectorized over r: the stable law
+  with M = x f(x)/beta for one part, else one convolution per level,
+  conditioned on the first part.  E_t has density h_t(r) = M(t)/r, as
+  P(E_t <= r) = P(S_r >= t).
 * For one part E_t = (t / X)**beta / a in distribution, which gives the
   sampler; several parts take a discretized-path sampler with
   first-passage refinement.
@@ -42,7 +42,7 @@ from .rng import RngStream
 _MAX_INCREMENTS = 4_000_000
 # convolutions start at this share of the argument, on _CONV_PANELS log
 # panels bisected until |K15 - G7| meets _CONV_TOL relative in each row;
-# a density of several parts or a tail mean takes _CONV_ROWS values of r a pass
+# the rows of several parts or a tail mean take _CONV_ROWS values of r a pass
 _CONV_HEAD, _CONV_PANELS, _CONV_TOL, _CONV_ROWS = 1e-14, 16, 1e-11, 4
 # the fine step of the mixture path sampler, relative to its pilot draw
 _PATH_TOL = 1e-3
@@ -70,14 +70,11 @@ def _log_arg(b, ar, y):
                         np.log(y) - np.log(ar) / b)
 
 
-def _part_law(b, ar, y, upper):
-    """P(part > y) if upper else P(part <= y) for the part ar**(1/b) X."""
-    return stable.law_at(b, _log_arg(b, ar, y), upper)
-
-
-def _part_density(b, ar, y):
-    """Density at y of the part ar**(1/b) X, ar = a r."""
-    return stable.density_of_log(b, _log_arg(b, ar, y)) / y
+def _part_rows(b, ar, y):
+    """(P(part <= y), P(part > y), density at y) of the part ar**(1/b) X."""
+    rows = stable.law_rows(b, _log_arg(b, ar, y))
+    rows[2] /= y
+    return rows
 
 
 def _convolve(x, integrand):
@@ -94,58 +91,40 @@ def _convolve(x, integrand):
     return x * _CONV_HEAD, kronrod_quad(in_log, ladder, _CONV_TOL, 0.0)[0]
 
 
-def _sum_law(terms, r, xs, upper):
-    """P(S_r > x) if upper else P(S_r <= x) at each x of xs, S_r the sum of
-    the parts (a * r)**(1/beta) * X of the (a, beta) terms: the stable law
-    for one part, else, conditioned on the first part with density f_0,
-        P(S_r > x) = P(first > x) + int_0^x f_0(u) P(rest > x - u) du
-    (the same without the first term for P(S_r <= x)) by `_convolve`, plus
-    the first part's mass below the foot times the rest's law at x."""
-    (a, b), rest = terms[0], terms[1:]
-    ar = np.float64(a * r)  # a numpy scalar powers like a Python float
-    xs = np.asarray(xs, dtype=float)
-    if not rest:
-        return _part_law(b, ar, xs, upper)
-    out = np.empty(xs.shape)
-    for i, x in enumerate(xs):
-        foot, total = _convolve(x, lambda y, u: _part_density(b, ar, y)
-                                * _sum_law(rest, r, u, upper))
-        total += _part_law(b, ar, foot, False) * _sum_law(rest, r, [x], upper)[0]
-        if upper:
-            total += _part_law(b, ar, x, True)
-        out[i] = min(total, 1.0)
-    return out
-
-
-def _sum_density(terms, rs, xs):
-    """(D, M) at each (r, x) of rs x xs: D the density of S_r and
-    M = sum_i E[Y_i/beta_i; S_r in dx]/dx.  One part gives (f, x f/beta);
-    several condition on the first part, of density f_1, by `_convolve`:
-        D(x) = int f_1(y) D_rest(x - y) dy,
-        M(x) = int f_1(y) [(y/beta_1) D_rest(x - y) + M_rest(x - y)] dy,
-    plus the mass of each side below the foot: F_1(foot) times the rest's
-    (D, M) at x, and F_rest(foot) f_1(x) times (1, x/beta_1).  These
-    convolutions share their panels across _CONV_ROWS values of r a pass."""
+def _sum_rows(terms, rs, xs):
+    """Rows (F, Fbar, D, M) at each (r, x) of rs x xs: P(S_r <= x),
+    P(S_r > x), the density of S_r and M = sum_i E[Y_i/beta_i; S_r in dx]/dx,
+    S_r the sum of the parts (a r)**(1/beta) X of the (a, beta) terms.  One
+    part gives the stable rows and M = x f/beta; several condition on the
+    first part, of law (F_1, Fbar_1, f_1), by one `_convolve` of
+        int f_1(y) [F_R, Fbar_R, D_R, (y/beta_1) D_R + M_R](x - y) dy
+    plus the mass below the foot: F_1(foot) times the rest's rows at x,
+    F_R(foot) f_1(x) times (0, 0, 1, x/beta_1), and Fbar_1(x) on the Fbar
+    row; _CONV_ROWS values of r share the panels of a pass."""
     (a, b), rest = terms[0], terms[1:]
     ar = a * rs[:, None]
     if not rest:
-        f = _part_density(b, ar, xs)
-        return np.stack([f, xs * f / b])
+        low, high, f = _part_rows(b, ar, xs)
+        return np.stack([low, high, f, xs * f / b])
     if rs.size > _CONV_ROWS:
-        return np.concatenate([_sum_density(terms, rs[i:i + _CONV_ROWS], xs)
+        return np.concatenate([_sum_rows(terms, rs[i:i + _CONV_ROWS], xs)
                                for i in range(0, rs.size, _CONV_ROWS)], axis=1)
 
     def integrand(y, u):
-        d_rest, m_rest = _sum_density(rest, rs, u)
-        return _part_density(b, ar, y) * np.stack([d_rest, y / b * d_rest + m_rest])
+        low, high, d, m = _sum_rows(rest, rs, u)
+        return _part_rows(b, ar, y)[2] * np.stack([low, high, d, y / b * d + m])
 
-    out = np.empty((2, rs.size, xs.size))
+    out = np.empty((4, rs.size, xs.size))
     for i, x in enumerate(xs):
         foot, total = _convolve(x, integrand)
-        low = _part_law(b, ar[:, 0], foot, False)
-        high = _part_density(b, ar[:, 0], x) * [_sum_law(rest, r, [foot], False)[0] for r in rs]
-        out[:, :, i] = (total + low * _sum_density(rest, rs, xs[i:i + 1])[:, :, 0]
-                        + np.stack([high, high * x / b]))
+        ends = np.array([foot, x])
+        low, high, f = _part_rows(b, ar, ends)
+        rest_foot, rest_x = np.moveaxis(_sum_rows(rest, rs, ends), 2, 0)
+        dens = f[:, 1] * rest_foot[0]
+        out[:, :, i] = total + low[:, 0] * rest_x
+        out[1, :, i] += high[:, 1]
+        out[2:, :, i] += np.stack([dens, dens * x / b])
+    out[:2] = np.minimum(out[:2], 1.0)
     return out
 
 
@@ -165,23 +144,28 @@ class SubordinatorModel:
 
     # ----- distribution of S_r ---------------------------------------
 
+    def _law(self, name, r, t):
+        """(P(S_r <= t), P(S_r > t)) from `_sum_rows`; one part takes its
+        scale a r as a numpy scalar, which powers like a Python float."""
+        if r <= 0.0 or t <= 0.0:
+            raise DomainError(f"{name} needs r, t > 0")
+        (a, b), *rest = comps = self._components()
+        if rest:
+            return _sum_rows(comps, np.array([r]), np.array([t]))[:2, 0, 0]
+        return _part_rows(b, np.float64(a * r), np.array([t]))[:2, 0]
+
     def cdf(self, r, t):
         """P(S_r <= t)."""
-        if r <= 0.0 or t <= 0.0:
-            raise DomainError("cdf needs r, t > 0")
-        return float(_sum_law(self._components(), r, [t], upper=False)[0])
+        return float(self._law("cdf", r, t)[0])
 
     def survival(self, r, t):
         """P(S_r >= t)."""
-        if r <= 0.0 or t <= 0.0:
-            raise DomainError("survival needs r, t > 0")
-        return float(_sum_law(self._components(), r, [t], upper=True)[0])
+        return float(self._law("survival", r, t)[1])
 
     def log_cdf(self, r, t):
         """log P(S_r <= t), stable deep into the small-t tail."""
-        comps = self._components()
-        if len(comps) == 1:
-            (a, b), = comps
+        (a, b), *rest = self._components()
+        if not rest:
             return stable.log_cdf_at(b, float(_log_arg(b, np.float64(a * r), t)))
         f = self.cdf(r, t)
         return float(np.log(f)) if f > 0.0 else -np.inf
@@ -196,10 +180,10 @@ class SubordinatorModel:
 
     def inverse_density_grid(self, t, rs):
         """inverse_density vectorized over an array of r: M(t)/r with M from
-        `_sum_density`."""
+        `_sum_rows`."""
         rs = np.asarray(rs, dtype=float)
         flat = rs.ravel()
-        m = _sum_density(self._components(), flat, np.array([t]))[1, :, 0]
+        m = _sum_rows(self._components(), flat, np.array([t]))[3, :, 0]
         return (m / flat).reshape(rs.shape)
 
     def inverse_support(self, t):
@@ -343,8 +327,8 @@ def _truncated_tail_mean(model, rs, t):
         return np.concatenate([_truncated_tail_mean(model, rs[i:i + _CONV_ROWS], t)
                                for i in range(0, rs.size, _CONV_ROWS)])
     b, g = model.exponent.beta, model.exponent.integrated_tail
-    foot, total = _convolve(t, lambda y, u: _part_density(b, rs[:, None], y) * g(u))
-    return total + _part_law(b, rs, foot, False) * g(t)
+    foot, total = _convolve(t, lambda y, u: _part_rows(b, rs[:, None], y)[2] * g(u))
+    return total + _part_rows(b, rs, foot)[0] * g(t)
 
 
 def integrated_tail_identities(model, t):
@@ -383,7 +367,7 @@ def integrated_tail_identities(model, t):
 
         def in_log_q(u):
             q = np.exp(u)
-            return q * _part_law(b, np.float64(s), -t * np.expm1(np.log1p(-q) / (1.0 - b)), True)
+            return q * _part_rows(b, np.float64(s), -t * np.expm1(np.log1p(-q) / (1.0 - b)))[1]
 
         bounds = np.log(geometric_boundaries(q_lo, 1.0, per_decade=1))
         lhs = pref * (q_lo + kronrod_quad(in_log_q, bounds, REL_TOL, 0.0)[0])

@@ -66,6 +66,9 @@ class TestMixture:
             StableMixture(((0.0, 0.5),))
         with pytest.raises(DomainError):
             StableMixture(((1.0, 1.5),))
+        for a in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite and positive"):
+                StableMixture(((a, 0.5),))
 
 
 class TestScalingReport:

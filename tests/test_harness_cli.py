@@ -371,6 +371,27 @@ class TestCli:
         assert code == 2
         assert key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--subordinator", "mixture:nan,0.5"],
+         "mixture weights must be finite and positive, got nan"),
+        (["eval", "--subordinator", "mixture:inf,0.5"],
+         "mixture weights must be finite and positive, got inf"),
+        (["sample", "--dist", "s", "--r", "1", "--n", "3", "--subordinator", "mixture:nan,0.5"],
+         "mixture weights must be finite and positive, got nan"),
+        (["estimate", "--phi-scale", "power:inf"], "exponent must be finite and positive, got inf"),
+        (["estimate", "--phi-scale", "power2:1,2,inf"], "r_break must be finite and positive, got inf"),
+        (["eval", "--kernel", "gaussian:0"], "kernel dimension must be >= 1, got 0"),
+        (["eval", "--kernel", "gaussian:-1"], "kernel dimension must be >= 1, got -1"),
+        (["eval", "--kernel", "cauchy:0"], "kernel dimension must be >= 1, got 0")],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_out_of_domain_model_is_usage_error(self, capsys, argv, message):
+        point = [] if argv[0] == "sample" else ["--t", "1", "--z", "0.5"]
+        code = run_cli([*argv, *point])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"fracheat: {message}\n"
+
     def test_verify_to_file(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         code = run_cli(["verify", "--beta", "0.5", "--kernel", "cauchy:1",

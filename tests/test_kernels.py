@@ -29,6 +29,12 @@ class TestExactKernels:
         val, _ = integrate.quad(lambda y: kernel.q(t, y), 0, np.inf, limit=300)
         assert 2.0 * val == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("kind", [ExactGaussian, ExactCauchy])
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dimension_at_least_one(self, kind, dim):
+        with pytest.raises(DomainError, match="dimension must be >= 1"):
+            kind(dim)
+
     def test_vectorized(self):
         k = ExactGaussian(1)
         ts = np.array([0.5, 1.0, 2.0])

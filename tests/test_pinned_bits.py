@@ -1,9 +1,14 @@
-"""Pinned bits of the Monte Carlo path.
+"""Pinned bits of the Monte Carlo path and of the stable density.
 
 sha256 hashes of two Monte Carlo rows under a 1/2-stable time change (the
 last z of the Gaussian row is tilted), of Kanter draws of log S and of
 inverse-time draws.  A rewrite of the samplers, of the kernels' row forms
-or of the sample mean that keeps these hashes changes no output bit.
+or of the sample mean that keeps these hashes changes no output bit.  The
+same holds for the density of log S (the x g(x) row of stable.law_rows)
+over the series, the grid and the underflow band of five indices, and for
+the density h_t of the inverse time of two one-part models: a rewrite of
+the stable law or of the sum-of-parts rows that keeps these hashes leaves
+every Gauss-Kronrod value of p on a stable time change as it was.
 
 The bits rest on numpy's float kernels (its SIMD exp, log and tan, the BLAS
 dot) and on its Philox stream, which may differ between numpy builds and
@@ -17,7 +22,7 @@ import numpy as np
 import pytest
 
 from fracheat import (RngStream, Stable, SubordinatorModel, density_monte_carlo,
-                      parse_kernel, stable)
+                      parse_exponent, parse_kernel, stable)
 
 KERNELS_FINGERPRINT = "0fd2c20684668253f7104b9c0c3bddcbea5422471af30a99c1dffe749e494082"
 ROW_HASHES = {
@@ -26,6 +31,20 @@ ROW_HASHES = {
 }
 LOG_SAMPLE_HASH = "b768871e48f3fffe25725e651459c99ba032ca4b26fb2e70161d842c3d4caf86"
 SAMPLE_INVERSE_HASH = "fbc454481f54e0c18af4664fcfd29ed80fca80259a198ef4ecb7f3634589c050"
+# log x from the underflow band of every index below (x g = 0 there) up
+# through the grid (x < 1) and the series (x >= 1)
+LOG_X = np.concatenate([-np.geomspace(300.0, 1e-3, 400), [0.0], np.geomspace(1e-3, 1e3, 200)])
+DENSITY_HASHES = {
+    0.05: "82c130cff0546a3e642e0261b6dac50dc45aca93c35d62871e770505ce81f8f8",
+    0.3: "627bcddd2bafe2a5ac185c25caf8217ef2be202e988cd4f0dc1ae2a3b48d8689",
+    0.5: "33d6026f67654d74fb0423e8f40cc93ec60f254d42ceb15ceda397050b1e481a",
+    0.7: "3f574e3561e7351ba163f5d3b5fb6ef680df833c54a160cf33ec483a5b7ed9af",
+    0.99: "fb1abb2360f0a53f5b0a81ff9626575095005e1c5c09736c493d30eb6ecc40e0",
+}
+INVERSE_DENSITY_HASHES = {
+    "stable:0.5": "725a9ea0ce4f4654035bf8b15acf5a7914beac3a2562a662845206f371f7a1c4",
+    "mixture:2,0.5": "cfc11ce1fdeaf0b73d8c5842035582c0d1d334ee3a9982947080b14ed06d9899",
+}
 
 
 def _sha(data):
@@ -69,3 +88,15 @@ def test_log_sample():
 
 def test_sample_inverse(half):
     assert _sha(half.sample_inverse(1.0, RngStream(4, 1), 10_000).tobytes()) == SAMPLE_INVERSE_HASH
+
+
+@pytest.mark.parametrize("beta", sorted(DENSITY_HASHES))
+def test_density_of_log(beta):
+    assert _sha(stable.law_rows(beta, LOG_X)[2].tobytes()) == DENSITY_HASHES[beta]
+
+
+@pytest.mark.parametrize("key", sorted(INVERSE_DENSITY_HASHES))
+def test_inverse_density_grid(key):
+    model = SubordinatorModel(parse_exponent(key))
+    h = model.inverse_density_grid(1.0, np.geomspace(1e-6, 50.0, 257))
+    assert _sha(h.tobytes()) == INVERSE_DENSITY_HASHES[key]

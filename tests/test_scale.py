@@ -43,6 +43,14 @@ class TestProfiles:
         with pytest.raises(DomainError):
             parse_profile("exp:1")
 
+    @pytest.mark.parametrize("make", [lambda v: PowerLaw(v), lambda v: PiecewisePower(v, 2.0, 1.0),
+                                      lambda v: PiecewisePower(1.0, v, 1.0),
+                                      lambda v: PiecewisePower(1.0, 2.0, v)])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    def test_profile_parameters_finite_positive(self, make, value):
+        with pytest.raises(DomainError, match="finite and positive"):
+            make(value)
+
 
 class TestSubgaussianExponent:
     def test_power_law_closed_form(self):

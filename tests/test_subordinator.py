@@ -79,7 +79,7 @@ class TestCdf:
     def test_mixture_cdf_plus_survival(self, mixture):
         for r, t in ((0.5, 1.0), (1.0, 0.5), (2.0, 3.0)):
             total = mixture.cdf(r, t) + mixture.survival(r, t)
-            assert total == pytest.approx(1.0, abs=1e-8)
+            assert total == pytest.approx(1.0, abs=1e-13)
 
     def test_mixture_monotone_in_t(self, mixture):
         vals = [mixture.cdf(1.0, t) for t in (0.5, 1.0, 2.0, 4.0)]
