@@ -11,8 +11,7 @@ from .bernstein import (ConstructedCBF, LaplaceExponent, ScalingReport, Stable,
                         scaling_report)
 from .errors import (BracketError, DomainError, FracheatError, QuadratureError,
                      UnsupportedModelError)
-from .estimates import (EstimateModel, EstimateValue, Regime, RegimeTag,
-                        explicit_near_diagonal)
+from .estimates import EstimateModel, EstimateValue, explicit_near_diagonal
 from .harness import (SandwichReport, SandwichRow, VerifyConfig, build_models,
                       verify_sandwich, write_report_csv)
 from .kernels import (DerivativeReport, DiffusionSurrogate, ExactCauchy,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
-import os
 import sys
 
 import numpy as np
@@ -150,17 +149,12 @@ def _cmd_estimate(args):
         fh.write("t,z,regime,estimate,n\n")
         est = shape.value if shape.value is not None else shape.prefactor
         n = "" if shape.exponent_arg is None else repr(float(shape.exponent_arg))
-        fh.write(f"{args.t!r},{args.z!r},{shape.regime.regime.value},{float(est)!r},{n}\n")
+        fh.write(f"{args.t!r},{args.z!r},{shape.regime},{float(est)!r},{n}\n")
     return 0
 
 
 def _cmd_verify(args):
-    base = VerifyConfig()
-    if args.config:
-        if not os.path.exists(args.config):
-            print(f"fracheat: config file not found: {args.config}", file=sys.stderr)
-            return 2
-        base = harness.config_from_mapping(harness.read_config(args.config))
+    base = harness.config_from_mapping(harness.read_config(args.config)) if args.config else None
     overrides = {k: getattr(args, k) for k in (
         "kernel", "phi_scale", "volume", "t_lo", "t_hi", "t_n",
         "z_lo", "z_hi", "z_n", "z_mode", "method", "mc_samples", "seed", "out")}
@@ -183,13 +177,11 @@ def _cmd_sample(args):
     rng = RngStream(args.seed, 0)
     if args.dist == "s":
         if args.r is None:
-            print("fracheat sample --dist s needs --r", file=sys.stderr)
-            return 2
+            raise DomainError("sample --dist s needs --r")
         values = model.sample_subordinator(args.r, rng, args.n)
     else:
         if args.t is None:
-            print("fracheat sample --dist e needs --t", file=sys.stderr)
-            return 2
+            raise DomainError("sample --dist e needs --t")
         values = model.sample_inverse(args.t, rng, args.n)
     with _out_stream(args.out) as fh:
         fh.write(CSV_HEADER_COMMENT + "\n")
@@ -239,6 +231,13 @@ def _cmd_selftest(args):
     checks.append(("scale solver m", abs(subgaussian_exponent(PowerLaw(2.0), 1.0, 2.0) - 4.0) < 1e-12))
     checks.append(("scale solver n",
                    abs(subordinated_exponent(PowerLaw(2.0), s5, 1.0, 2.0) - 2.0 ** (4 / 3)) < 1e-12))
+    # stable:0.5, gaussian:1, power:2 scale and power:1 volume: off at (1, 2)
+    # with n = 2**(4/3), near at (16, 2), where Phi(z) phi(1/t) = 1
+    _, _, emodel = harness.build_models(VerifyConfig(kernel="gaussian:1", phi_scale="power:2"))
+    off, seam = emodel.estimate(1.0, 2.0), emodel.estimate(16.0, 2.0)
+    checks.append(("estimate regimes and shapes", off.regime == "off" and seam.regime == "near"
+                   and abs(seam.scalar - 1.0) < 1e-12 and abs(off.prefactor - 1.0) < 1e-12
+                   and abs(off.exponent_arg - 2.0 ** (4 / 3)) < 1e-12))
     checks.append(("mittag-leffler identity",
                    abs(solution.mittag_leffler(0.5, 1.0) - math.e * special.erfc(1.0)) < 1e-11))
     target = math.gamma(0.25) / (4.0 ** 0.75 * math.pi)

@@ -15,7 +15,6 @@ pair would assert a sharpness that does not hold.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -28,20 +27,10 @@ from .numerics import geometric_boundaries, kronrod_quad
 from .scale import PowerLaw, subordinated_exponent
 
 
-class Regime(enum.Enum):
-    NEAR = "near"
-    OFF = "off"
-
-
-@dataclass(frozen=True)
-class RegimeTag:
-    regime: Regime
-    scalar: float  # Phi(z) * phi(1/t); near-diagonal iff <= 1 (inclusive)
-
-
 @dataclass(frozen=True)
 class EstimateValue:
-    regime: RegimeTag
+    regime: str                            # "near" iff scalar <= 1 (inclusive), else "off"
+    scalar: float                          # Phi(z) * phi(1/t)
     value: Optional[float] = None          # set for near and off-jump rows
     prefactor: Optional[float] = None      # set for off-diffusion rows
     exponent_arg: Optional[float] = None   # n(t, z) for off-diffusion rows
@@ -66,12 +55,12 @@ class EstimateModel:
                 raise DomainError(
                     "diffusion estimates need scale index > subordinator index")
 
-    def classify(self, t, z):
+    def _point(self, t, z):
+        """(phi(1/t), Phi(z) phi(1/t)) at a finite t > 0 and z >= 0."""
         if not (0.0 < t < math.inf and 0.0 <= z < math.inf):
             raise DomainError(f"estimates need a finite t > 0 and z >= 0, got t={t}, z={z}")
-        scalar = float(self.scale.value(z) * self.exponent.phi(1.0 / t))
-        regime = Regime.NEAR if scalar <= 1.0 else Regime.OFF
-        return RegimeTag(regime, scalar)
+        phi_t = self.exponent.phi(1.0 / t)
+        return phi_t, float(self.scale.value(z) * phi_t)
 
     def near_diagonal_integral(self, t, z):
         """int from Phi(z)*phi(1/t) to 2 of dr / V(Phi^-1(r / phi(1/t))).
@@ -82,12 +71,13 @@ class EstimateModel:
         (returns inf) at z = 0 when the volume grows at least as fast as
         the scale.
         """
-        tag = self.classify(t, z)
-        if tag.scalar > 1.0:
-            raise DomainError(
-                f"near-diagonal integral needs Phi(z) phi(1/t) <= 1, got {tag.scalar}")
-        phi_t = self.exponent.phi(1.0 / t)
-        a = tag.scalar
+        phi_t, a = self._point(t, z)
+        if a > 1.0:
+            raise DomainError(f"near-diagonal integral needs Phi(z) phi(1/t) <= 1, got {a}")
+        return self._near(phi_t, a)
+
+    def _near(self, phi_t, a):
+        """The near-diagonal integral from a = Phi(z) phi(1/t) <= 1."""
         if isinstance(self.scale, PowerLaw) and isinstance(self.volume, PowerLaw):
             ratio = self.volume.exponent / self.scale.exponent
             if abs(ratio - 1.0) < 1e-14:
@@ -112,22 +102,23 @@ class EstimateModel:
             lambda v: np.exp(v) / self.volume.value(self.scale.inverse(np.exp(v) / phi_t)),
             np.log(geometric_boundaries(lo, 2.0, per_decade=2, extra=kinks)), 1e-11, 0.0)
         if not ok:
-            raise QuadratureError(f"near-diagonal integral did not converge at t={t}, z={z}",
+            raise QuadratureError(f"near-diagonal integral did not converge at "
+                                  f"Phi(z) phi(1/t) = {a}, phi(1/t) = {phi_t}",
                                   value=total, error=err)
         return total
 
     def estimate(self, t, z):
-        """The applicable estimate shape at (t, z)."""
-        tag = self.classify(t, z)
-        if tag.regime is Regime.NEAR:
-            return EstimateValue(tag, value=self.near_diagonal_integral(t, z))
-        phi_t = self.exponent.phi(1.0 / t)
+        """The applicable estimate shape at (t, z), with its regime and
+        Phi(z) phi(1/t)."""
+        phi_t, a = self._point(t, z)
+        if a <= 1.0:
+            return EstimateValue("near", a, value=self._near(phi_t, a))
         if self.flavor == "jump":
             val = 1.0 / (phi_t * self.volume.value(z) * self.scale.value(z))
-            return EstimateValue(tag, value=float(val))
+            return EstimateValue("off", a, value=float(val))
         prefactor = 1.0 / self.volume.value(self.scale.inverse(1.0 / phi_t))
         n = subordinated_exponent(self.scale, self.exponent, t, z)
-        return EstimateValue(tag, prefactor=float(prefactor), exponent_arg=float(n))
+        return EstimateValue("off", a, prefactor=float(prefactor), exponent_arg=float(n))
 
 
 def explicit_near_diagonal(model, t, z):
@@ -136,12 +127,11 @@ def explicit_near_diagonal(model, t, z):
     Returns (tag, value) with tag one of 'time-scale', 'distance-scale',
     'logarithmic' or 'not-applicable' (value None in the last case).
     """
-    rtag = model.classify(t, z)
-    if rtag.scalar > 1.0:
+    phi_t, a = model._point(t, z)
+    if a > 1.0:
         raise DomainError("explicit near-diagonal forms need Phi(z) phi(1/t) <= 1")
     d1, d2 = model.volume.exponent_lo, model.volume.exponent_hi
     a1, a2 = model.scale.exponent_lo, model.scale.exponent_hi
-    phi_t = model.exponent.phi(1.0 / t)
     if d2 < a1:
         return "time-scale", float(1.0 / model.volume.value(model.scale.inverse(1.0 / phi_t)))
     if d1 > a2:
@@ -149,8 +139,8 @@ def explicit_near_diagonal(model, t, z):
             return "distance-scale", math.inf
         return "distance-scale", float(model.scale.value(z) * phi_t / model.volume.value(z))
     if d1 == d2 == a1 == a2:
-        if rtag.scalar == 0.0:
+        if a == 0.0:
             return "logarithmic", math.inf
         front = 1.0 / model.volume.value(model.scale.inverse(1.0 / phi_t))
-        return "logarithmic", float(front * math.log(2.0 / rtag.scalar))
+        return "logarithmic", float(front * math.log(2.0 / a))
     return "not-applicable", None

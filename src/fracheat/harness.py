@@ -80,15 +80,20 @@ _INT_KEYS = {"t_n", "z_n", "mc_samples", "seed"}
 def read_config(path):
     """Flat 'key = value' config file; '#' starts a comment."""
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+    try:
+        with open(path) as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+                key, _, val = line.partition("=")
+                values[key.strip()] = val.strip()
+    except FileNotFoundError:
+        raise DomainError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read config file {path}: {exc}") from None
     return values
 
 
@@ -101,31 +106,32 @@ def config_from_mapping(values, base=None):
             continue
         if key not in known:
             raise DomainError(f"unknown config key {key!r}")
-        if key in _FLOAT_KEYS:
-            val = float(val)
-        elif key in _INT_KEYS:
-            val = int(val)
-        updates[key] = val
+        kind = float if key in _FLOAT_KEYS else int if key in _INT_KEYS else str
+        try:
+            updates[key] = kind(val)
+        except ValueError:
+            raise DomainError(f"config key {key!r}: {val!r} is not of type {kind.__name__}") from None
     return replace(cfg, **updates)
+
+
+def _parse_models(cfg):
+    """(exponent, scale, volume, kernel) from the model keys of a config."""
+    exponent = parse_exponent(cfg.subordinator)
+    scale, volume = parse_profile(cfg.phi_scale), parse_profile(cfg.volume)
+    return exponent, scale, volume, parse_kernel(cfg.kernel, volume=volume, scale=scale)
 
 
 def build_kernel_and_model(cfg):
     """(kernel, subordinator model) for a config; no estimate machinery."""
-    exponent = parse_exponent(cfg.subordinator)
-    scale = parse_profile(cfg.phi_scale)
-    volume = parse_profile(cfg.volume)
-    kernel = parse_kernel(cfg.kernel, volume=volume, scale=scale)
+    exponent, _, _, kernel = _parse_models(cfg)
     return kernel, SubordinatorModel(exponent)
 
 
 def build_models(cfg):
     """(kernel, subordinator model, estimate model) for a config."""
-    kernel, model = build_kernel_and_model(cfg)
-    scale = parse_profile(cfg.phi_scale)
-    volume = parse_profile(cfg.volume)
+    exponent, scale, volume, kernel = _parse_models(cfg)
     flavor = "diffusion" if isinstance(kernel, (ExactGaussian, DiffusionSurrogate)) else "jump"
-    emodel = EstimateModel(model.exponent, scale, volume, flavor)
-    return kernel, model, emodel
+    return kernel, SubordinatorModel(exponent), EstimateModel(exponent, scale, volume, flavor)
 
 
 @dataclass(frozen=True)
@@ -184,18 +190,17 @@ def _p_row(kernel, model, cfg, index, t, zs):
 
 def _evaluate_row(emodel, cfg, t, z, est_p):
     try:
-        tag = emodel.classify(t, z)
         if isinstance(est_p, FracheatError):
             raise est_p
         shape = emodel.estimate(t, z)
         if shape.value is not None:
             ratio = est_p.value / shape.value if shape.value > 0 else np.inf
-            return SandwichRow(t, z, tag.regime.value, est_p.value, est_p.error,
+            return SandwichRow(t, z, shape.regime, est_p.value, est_p.error,
                                shape.value, None, ratio, None, est_p.method,
                                converged=est_p.converged)
         ratio = est_p.value / shape.prefactor  # an underflowed p = 0 gives L = inf
         log_ratio = -np.log(ratio) / shape.exponent_arg if ratio > 0 else np.inf
-        return SandwichRow(t, z, tag.regime.value, est_p.value, est_p.error,
+        return SandwichRow(t, z, shape.regime, est_p.value, est_p.error,
                            shape.prefactor, shape.exponent_arg, None,
                            float(log_ratio), est_p.method, converged=est_p.converged)
     except FracheatError as exc:  # a failed row is recorded, the run continues

@@ -167,7 +167,7 @@ def density_quadrature(kernel, model, t, z):
 
     def in_log_s(u):
         s = np.exp(u)
-        return model.inverse_density_grid(t, s) * kernel.q(s, rows[:, None]) * s
+        return model.inverse_density(t, s) * kernel.q(s, rows[:, None]) * s
 
     bounds = _log_panels(kernel, model, t, rows)
     total, error, ok = kronrod_quad(in_log_s, bounds, REL_TOL, ABS_FLOOR)
@@ -701,7 +701,7 @@ def _self_similar_rows(model, rows):
 
     def in_log_rho(y):
         rho = np.exp(y)
-        return model.inverse_density_grid(1.0, rho) * rho * rows(y)
+        return model.inverse_density(1.0, rho) * rho * rows(y)
 
     return kronrod_quad(in_log_rho, bounds, REL_TOL, ABS_FLOOR)
 
@@ -752,9 +752,7 @@ def caputo_weak_residual(beta, f, g, t_grid, x_grid):
     wg2 = weights * g.second_derivative(x_grid)
     g0 = float(wg @ f_vals)
 
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(_WEAK_NODES)
-    v_nodes = 0.5 * (gl_nodes + 1.0)
-    v_weights = 0.5 * gl_weights
+    v_nodes, v_weights = panel_nodes([0.0, 1.0], _WEAK_NODES)
     pref_const = 1.0 / ((1.0 - beta) * math.gamma(1.0 - beta))
     shrink = 1.0 - v_nodes ** (1.0 / (1.0 - beta))
     # G and G2 at r = s**beta rho for every rho of the Kronrod passes and every

@@ -19,8 +19,8 @@ Evaluation strategy, by argument size:
   whose panel boundaries sit at the levels A(0+) * 2**j and A(0+) + 2**k:
   the union of the dyadic ladders of the exponent c*A(u) over all c of
   x < 1, so one grid resolves every x.  Grid nodes where exp(-c*A) has
-  underflowed are skipped; only ``log_cdf`` lays its own shifted ladder,
-  past that level.
+  underflowed are skipped; only ``log_cdf_at`` lays its own shifted
+  ladder, past that level.
 
 One evaluator, ``law_rows``, returns the rows (P(S <= x), P(S > x),
 x g(x)) from one matrix of series terms or of grid values.  It starts
@@ -113,34 +113,29 @@ def _log_w0(beta, log_x):
     return -tilt(beta) * log_x + np.log(a_zero(beta))
 
 
-def _log(xs):
-    """log of an array of x, nan where x <= 0, without warnings."""
-    xs = np.asarray(xs, dtype=float)
-    return np.log(np.where(xs > 0.0, xs, np.nan))
+def _law(k, beta, x):
+    """Row k of `law_rows` at each x > 0, in the shape of x: a scalar x
+    gives a float.  Any x that is not > 0, NaN included, is refused."""
+    xs = np.asarray(x, dtype=float)
+    if not np.all(xs > 0.0):
+        raise DomainError(f"the stable law needs x > 0, got {xs[~(xs > 0.0)][0]}")
+    row = law_rows(beta, np.log(xs.ravel()))[k]
+    return float(row[0]) if xs.ndim == 0 else row.reshape(xs.shape)
 
 
 def density(beta, x):
-    """Density of S at x > 0 (scalar)."""
-    _check_beta(beta)
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"stable density needs x > 0, got {x}")
-    return float(density_grid(beta, [x])[0])
+    """Density of S at each x > 0."""
+    return _law(2, beta, x) / x
 
 
 def cdf(beta, x):
-    """P(S <= x) for x > 0 (scalar)."""
-    return float(cdf_grid(beta, [float(x)])[0])
+    """P(S <= x) at each x > 0."""
+    return _law(0, beta, x)
 
 
 def survival(beta, x):
-    """P(S >= x) for x > 0 (scalar)."""
-    return float(survival_grid(beta, [float(x)])[0])
-
-
-def log_cdf(beta, x):
-    """log P(S <= x), stable deep into the left tail."""
-    return log_cdf_at(beta, float(_log([x])[0])) if x > 0.0 else -np.inf
+    """P(S > x) at each x > 0."""
+    return _law(1, beta, x)
 
 
 def log_cdf_at(beta, log_x):
@@ -247,22 +242,6 @@ def law_rows(beta, log_x):
     np.subtract(1.0, high, out=low, where=hi)
     np.subtract(1.0, low, out=high, where=~hi)
     return rows
-
-
-def cdf_grid(beta, xs):
-    """P(S <= x) vectorized over an array of x > 0."""
-    return law_rows(beta, _log(xs))[0]
-
-
-def survival_grid(beta, xs):
-    """P(S >= x) vectorized over an array of x > 0."""
-    return law_rows(beta, _log(xs))[1]
-
-
-def density_grid(beta, xs):
-    """Density vectorized over an array of x > 0."""
-    xs = np.asarray(xs, dtype=float)
-    return np.divide(law_rows(beta, _log(xs))[2], xs, out=np.zeros(xs.shape), where=xs > 0.0)
 
 
 def log_sample(beta, generator, n=1):

@@ -145,14 +145,10 @@ class SubordinatorModel:
     # ----- distribution of S_r ---------------------------------------
 
     def _law(self, name, r, t):
-        """(P(S_r <= t), P(S_r > t)) from `_sum_rows`; one part takes its
-        scale a r as a numpy scalar, which powers like a Python float."""
-        if r <= 0.0 or t <= 0.0:
+        """(P(S_r <= t), P(S_r > t)) from `_sum_rows`; NaN fails r, t > 0."""
+        if not (r > 0.0 and t > 0.0):
             raise DomainError(f"{name} needs r, t > 0")
-        (a, b), *rest = comps = self._components()
-        if rest:
-            return _sum_rows(comps, np.array([r]), np.array([t]))[:2, 0, 0]
-        return _part_rows(b, np.float64(a * r), np.array([t]))[:2, 0]
+        return _sum_rows(self._components(), np.array([r]), np.array([t]))[:2, 0, 0]
 
     def cdf(self, r, t):
         """P(S_r <= t)."""
@@ -164,6 +160,8 @@ class SubordinatorModel:
 
     def log_cdf(self, r, t):
         """log P(S_r <= t), stable deep into the small-t tail."""
+        if not (r > 0.0 and t > 0.0):
+            raise DomainError("log_cdf needs r, t > 0")
         (a, b), *rest = self._components()
         if not rest:
             return stable.log_cdf_at(b, float(_log_arg(b, np.float64(a * r), t)))
@@ -173,18 +171,14 @@ class SubordinatorModel:
     # ----- inverse subordinator ---------------------------------------
 
     def inverse_density(self, t, r):
-        """Density of E_t at r, i.e. d/dr P(S_r >= t)."""
-        if t <= 0.0 or r <= 0.0:
+        """Density of E_t at each r, i.e. d/dr P(S_r >= t): M(t)/r with M
+        from `_sum_rows`, in the shape of r; a scalar r gives a float."""
+        rs = np.asarray(r, dtype=float)
+        if not (t > 0.0 and np.all(rs > 0.0)):
             raise DomainError("inverse_density needs t, r > 0")
-        return float(self.inverse_density_grid(t, [r])[0])
-
-    def inverse_density_grid(self, t, rs):
-        """inverse_density vectorized over an array of r: M(t)/r with M from
-        `_sum_rows`."""
-        rs = np.asarray(rs, dtype=float)
         flat = rs.ravel()
-        m = _sum_rows(self._components(), flat, np.array([t]))[3, :, 0]
-        return (m / flat).reshape(rs.shape)
+        h = _sum_rows(self._components(), flat, np.array([t]))[3, :, 0] / flat
+        return float(h[0]) if rs.ndim == 0 else h.reshape(rs.shape)
 
     def inverse_support(self, t):
         """r beyond which the density of E_t is zero: the least of the parts'
@@ -199,9 +193,14 @@ class SubordinatorModel:
         comps = self._components()
         _check_draws("sample_subordinator", "r", r, n)
         gen = _generator(rng)
+        with np.errstate(over="ignore"):
+            scales = [np.float64(a * r) ** (1.0 / b) for a, b in comps]
+        if not max(scales) < math.inf:
+            raise DomainError(f"sample_subordinator needs a finite part scale (a r)**(1/beta), "
+                              f"got r={r}")
         total = np.zeros(n)
-        for a, b in comps:
-            total += (a * r) ** (1.0 / b) * stable.sample(b, gen, n)
+        for scale, (_, b) in zip(scales, comps):
+            total += scale * stable.sample(b, gen, n)
         return total
 
     def sample_inverse(self, t, rng, n=1):

@@ -44,7 +44,7 @@ class TestVerify:
         rep = verify_sandwich(cfg)
         _, _, emodel = build_models(cfg)
         for row in rep.rows:
-            assert emodel.classify(row.t, row.z).regime.value == row.regime
+            assert emodel.estimate(row.t, row.z).regime == row.regime
 
     def test_mc_campaign_deterministic(self):
         cfg = small_jump_config(method="mc", mc_samples=2000, seed=5)
@@ -306,7 +306,8 @@ class TestCli:
         ["--dist", "e", "--t", "1", "--n", "-5"], ["--dist", "e", "--t", "inf"],
         ["--dist", "e", "--t", "nan"], ["--dist", "e", "--t", "0"],
         ["--dist", "s", "--r", "inf"], ["--dist", "s", "--r", "nan"],
-        ["--dist", "s", "--r", "1", "--n", "-5"]], ids=" ".join)
+        ["--dist", "s", "--r", "1", "--n", "-5"], ["--dist", "s", "--r", "1e308"]],
+        ids=" ".join)
     def test_sample_bad_input_is_usage_error(self, capsys, flags):
         code = run_cli(["sample", "--beta", "0.5", *flags])
         captured = capsys.readouterr()
@@ -357,6 +358,21 @@ class TestCli:
         code = run_cli(["verify", "--config", "does-not-exist.cfg"])
         assert code == 2
         assert "does-not-exist.cfg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [None, "t_lo = abc\n", "t_n = 2.5\n"],
+                             ids=["directory", "t_lo", "t_n"])
+    def test_malformed_config_is_usage_error(self, text, tmp_path, capsys):
+        path = tmp_path
+        if text is not None:
+            path = tmp_path / "bad.cfg"
+            path.write_text(text)
+        code = run_cli(["verify", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("fracheat: ") and "Traceback" not in captured.err
+        if text is not None:
+            assert text.split()[0] in captured.err
 
     def test_bad_flag_is_usage_error(self):
         assert run_cli(["eval", "--nope"]) == 2

@@ -8,7 +8,9 @@ same holds for the density of log S (the x g(x) row of stable.law_rows)
 over the series, the grid and the underflow band of five indices, and for
 the density h_t of the inverse time of two one-part models: a rewrite of
 the stable law or of the sum-of-parts rows that keeps these hashes leaves
-every Gauss-Kronrod value of p on a stable time change as it was.
+every Gauss-Kronrod value of p on a stable time change as it was.  The
+verify CSV text of 5 x 5 grids of the two campaign configs pins, besides
+p, the estimate layer and the ratios a row derives from it.
 
 The bits rest on numpy's float kernels (its SIMD exp, log and tan, the BLAS
 dot) and on its Philox stream, which may differ between numpy builds and
@@ -17,11 +19,13 @@ fingerprint of those kernels matches that build's.
 """
 
 import hashlib
+import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fracheat import (RngStream, Stable, SubordinatorModel, density_monte_carlo,
+from fracheat import (RngStream, Stable, SubordinatorModel, density_monte_carlo, harness,
                       parse_exponent, parse_kernel, stable)
 
 KERNELS_FINGERPRINT = "0fd2c20684668253f7104b9c0c3bddcbea5422471af30a99c1dffe749e494082"
@@ -40,6 +44,12 @@ DENSITY_HASHES = {
     0.5: "33d6026f67654d74fb0423e8f40cc93ec60f254d42ceb15ceda397050b1e481a",
     0.7: "3f574e3561e7351ba163f5d3b5fb6ef680df833c54a160cf33ec483a5b7ed9af",
     0.99: "fb1abb2360f0a53f5b0a81ff9626575095005e1c5c09736c493d30eb6ecc40e0",
+}
+# the verify CSV text of 5 x 5 quadrature grids of the two campaign configs,
+# which covers the regime, estimate, n, ratio and log_ratio columns
+CAMPAIGN_HASHES = {
+    "jump.cfg": "456933d65c5ae286921d23e14539253c61e614bfaeaa3452eae870e4e21dce3f",
+    "diffusion.cfg": "21f7920cc282c4928118c42d4c1863b59b6f82cdff3262660c0f1b538a96b0b2",
 }
 INVERSE_DENSITY_HASHES = {
     "stable:0.5": "725a9ea0ce4f4654035bf8b15acf5a7914beac3a2562a662845206f371f7a1c4",
@@ -98,5 +108,15 @@ def test_density_of_log(beta):
 @pytest.mark.parametrize("key", sorted(INVERSE_DENSITY_HASHES))
 def test_inverse_density_grid(key):
     model = SubordinatorModel(parse_exponent(key))
-    h = model.inverse_density_grid(1.0, np.geomspace(1e-6, 50.0, 257))
+    h = model.inverse_density(1.0, np.geomspace(1e-6, 50.0, 257))
     assert _sha(h.tobytes()) == INVERSE_DENSITY_HASHES[key]
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGN_HASHES))
+def test_campaign_csv(name):
+    path = Path(__file__).parents[1] / "campaigns" / name
+    cfg = harness.config_from_mapping({"t_n": 5, "z_n": 5}, base=harness.config_from_mapping(
+        harness.read_config(path)))
+    buf = io.StringIO()
+    harness.write_report_csv(buf, harness.verify_sandwich(cfg))
+    assert _sha(buf.getvalue().encode()) == CAMPAIGN_HASHES[name]

@@ -57,7 +57,7 @@ class TestCdf:
         model = SubordinatorModel(cbf_from_scale(PowerLaw(2.0), 3.0))
         calls = (lambda: model.cdf(1.0, 1.0), lambda: model.survival(1.0, 1.0),
                  lambda: model.log_cdf(1.0, 1.0), lambda: model.inverse_density(1.0, 1.0),
-                 lambda: model.inverse_density_grid(1.0, [1.0]),
+                 lambda: model.inverse_density(1.0, [1.0]),
                  lambda: model.inverse_support(1.0),
                  lambda: model.sample_subordinator(1.0, RngStream(0, 0), 3),
                  lambda: model.sample_inverse(1.0, RngStream(0, 0), 3))
@@ -116,7 +116,7 @@ class TestOnePath:
         model = SubordinatorModel(StableMixture(((2.0, 0.5),)))
         rs = np.geomspace(1e-3, 3.0, 25)
         ref = 2.0 * np.exp(-(2.0 * rs) ** 2 / 4.0) / math.sqrt(math.pi)
-        assert np.allclose(model.inverse_density_grid(1.0, rs), ref, rtol=1e-11, atol=0.0)
+        assert np.allclose(model.inverse_density(1.0, rs), ref, rtol=1e-11, atol=0.0)
         assert np.array_equal(model.sample_inverse(1.0, RngStream(6, 0), 100),
                               half.sample_inverse(1.0, RngStream(6, 0), 100) / 2.0)
 
@@ -162,7 +162,7 @@ class TestInverseDensity:
 
     def test_grid_matches_scalar(self, half):
         rs = np.geomspace(0.01, 10.0, 40)
-        grid = half.inverse_density_grid(1.0, rs)
+        grid = half.inverse_density(1.0, rs)
         scal = np.array([half.inverse_density(1.0, r) for r in rs])
         assert np.max(np.abs(grid - scal)) < 1e-10
 
@@ -177,7 +177,7 @@ class TestInverseDensity:
                 u, w = panel_nodes(np.log(geometric_boundaries(lo, model.inverse_support(t))),
                                    order=12)
                 r = np.exp(u)
-                mass = w @ (model.inverse_density_grid(t, r) * r) + model.inverse_density(t, lo) * lo
+                mass = w @ (model.inverse_density(t, r) * r) + model.inverse_density(t, lo) * lo
                 assert abs(mass - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("terms", MIXTURES)
@@ -199,7 +199,7 @@ class TestInverseDensity:
         # (a r)**(-1/beta) overflows for the 0.05 part at these r, and h
         # is still nu(t)
         model = SubordinatorModel(StableMixture(((1.0, 0.05), (1.0, 0.5))))
-        h = model.inverse_density_grid(1.0, [1e-30, 1e-20])
+        h = model.inverse_density(1.0, [1e-30, 1e-20])
         assert np.allclose(h, model.exponent.levy_tail(1.0), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("terms", MIXTURES)
@@ -209,10 +209,10 @@ class TestInverseDensity:
         # tolerance, from r -> 0 into the far tail of E_t (h down to 1e-250)
         model = SubordinatorModel(StableMixture(terms))
         rs = model.inverse_support(t) * np.geomspace(1e-6, 0.6, 30)
-        h = model.inverse_density_grid(t, rs)
+        h = model.inverse_density(t, rs)
         monkeypatch.setattr(subordinator, "_CONV_PANELS", 2 * subordinator._CONV_PANELS)
         monkeypatch.setattr(subordinator, "_CONV_TOL", 1e-3 * subordinator._CONV_TOL)
-        fine = model.inverse_density_grid(t, rs)
+        fine = model.inverse_density(t, rs)
         live = fine > 1e-250
         assert live.sum() >= 20
         assert np.max(np.abs(h[live] / fine[live] - 1.0)) <= 1e-12
@@ -364,3 +364,22 @@ def test_domain_errors(half):
         half.inverse_density(1.0, 0.0)
     with pytest.raises(DomainError):
         half.sample_inverse(-1.0, RngStream(0, 0), 10)
+
+
+@pytest.mark.parametrize("exponent", [Stable(0.5), StableMixture(((1.0, 0.3), (1.0, 0.7)))],
+                         ids=["stable:0.5", "mixture:1,0.3;1,0.7"])
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+def test_law_refuses_points_not_above_zero(exponent, bad):
+    # every law of S and of E_t, at a bad point in either argument, and the
+    # stable law of each part, at a scalar and inside an array
+    model = SubordinatorModel(exponent)
+    calls = [lambda: model.inverse_density(1.0, [2.0, bad])]
+    for name in ("cdf", "survival", "log_cdf", "inverse_density"):
+        calls += [lambda f=getattr(model, name): f(bad, 1.0),
+                  lambda f=getattr(model, name): f(1.0, bad)]
+    for _, beta in exponent.terms:
+        for f in (stable.density, stable.cdf, stable.survival):
+            calls += [lambda f=f: f(beta, bad), lambda f=f: f(beta, np.array([2.0, bad]))]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
