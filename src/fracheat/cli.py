@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 from scipy import special
@@ -21,11 +22,14 @@ from scipy import special
 from . import harness, solution
 from .bernstein import parse_exponent
 from .errors import BracketError, DomainError, FracheatError, QuadratureError
-from .harness import CSV_HEADER_COMMENT, VerifyConfig
+from .harness import VerifyConfig
 from .kernels import ExactCauchy, ExactGaussian
 from .numerics import kronrod_quad
 from .rng import RngStream
 from .subordinator import SubordinatorModel
+
+# the VerifyConfig keys that name the model; every other key is a grid key
+_MODEL_KEYS = ("subordinator", "kernel", "phi_scale", "volume")
 
 
 def _add_model_flags(p):
@@ -58,13 +62,10 @@ def _build_parser():
     p_ver = sub.add_parser("verify", help="run a sandwich campaign")
     p_ver.add_argument("--config", help="flat key = value file")
     _add_model_flags(p_ver)
-    for key in ("t-lo", "t-hi", "z-lo", "z-hi"):
-        p_ver.add_argument(f"--{key}", type=float, dest=key.replace("-", "_"))
-    for key in ("t-n", "z-n", "mc-samples", "seed"):
-        p_ver.add_argument(f"--{key}", type=int, dest=key.replace("-", "_"))
-    p_ver.add_argument("--z-mode", choices=("regime", "absolute"), dest="z_mode")
-    p_ver.add_argument("--method", choices=("quad", "mc"))
-    p_ver.add_argument("--out")
+    # one flag per grid key, checked by harness.config_from_mapping
+    for f in fields(VerifyConfig):
+        if f.name not in _MODEL_KEYS:
+            p_ver.add_argument("--" + f.name.replace("_", "-"), dest=f.name)
 
     p_sam = sub.add_parser("sample", help="draw subordinator or inverse samples")
     _add_model_flags(p_sam)
@@ -97,10 +98,10 @@ def _subordinator_key(args):
 
 
 def _model_config(args):
-    """Campaign config carrying the model flags of eval/estimate."""
+    """Campaign config carrying the model flags of eval, estimate or sample."""
     return harness.config_from_mapping({
-        "subordinator": _subordinator_key(args),
-        **{k: getattr(args, k) or None for k in ("kernel", "phi_scale", "volume")}})
+        **{k: getattr(args, k) or None for k in _MODEL_KEYS},
+        "subordinator": _subordinator_key(args)})
 
 
 @contextlib.contextmanager
@@ -135,29 +136,24 @@ def _cmd_eval(args):
     if not est.converged:
         raise QuadratureError("eval did not converge", est.value, est.error)
     with _out_stream(args.out) as fh:
-        fh.write(CSV_HEADER_COMMENT + "\n")
-        fh.write("t,z,p,err,method\n")
-        fh.write(f"{args.t!r},{args.z!r},{float(est.value)!r},{float(est.error)!r},{est.method}\n")
+        harness.write_csv(fh, ("t", "z", "p", "err", "method"),
+                          [(args.t, args.z, est.value, est.error, est.method)])
     return 0
 
 
 def _cmd_estimate(args):
     _, _, emodel = harness.build_models(_model_config(args))
     shape = emodel.estimate(args.t, args.z)
+    est = shape.value if shape.value is not None else shape.prefactor
     with _out_stream(args.out) as fh:
-        fh.write(CSV_HEADER_COMMENT + "\n")
-        fh.write("t,z,regime,estimate,n\n")
-        est = shape.value if shape.value is not None else shape.prefactor
-        n = "" if shape.exponent_arg is None else repr(float(shape.exponent_arg))
-        fh.write(f"{args.t!r},{args.z!r},{shape.regime},{float(est)!r},{n}\n")
+        harness.write_csv(fh, ("t", "z", "regime", "estimate", "n"),
+                          [(args.t, args.z, shape.regime, est, shape.exponent_arg)])
     return 0
 
 
 def _cmd_verify(args):
     base = harness.config_from_mapping(harness.read_config(args.config)) if args.config else None
-    overrides = {k: getattr(args, k) for k in (
-        "kernel", "phi_scale", "volume", "t_lo", "t_hi", "t_n",
-        "z_lo", "z_hi", "z_n", "z_mode", "method", "mc_samples", "seed", "out")}
+    overrides = {f.name: getattr(args, f.name) for f in fields(VerifyConfig)}
     overrides["subordinator"] = _subordinator_key(args)
     cfg = harness.config_from_mapping(overrides, base=base)
     report = harness.verify_sandwich(cfg)
@@ -172,8 +168,7 @@ def _cmd_verify(args):
 
 
 def _cmd_sample(args):
-    key = _subordinator_key(args) or VerifyConfig.subordinator
-    model = SubordinatorModel(parse_exponent(key))
+    model = SubordinatorModel(parse_exponent(_model_config(args).subordinator))
     rng = RngStream(args.seed, 0)
     if args.dist == "s":
         if args.r is None:
@@ -184,10 +179,7 @@ def _cmd_sample(args):
             raise DomainError("sample --dist e needs --t")
         values = model.sample_inverse(args.t, rng, args.n)
     with _out_stream(args.out) as fh:
-        fh.write(CSV_HEADER_COMMENT + "\n")
-        fh.write("index,value\n")
-        for i, v in enumerate(values):
-            fh.write(f"{i},{float(v)!r}\n")
+        harness.write_csv(fh, ("index", "value"), ((str(i), v) for i, v in enumerate(values)))
     return 0
 
 
@@ -204,11 +196,9 @@ def _cmd_residual(args):
     x_grid = np.linspace(-args.x_half, args.x_half, args.x_n)
     report = solution.caputo_weak_residual(args.beta, f, g, t_grid, x_grid)
     with _out_stream(args.out) as fh:
-        fh.write(CSV_HEADER_COMMENT + "\n")
-        fh.write("t,lhs,rhs,residual\n")
-        for t, lhs, rhs in report.rows:
-            res = abs(lhs - rhs) / max(abs(rhs), 1e-8)
-            fh.write(f"{t!r},{lhs!r},{rhs!r},{res!r}\n")
+        harness.write_csv(fh, ("t", "lhs", "rhs", "residual"),
+                          ((t, lhs, rhs, abs(lhs - rhs) / max(abs(rhs), 1e-8))
+                           for t, lhs, rhs in report.rows))
     print(f"max residual: {report.residual!r}; initial error: {report.initial_error!r}; "
           f"richardson_warning={report.richardson_warning}; converged={report.converged}; "
           f"n_profiles={report.n_profiles}; table_error={report.table_error!r}; "

@@ -73,10 +73,6 @@ class VerifyConfig:
             raise DomainError(f"method must be 'quad' or 'mc', got {self.method}")
 
 
-_FLOAT_KEYS = {"t_lo", "t_hi", "z_lo", "z_hi"}
-_INT_KEYS = {"t_n", "z_n", "mc_samples", "seed"}
-
-
 def read_config(path):
     """Flat 'key = value' config file; '#' starts a comment."""
     values = {}
@@ -98,15 +94,18 @@ def read_config(path):
 
 
 def config_from_mapping(values, base=None):
+    """`base` (default: VerifyConfig()) with the keys of `values` set, each
+    converted to the type of its field's default (str for `out`); a None
+    value is skipped."""
     cfg = base or VerifyConfig()
-    known = {f.name for f in fields(VerifyConfig)}
+    kinds = {f.name: str if f.default is None else type(f.default) for f in fields(VerifyConfig)}
     updates = {}
     for key, val in values.items():
         if val is None:
             continue
-        if key not in known:
+        if key not in kinds:
             raise DomainError(f"unknown config key {key!r}")
-        kind = float if key in _FLOAT_KEYS else int if key in _INT_KEYS else str
+        kind = kinds[key]
         try:
             updates[key] = kind(val)
         except ValueError:
@@ -247,15 +246,16 @@ def verify_sandwich(cfg):
                           tilted)
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    return repr(float(value))
+def write_csv(fh, columns, rows):
+    """The schema comment, the header of `columns`, then one line per row
+    of `rows`: a str as it is, None as an empty field, any other value as
+    repr(float(v))."""
+    fh.write(CSV_HEADER_COMMENT + "\n")
+    fh.write(",".join(columns) + "\n")
+    for row in rows:
+        fh.write(",".join(v if isinstance(v, str) else "" if v is None else repr(float(v))
+                          for v in row) + "\n")
 
 
 def write_report_csv(fh, report):
-    fh.write(CSV_HEADER_COMMENT + "\n")
-    fh.write(",".join(CSV_COLUMNS) + "\n")
-    for row in report.rows:
-        vals = (getattr(row, col) for col in CSV_COLUMNS)
-        fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in vals) + "\n")
+    write_csv(fh, CSV_COLUMNS, ([getattr(row, col) for col in CSV_COLUMNS] for row in report.rows))

@@ -63,7 +63,7 @@ from .bernstein import Stable
 from .errors import DomainError, UnsupportedModelError
 from .numerics import (ABS_FLOOR, EPS, REL_TOL, chebyshev_table, geometric_boundaries,
                        kronrod_quad, panel_nodes)
-from .subordinator import SubordinatorModel, _generator
+from .subordinator import SubordinatorModel
 
 
 @dataclass(frozen=True)
@@ -338,7 +338,7 @@ def density_monte_carlo(kernel, model, t, z, n, rng):
     for zj in z.tolist():
         est = _mc_mean(q_of(zj, out=buf), "mc")
         if not est.converged and len(terms) == 1:
-            est = _tilted(kernel, model, t, zj, n, _generator(rng)) or est
+            est = _tilted(kernel, model, t, zj, n, rng.generator) or est
         row.append(est)
     return row
 

@@ -36,7 +36,6 @@ from . import stable
 from .bernstein import LaplaceExponent, Stable
 from .errors import DomainError, QuadratureError, UnsupportedModelError
 from .numerics import REL_TOL, geometric_boundaries, kronrod_quad
-from .rng import RngStream
 
 # path steps one first-passage draw may take before it gives up
 _MAX_INCREMENTS = 4_000_000
@@ -46,10 +45,6 @@ _MAX_INCREMENTS = 4_000_000
 _CONV_HEAD, _CONV_PANELS, _CONV_TOL, _CONV_ROWS = 1e-14, 16, 1e-11, 4
 # the fine step of the mixture path sampler, relative to its pilot draw
 _PATH_TOL = 1e-3
-
-
-def _generator(rng):
-    return rng.generator if isinstance(rng, RngStream) else rng
 
 
 def _check_draws(name, arg, value, n):
@@ -189,10 +184,9 @@ class SubordinatorModel:
     # ----- sampling ----------------------------------------------------
 
     def sample_subordinator(self, r, rng, n=1):
-        """n draws of S_r."""
+        """n draws of S_r from the RngStream rng."""
         comps = self._components()
         _check_draws("sample_subordinator", "r", r, n)
-        gen = _generator(rng)
         with np.errstate(over="ignore"):
             scales = [np.float64(a * r) ** (1.0 / b) for a, b in comps]
         if not max(scales) < math.inf:
@@ -200,25 +194,24 @@ class SubordinatorModel:
                               f"got r={r}")
         total = np.zeros(n)
         for scale, (_, b) in zip(scales, comps):
-            total += scale * stable.sample(b, gen, n)
+            total += scale * stable.sample(b, rng.generator, n)
         return total
 
     def sample_inverse(self, t, rng, n=1):
-        """n draws of E_t = inf{s : S_s > t}: (t / X)**beta / a for one
-        part, formed from log X in place on the array of log X, a
-        discretized path for several."""
+        """n draws of E_t = inf{s : S_s > t} from the RngStream rng:
+        (t / X)**beta / a for one part, formed from log X in place on the
+        array of log X, a discretized path for several."""
         comps = self._components()
         _check_draws("sample_inverse", "t", t, n)
-        gen = _generator(rng)
         if len(comps) == 1:
             (a, b), = comps
-            e = stable.log_sample(b, gen, n)
+            e = stable.log_sample(b, rng.generator, n)
             np.subtract(math.log(t), e, out=e)
             e *= b
             np.exp(e, out=e)
             e /= a
             return e
-        return self._sample_inverse_path(t, gen, n, comps)
+        return self._sample_inverse_path(t, rng.generator, n, comps)
 
     def _sample_inverse_path(self, t, gen, n, comps):
         """Discretized-path first passage with a per-sample pilot pass.

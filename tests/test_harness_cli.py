@@ -1,21 +1,24 @@
 """Campaign harness and command-line surface."""
 
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fracheat import VerifyConfig, verify_sandwich
+from fracheat import VerifyConfig, harness, verify_sandwich
 from fracheat.cli import run_cli
 from fracheat.harness import build_models, config_from_mapping, read_config
 from fracheat.errors import DomainError
 
 CAMPAIGNS = Path(__file__).parents[1] / "campaigns"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def small_jump_config(**overrides):
@@ -318,8 +321,12 @@ class TestCli:
     @pytest.mark.parametrize("flags, message", [
         (["--method", "mc", "--mc-samples", "-5"], "mc_samples must be >= 100, got -5"),
         (["--z-hi", "inf"], "grid ranges must be finite, positive and ordered"),
-        (["--t-lo", "nan"], "grid ranges must be finite, positive and ordered")],
-        ids=["mc_samples", "z_hi", "t_lo"])
+        (["--t-lo", "nan"], "grid ranges must be finite, positive and ordered"),
+        (["--method", "foo"], "method must be 'quad' or 'mc', got foo"),
+        (["--z-mode", "foo"], "z_mode must be 'regime' or 'absolute', got foo"),
+        (["--t-n", "2.5"], "config key 't_n': '2.5' is not of type int"),
+        (["--t-lo", "abc"], "config key 't_lo': 'abc' is not of type float")],
+        ids=["mc_samples", "z_hi", "t_lo", "method", "z_mode", "t_n_text", "t_lo_text"])
     def test_verify_bad_input_is_usage_error(self, capsys, flags, message):
         code = run_cli(["verify", "--config", str(CAMPAIGNS / "jump.cfg"),
                         "--t-n", "2", "--z-n", "2", *flags])
@@ -506,3 +513,67 @@ class TestCli:
         assert len(rows) == 2
         for row in rows:
             assert float(row.split(",")[-1]) < 0.05
+
+
+# every VerifyConfig key: its verify flag and a value other than its default
+SCHEMA = {
+    "subordinator": ("--subordinator", "mixture:1,0.3;1,0.7"),
+    "kernel": ("--kernel", "gaussian:2"),
+    "phi_scale": ("--phi-scale", "power:2"),
+    "volume": ("--volume", "power:2"),
+    "t_lo": ("--t-lo", "0.5"),
+    "t_hi": ("--t-hi", "2.0"),
+    "t_n": ("--t-n", "0"),
+    "z_lo": ("--z-lo", "0.25"),
+    "z_hi": ("--z-hi", "4.0"),
+    "z_n": ("--z-n", "2"),
+    "z_mode": ("--z-mode", "absolute"),
+    "method": ("--method", "mc"),
+    "mc_samples": ("--mc-samples", "500"),
+    "seed": ("--seed", "9"),
+    "out": ("--out", "rows.csv"),
+}
+
+
+class TestVerifySchema:
+    def test_schema_lists_every_key(self):
+        assert list(SCHEMA) == [f.name for f in fields(VerifyConfig)]
+
+    @pytest.mark.parametrize("source", ["flags", "file"])
+    def test_every_key_can_be_set(self, source, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        seen, run = [], harness.verify_sandwich
+        monkeypatch.setattr(harness, "verify_sandwich", lambda cfg: seen.append(cfg) or run(cfg))
+        if source == "flags":
+            argv = [arg for flag, value in SCHEMA.values() for arg in (flag, value)]
+        else:
+            (tmp_path / "all.cfg").write_text(
+                "".join(f"{key} = {value}\n" for key, (_, value) in SCHEMA.items()))
+            argv = ["--config", "all.cfg"]
+        assert run_cli(["verify", *argv]) == 0
+        assert seen == [VerifyConfig(
+            subordinator="mixture:1,0.3;1,0.7", kernel="gaussian:2", phi_scale="power:2",
+            volume="power:2", t_lo=0.5, t_hi=2.0, t_n=0, z_lo=0.25, z_hi=4.0, z_n=2,
+            z_mode="absolute", method="mc", mc_samples=500, seed=9, out="rows.csv")]
+        assert (tmp_path / "rows.csv").read_text().splitlines()[0] == "# fracheat-csv v1"
+
+
+def _readme_commands():
+    """The argv of every `fracheat ...` line of the README's sh blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = (line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines())
+    return [shlex.split(line)[1:] for line in lines if line.startswith("fracheat ")]
+
+
+def test_readme_shows_every_command():
+    assert {argv[0] for argv in _readme_commands()} == {
+        "eval", "estimate", "verify", "sample", "residual", "selftest"}
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_example_runs(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(README.parent)
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        argv = [*argv[:i], str(tmp_path / argv[i]), *argv[i + 1:]]
+    assert run_cli(argv) == 0

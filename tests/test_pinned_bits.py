@@ -10,7 +10,8 @@ the density h_t of the inverse time of two one-part models: a rewrite of
 the stable law or of the sum-of-parts rows that keeps these hashes leaves
 every Gauss-Kronrod value of p on a stable time change as it was.  The
 verify CSV text of 5 x 5 grids of the two campaign configs pins, besides
-p, the estimate layer and the ratios a row derives from it.
+p, the estimate layer and the ratios a row derives from it, and the stdout
+of eval, estimate, sample and residual commands pins the CSV each writes.
 
 The bits rest on numpy's float kernels (its SIMD exp, log and tan, the BLAS
 dot) and on its Philox stream, which may differ between numpy builds and
@@ -27,6 +28,7 @@ import pytest
 
 from fracheat import (RngStream, Stable, SubordinatorModel, density_monte_carlo, harness,
                       parse_exponent, parse_kernel, stable)
+from fracheat.cli import run_cli
 
 KERNELS_FINGERPRINT = "0fd2c20684668253f7104b9c0c3bddcbea5422471af30a99c1dffe749e494082"
 ROW_HASHES = {
@@ -50,6 +52,28 @@ DENSITY_HASHES = {
 CAMPAIGN_HASHES = {
     "jump.cfg": "456933d65c5ae286921d23e14539253c61e614bfaeaa3452eae870e4e21dce3f",
     "diffusion.cfg": "21f7920cc282c4928118c42d4c1863b59b6f82cdff3262660c0f1b538a96b0b2",
+}
+# the stdout of one command of each CSV shape: eval by every method,
+# estimate in each regime and flavor, sample of S_r and E_t, residual
+CLI_HASHES = {
+    "eval --beta 0.5 --kernel gaussian:1 --t 1 --z 0 --method quad":
+        "51dcd50d6c973351e56fdda54df817c3d50aa9217f22f188556f674bd60fc082",
+    "eval --beta 0.5 --kernel gaussian:1 --t 1 --z 0 --method mc --n 2000":
+        "bf11c9ffc7a459d6d5025d1144001421c1d5b52317daf6ccf957f82ec1f28aad",
+    "eval --beta 0.5 --kernel gaussian:1 --t 1 --z 0 --method fourier":
+        "3a7f26b32a8212f27a52870112b31b24b5353600620fba0fee103c6321f5f8af",
+    "estimate --beta 0.5 --kernel gaussian:1 --phi-scale power:2 --t 16 --z 1":
+        "3f6b17b4402256d89394b0f6421165226cdceba791073de3a07c34c25fca49df",
+    "estimate --beta 0.5 --kernel cauchy:1 --t 1 --z 10":
+        "7f9180de2305d7438d56d5eca363d9b04dfe15272befc9099024aa141a4f2d12",
+    "estimate --beta 0.5 --kernel gaussian:1 --phi-scale power:2 --t 1 --z 2":
+        "b589aa9d22d9be6df0d69d89087c980411f1b83fdac57abc2977272624550c02",
+    "sample --dist e --subordinator stable:0.5 --t 1 --n 100 --seed 7":
+        "184f6f7df24ff8f19bcd7bad4d70a1bd770fefd1b275b1e46cd6b2cf1bd560fa",
+    "sample --dist s --subordinator stable:0.5 --r 1 --n 100 --seed 7":
+        "b5f21bd365d59021aa6c895e60002683998a2ddce2f6162eff58afd71cfdcb58",
+    "residual --t-n 3":
+        "ab376b860952cdc0986c504e759909dc402ce8a32e283f9d091838819114bf16",
 }
 INVERSE_DENSITY_HASHES = {
     "stable:0.5": "725a9ea0ce4f4654035bf8b15acf5a7914beac3a2562a662845206f371f7a1c4",
@@ -120,3 +144,9 @@ def test_campaign_csv(name):
     buf = io.StringIO()
     harness.write_report_csv(buf, harness.verify_sandwich(cfg))
     assert _sha(buf.getvalue().encode()) == CAMPAIGN_HASHES[name]
+
+
+@pytest.mark.parametrize("command", sorted(CLI_HASHES))
+def test_cli_stdout(command, capsys):
+    assert run_cli(command.split()) == 0
+    assert _sha(capsys.readouterr().out.encode()) == CLI_HASHES[command]
