@@ -60,6 +60,12 @@ class VerifyConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is int:
+                if isinstance(value, str) or not float(value).is_integer():
+                    raise DomainError(f"{f.name} must be an integer, got {value!r}")
+                object.__setattr__(self, f.name, int(value))
         if not (0.0 < self.t_lo <= self.t_hi < math.inf
                 and 0.0 < self.z_lo <= self.z_hi < math.inf):
             raise DomainError("grid ranges must be finite, positive and ordered")
@@ -96,7 +102,8 @@ def read_config(path):
 def config_from_mapping(values, base=None):
     """`base` (default: VerifyConfig()) with the keys of `values` set, each
     converted to the type of its field's default (str for `out`); a None
-    value is skipped."""
+    value is skipped, and a number for an int key is left for VerifyConfig
+    to refuse unless it is integral."""
     cfg = base or VerifyConfig()
     kinds = {f.name: str if f.default is None else type(f.default) for f in fields(VerifyConfig)}
     updates = {}
@@ -107,7 +114,7 @@ def config_from_mapping(values, base=None):
             raise DomainError(f"unknown config key {key!r}")
         kind = kinds[key]
         try:
-            updates[key] = kind(val)
+            updates[key] = val if kind is int and not isinstance(val, str) else kind(val)
         except ValueError:
             raise DomainError(f"config key {key!r}: {val!r} is not of type {kind.__name__}") from None
     return replace(cfg, **updates)

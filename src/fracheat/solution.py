@@ -40,13 +40,13 @@ evaluated once per node, and Monte Carlo shares its inverse-time draws.
 The module also carries the Mittag-Leffler evaluator E_beta(-x), a mass
 conservation check (one Gauss-Kronrod pass in log y over that row form),
 and the weak-form residual test for the fractional-in-time evolution
-driven by the 1-d Laplacian.  The residual uses the
-self-similarity E_s = s**beta E_1 of the stable time change: each t is
-one Gauss-Kronrod pass in log(r / s**beta) whose rows, one per memory
-time and one for the right side, share the density of E_1 and read the
-x integrals from one piecewise-Chebyshev table in log r per call; the
-report says whether every row and the table converged and gives the
-worst row error, the table error and the number of heat profiles.
+driven by the 1-d Laplacian.  The residual's time derivative is exact, and
+by the self-similarity E_s = s**beta E_1 each t is one Gauss-Kronrod pass
+in log rho whose rows, one per memory time and one for the right side,
+share the density of E_1 and read the x integrals from one
+piecewise-Chebyshev table in log r per call; the report adds a check that
+the Laplacian generates the heat flow, whether every row and the table
+converged, the worst row and table errors and the number of heat profiles.
 """
 
 from __future__ import annotations
@@ -650,7 +650,7 @@ class GaussianBump:
 class WeakFormReport:
     residual: float            # max over t of |LHS - RHS| / max(|RHS|, floor)
     rows: tuple                # (t, lhs, rhs) triples
-    richardson_warning: bool   # finite-difference step not yet converged
+    generator_error: float     # |G(r_hi) - G(r_lo) - int G2 dr| / max(|int G2 dr|, floor)
     initial_error: float       # max |u(0+, x) - f(x)| on the grid
     converged: bool            # every Gauss-Kronrod row and the G table met its tolerance
     quad_error: float          # worst Gauss-Kronrod row error over |row value|
@@ -724,18 +724,19 @@ def caputo_weak_residual(beta, f, g, t_grid, x_grid):
     time-changed heat evolution of f, and the spatial generator the 1-d
     Laplacian.
 
-    The endpoint singularity of w is removed exactly by the substitution
-    s = t(1 - v**(1/(1-beta))), with _WEAK_NODES Gauss-Legendre nodes in v;
-    the time derivative is a central difference with a step-halving
-    consistency check (Richardson flag).  The x integrals are scipy's
-    Simpson rule on x_grid.  As E_s = s**beta E_1 in law,
-        int g (u(s, .) - f) dx = int h_1(rho) [G(s**beta rho) - G(0)] drho,
-    G(r) = int g T_r f dx, so each t is one self-similar Gauss-Kronrod
-    pass in log rho with a row per memory time (four difference times by
-    the v nodes) and one for the right side, all sharing h_1.  G, and G2
-    with g'' for the right side, come from one piecewise-Chebyshev table in
-    log r over every t, resolved to _WEAK_TABLE_TOL of each row's maximum;
-    as int h_1 <= 1, each row's error gains its table row's stated error.
+    The x integrals are scipy's Simpson rule on x_grid.  As E_s = s**beta E_1
+    in law, F(s) = int g (u(s, .) - f) dx = E[G(s**beta E_1)] - G(0), with
+    G(r) = int g T_r f dx, vanishes at 0, so the left side is exactly
+    int_0^t w(t-s) beta s**(beta-1) E[E_1 G2(s**beta E_1)] ds, G2(r) =
+    int g'' T_r f dx, and the right side E[G2(t**beta E_1)].  On each side of
+    t/2, s = (t/2) v**(1/beta) or t - (t/2) v**(1/(1-beta)) makes it smooth
+    in v, with _WEAK_NODES Gauss-Legendre nodes.  Each t is one self-similar
+    Gauss-Kronrod pass in log rho, a row per memory time and one for the
+    right side, all sharing h_1 and reading G2 from one piecewise-Chebyshev
+    table of G and G2 in log r, resolved to _WEAK_TABLE_TOL of each row's
+    maximum; as int h_1 rho = 1/Gamma(1+beta) >= int h_1, each row's error
+    gains G2's times that.  `generator_error`, |G(r_hi) - G(r_lo) - int G2 dr|
+    over max(|int G2 dr|, 1e-8) on the table's range, checks d/dr G = G2.
     The initial check u(0+, .) = f takes the same rule with a row per x, at
     the time s0 with s0**beta = _WEAK_START: u(s0, .) - f is of order
     s0**beta, so the check measures the quadrature error at every beta
@@ -750,44 +751,42 @@ def caputo_weak_residual(beta, f, g, t_grid, x_grid):
     f_vals = f(x_grid)
     wg = weights * g(x_grid)
     wg2 = weights * g.second_derivative(x_grid)
-    g0 = float(wg @ f_vals)
 
     v_nodes, v_weights = panel_nodes([0.0, 1.0], _WEAK_NODES)
-    pref_const = 1.0 / ((1.0 - beta) * math.gamma(1.0 - beta))
-    shrink = 1.0 - v_nodes ** (1.0 / (1.0 - beta))
-    # G and G2 at r = s**beta rho for every rho of the Kronrod passes and every
-    # memory time s of every t, 0.999 t min(shrink) <= s <= 1.001 t
+    # memory times s = (t/2) v**(1/beta) below t/2, s = (t/2) q above, q = 2 - v**(1/(1-beta));
+    # the weight of E[E_1 G2(s**beta E_1)] in int_0^t w(t-s) F'(s) ds is then
+    # (2 - v**(1/beta))**-beta dv below and beta/(1-beta) q**(beta-1) dv above
+    upper = 2.0 - v_nodes ** (1.0 / (1.0 - beta))
+    log_frac = np.concatenate([np.log(v_nodes) / beta, np.log(upper)]) - math.log(2.0)
+    memory_weights = np.tile(v_weights, 2) / math.gamma(1.0 - beta) * np.concatenate([
+        (2.0 - v_nodes ** (1.0 / beta)) ** -beta, beta / (1.0 - beta) * upper ** (beta - 1.0)])
+    # G and G2 at r = s**beta rho for every rho of the Kronrod passes and every s
     rho_hi = model.inverse_support(1.0)
     table = chebyshev_table(
         lambda y: _x_integrals(f, np.exp(y), np.stack([wg, wg2], 1), x_grid),
-        math.log(_WEAK_HEAD * rho_hi * (0.999 * t_grid.min() * shrink.min()) ** beta),
-        math.log(rho_hi * (1.001 * t_grid.max()) ** beta), _WEAK_TABLE_TOL)
-    # each row's error bound, as int h_1 <= 1: G's for memory rows, G2's for the right side
-    table_error = table.error[np.repeat([0, 1], [4 * _WEAK_NODES, 1])]
+        math.log(_WEAK_HEAD * rho_hi) + beta * (math.log(t_grid.min()) + log_frac.min()),
+        math.log(rho_hi) + beta * math.log(t_grid.max()), _WEAK_TABLE_TOL)
+    table_error = table.error[1] / math.gamma(1.0 + beta)
 
     rows = []
     passes = []  # (total, error, converged) per row of every Kronrod pass
-    warn = False
     max_res = 0.0
     for t in t_grid:
-        d = 1e-3 * t  # the central-difference step, checked against its half
-        taus = t + d * np.array([1.0, -1.0, 0.5, -0.5])
-        log_scales = beta * np.log(taus[:, None] * shrink).ravel()
+        log_scales = beta * (math.log(t) + log_frac)
         total, error, ok = _self_similar_rows(model, lambda y: np.vstack([
-            table(log_scales[:, None] + y, 0) - g0, table(beta * math.log(t) + y, 1)]))
+            table(log_scales[:, None] + y, 1) * np.exp(y), table(beta * math.log(t) + y, 1)]))
         error = error + table_error
         tol = np.maximum(REL_TOL * np.abs(total), ABS_FLOOR)
         passes.append((total, error, ok & (error <= tol)))
-        # int g(x) I_tau^w(u(., x)) dx at each difference time tau
-        memory = taus ** (1.0 - beta) * pref_const * (total[:-1].reshape(4, -1) @ v_weights)
-        lhs = (memory[0] - memory[1]) / (2.0 * d)
-        lhs_half = (memory[2] - memory[3]) / d
-        if abs(lhs - lhs_half) > 0.1 * max(abs(lhs_half), 1e-12):
-            warn = True
-        rhs = total[-1]
-        rows.append((float(t), float(lhs_half), float(rhs)))
-        max_res = max(max_res, abs(lhs_half - rhs) / max(abs(rhs), 1e-8))
+        lhs, rhs = memory_weights @ total[:-1], total[-1]
+        rows.append((float(t), float(lhs), float(rhs)))
+        max_res = max(max_res, abs(lhs - rhs) / max(abs(rhs), 1e-8))
 
+    # d/dr G = G2 on the table's range: G(r_hi) - G(r_lo) against int G2 dr
+    passes.append(kronrod_quad(lambda y: table(y, 1)[None] * np.exp(y), table.edges,
+                               REL_TOL, ABS_FLOOR))
+    span = passes[-1][0][0]
+    generator_error = abs(np.diff(table(table.edges[[0, -1]], 0))[0] - span) / max(abs(span), 1e-8)
     # u(s0, .) at the E-scale s0**beta = _WEAK_START: E_s0 = s0**beta E_1
     sizes = []  # the rho nodes of this pass, one heat profile each
     passes.append(_self_similar_rows(model, lambda y: sizes.append(y.size) or f.heat_evolution(
@@ -797,6 +796,6 @@ def caputo_weak_residual(beta, f, g, t_grid, x_grid):
     with np.errstate(divide="ignore", invalid="ignore"):
         quad_error = float(np.where(error > 0.0, error / np.abs(total), 0.0).max())
     table_ratio = np.divide(table.error, table.peak, out=np.zeros(2), where=table.peak > 0.0)
-    return WeakFormReport(float(max_res), tuple(rows), warn, initial_error,
+    return WeakFormReport(float(max_res), tuple(rows), float(generator_error), initial_error,
                           bool(ok.all()) and table.converged, quad_error,
                           table.nodes + sum(sizes), float(table_ratio.max()))

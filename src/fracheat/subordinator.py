@@ -60,9 +60,13 @@ def _log_arg(b, ar, y):
     ar**(1/b) X: the log of the product while that is a normal float, as a
     direct stable-law call takes it, else the difference of the logs."""
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        x = y * ar ** (-1.0 / b)
-        return np.where((x >= np.finfo(float).tiny) & (x < np.inf), np.log(x),
-                        np.log(y) - np.log(ar) / b)
+        x = np.asarray(y * ar ** (-1.0 / b))
+        out = np.log(x, out=np.empty_like(x))
+        odd = ~((x >= np.finfo(float).tiny) & (x < np.inf))
+        if odd.any():
+            y, ar = np.broadcast_arrays(y, ar)
+            out[odd] = np.log(y[odd]) - np.log(ar[odd]) / b
+    return out
 
 
 def _part_rows(b, ar, y):

@@ -167,6 +167,16 @@ class TestConfig:
         with pytest.raises(DomainError):
             VerifyConfig(method="dance")
 
+    @pytest.mark.parametrize("key", ["t_n", "z_n", "mc_samples", "seed"])
+    def test_int_keys_refuse_fractions(self, key):
+        # a fraction is refused, not truncated; an integral float is an int
+        with pytest.raises(DomainError):
+            config_from_mapping({key: 1000.5})
+        with pytest.raises(DomainError):
+            VerifyConfig(**{key: 1000.5})
+        assert config_from_mapping({key: 1e5}) == VerifyConfig(**{key: 100_000})
+        assert type(getattr(VerifyConfig(**{key: 1e5}), key)) is int
+
 
 class TestCli:
     @pytest.mark.parametrize("name", ["jump.cfg", "diffusion.cfg"])
@@ -463,6 +473,10 @@ class TestCli:
         assert ("PASS  weak-form right side equals the Mittag-Leffler integral"
                 in capsys.readouterr().out)
 
+    def test_selftest_weak_form_generator(self, capsys):
+        assert run_cli(["selftest"]) == 0
+        assert "PASS  weak-form generator identity" in capsys.readouterr().out
+
     def test_nonconvergence_exit_code(self, capsys, monkeypatch):
         from fracheat import cli as cli_mod
         from fracheat.errors import QuadratureError
@@ -498,10 +512,14 @@ class TestCli:
 
     def test_residual_failure_exit_code(self, capsys, monkeypatch):
         from fracheat import solution
-        report = solution.WeakFormReport(0.5, ((1.0, 1.0, 1.5),), False, 0.0, True, 0.0,
-                                         900, 0.0)
-        monkeypatch.setattr(solution, "caputo_weak_residual", lambda *args: report)
-        assert run_cli(["residual", "--t-n", "1"]) == 1
+        # a residual over the bound, then a generator identity over it
+        for residual, generator_error in ((0.5, 0.0), (0.0, 0.5)):
+            report = solution.WeakFormReport(
+                residual=residual, rows=((1.0, 1.0, 1.5),), generator_error=generator_error,
+                initial_error=0.0, converged=True, quad_error=0.0, n_profiles=900,
+                table_error=0.0)
+            monkeypatch.setattr(solution, "caputo_weak_residual", lambda *args: report)
+            assert run_cli(["residual", "--t-n", "1"]) == 1
 
     def test_residual_small(self, capsys):
         code = run_cli(["residual", "--beta", "0.5", "--t-lo", "0.5",

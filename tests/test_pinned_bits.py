@@ -73,7 +73,7 @@ CLI_HASHES = {
     "sample --dist s --subordinator stable:0.5 --r 1 --n 100 --seed 7":
         "b5f21bd365d59021aa6c895e60002683998a2ddce2f6162eff58afd71cfdcb58",
     "residual --t-n 3":
-        "ab376b860952cdc0986c504e759909dc402ce8a32e283f9d091838819114bf16",
+        "461076dd7dd58d911ad4b3e30f7b2458692e250d023b33b3f561dccad9c73b2a",
 }
 INVERSE_DENSITY_HASHES = {
     "stable:0.5": "725a9ea0ce4f4654035bf8b15acf5a7914beac3a2562a662845206f371f7a1c4",

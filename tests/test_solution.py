@@ -729,7 +729,7 @@ class TestWeakForm:
                                    np.linspace(-8.0, 8.0, 129))
         assert rep.residual < 0.02
         assert rep.initial_error < 1e-6
-        assert not rep.richardson_warning
+        assert rep.generator_error < 1e-12
 
     def test_disjoint_supports(self):
         f = GaussianBump(center=20.0)
@@ -738,6 +738,29 @@ class TestWeakForm:
                                    np.linspace(-28.0, 28.0, 161))
         for _, lhs, rhs in rep.rows:
             assert abs(lhs) < 1e-8 and abs(rhs) < 1e-8
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+    def test_exact_residual(self, beta):
+        bump = GaussianBump()
+        rep = caputo_weak_residual(beta, bump, bump, np.array([0.3, 1.0, 1.7]),
+                                   np.linspace(-8.0, 8.0, 257))
+        assert rep.residual <= 1e-8
+        assert rep.generator_error <= 1e-12
+
+    def test_wrong_generator_is_caught(self):
+        class FastBump(GaussianBump):
+            """A heat evolution that runs 0.1% fast: T_{1.001 r}."""
+
+            def heat_evolution(self, r, x):
+                return super().heat_evolution(1.001 * np.asarray(r, dtype=float), x)
+
+        bump = FastBump()
+        rep = caputo_weak_residual(0.5, bump, bump, np.array([0.3, 1.0, 1.7]),
+                                   np.linspace(-8.0, 8.0, 257))
+        # the time change still solves the identity for this semigroup's G2;
+        # only d/dr G = G2 fails
+        assert rep.residual <= 1e-8
+        assert rep.generator_error >= 1e-4
 
     @staticmethod
     def _right_side_oracle(beta, t):
@@ -809,29 +832,29 @@ class TestChebyshevTable:
 class TestWeakFormTable:
     @staticmethod
     def _direct_rows(beta, bump, t, x_grid):
-        """(lhs, rhs) at t with G and G2 evaluated directly at every
-        Gauss-Kronrod node of the 128 memory rows and the right side."""
+        """(lhs, rhs) at t with G2 evaluated directly at every Gauss-Kronrod
+        node of the 64 memory rows and the right side."""
         model = SubordinatorModel(Stable(beta))
-        weights = solution._simpson_weights(x_grid)
-        wg, wg2 = weights * bump(x_grid), weights * bump.second_derivative(x_grid)
-        g0 = float(wg @ bump(x_grid))
+        wg2 = solution._simpson_weights(x_grid) * bump.second_derivative(x_grid)
 
-        def x_integrals(r, w):
+        def g2(r):
             flat = r.ravel()
-            return np.concatenate([bump.heat_evolution(flat[i:i + 64, None], x_grid) @ w
+            return np.concatenate([bump.heat_evolution(flat[i:i + 64, None], x_grid) @ wg2
                                    for i in range(0, flat.size, 64)]).reshape(r.shape)
 
         nodes, gl_weights = np.polynomial.legendre.leggauss(solution._WEAK_NODES)
         v, v_weights = 0.5 * (nodes + 1.0), 0.5 * gl_weights
-        d = 1e-3 * t
-        taus = t + d * np.array([1.0, -1.0, 0.5, -0.5])
-        scales = ((taus[:, None] * (1.0 - v ** (1.0 / (1.0 - beta)))) ** beta).ravel()
+        below, above = 0.5 * t * v ** (1.0 / beta), t - 0.5 * t * v ** (1.0 / (1.0 - beta))
+        s = np.concatenate([below, above])
         total, _, _ = solution._self_similar_rows(model, lambda y: np.vstack([
-            x_integrals(scales[:, None] * np.exp(y), wg) - g0,
-            x_integrals(t ** beta * np.exp(y), wg2)]))
-        memory = (taus ** (1.0 - beta) / ((1.0 - beta) * math.gamma(1.0 - beta))
-                  * (total[:-1].reshape(4, -1) @ v_weights))
-        return (memory[2] - memory[3]) / d, total[-1]
+            g2(s[:, None] ** beta * np.exp(y)) * np.exp(y), g2(t ** beta * np.exp(y))]))
+        # w(t-s) F'(s) ds with F'(s) = beta s**(beta-1) E[E_1 G2(s**beta E_1)]:
+        # (t/2)**beta w(t-s) dv below t/2, (t/2)**(1-beta) beta s**(beta-1) dv/(1-beta) above
+        gam = math.gamma(1.0 - beta)
+        weights = np.concatenate([
+            (0.5 * t) ** beta * (t - below) ** -beta / gam,
+            (0.5 * t) ** (1.0 - beta) * beta * above ** (beta - 1.0) / ((1.0 - beta) * gam)])
+        return (weights * np.tile(v_weights, 2)) @ total[:-1], total[-1]
 
     @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.99])
     def test_rows_match_direct_evaluation(self, beta):
