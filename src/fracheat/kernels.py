@@ -95,7 +95,7 @@ class ExactGaussian(SpatialKernel):
         return q_of
 
     def time_scale(self, z):
-        return float(z) ** 2
+        return float(z) * float(z)  # inf past float range, where float ** 2 raises
 
     def length_scale(self, s):
         return math.sqrt(s)

@@ -2,12 +2,13 @@
 
 All root targets in this package are monotone on (0, inf), so the one
 solver brackets the root in log x, with steps that double from log 2 on
-both sides of a starting guess, and refines it by Brent's method in log x.
+both sides of a starting guess, and refines it by bisection in log x.
 Panel quadrature builds composite Gauss-Legendre rules on geometric
 subdivisions; it is used where an integrand must be evaluated vectorized
 for speed.  The adaptive composite Gauss-Kronrod rule, the package's one
 adaptive quadrature, does the same with an embedded error estimate.  A
-piecewise Chebyshev table stands in for a costly smooth function.
+piecewise Chebyshev table, its DCT done by numpy's FFT, stands in for a
+costly smooth function.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft, optimize
 
 from .errors import BracketError
 
@@ -31,11 +31,21 @@ REL_TOL, ABS_FLOOR = 1e-10, 1e-300
 _LOG_LO, _LOG_HI = math.log(1e-300), math.log(1e300)
 
 
+def bisection(below, lo, hi, iters):
+    """The midpoint of [lo, hi] after iters halvings, elementwise, toward
+    where below(x) turns False."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        left = below(mid)
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def monotone_root(f, x0=1.0, rtol=1e-13):
     """Root of a monotone f on (0, inf), increasing or decreasing: steps in
     log x on both sides of x0, doubling from log 2, until f changes sign,
-    then Brent's method in log x, to rtol relative in x plus 4 eps relative
-    in log x.  Raises BracketError if f keeps its sign on [1e-300, 1e300]."""
+    then bisection in log x to a width of rtol, so rtol relative in x.
+    Raises BracketError if f keeps its sign on [1e-300, 1e300]."""
     def in_log(y):
         return f(math.exp(y))
 
@@ -47,7 +57,9 @@ def monotone_root(f, x0=1.0, rtol=1e-13):
         for end in (max(y0 - step, _LOG_LO), min(y0 + step, _LOG_HI)):
             if np.sign(in_log(end)) != sign0:
                 a, b = sorted((y0, end))
-                return math.exp(optimize.brentq(in_log, a, b, xtol=rtol, rtol=4.0 * EPS))
+                up = (sign0 > 0.0) == (a == y0)  # whether f > 0 on a's side of the root
+                return math.exp(bisection(lambda y: (in_log(y) > 0.0) == up, a, b,
+                                          math.ceil(math.log2((b - a) / rtol))))
         step *= 2.0
     raise BracketError("no sign change of target function inside [1e-300, 1e300]")
 
@@ -163,6 +175,9 @@ def kronrod_quad(f, boundaries, rel_tol, abs_floor):
 _CHEB_DEGREE, _CHEB_WIDTH, _CHEB_MIN_WIDTH, _CHEB_BLOCK = 24, 2.0, 2.0 / 64, 1 << 14
 # the Chebyshev points of the first kind, in the order of the DCT-II
 _CHEB_X = np.cos(np.pi * (np.arange(_CHEB_DEGREE + 1) + 0.5) / (_CHEB_DEGREE + 1))
+# Makhoul's DCT-II by one FFT: evens up, then odds down, times 2 exp(-i pi k / 2n)
+_DCT_ORDER = np.r_[0:_CHEB_X.size:2, _CHEB_X.size - 2:0:-2]
+_DCT_TWIDDLE = 2.0 * np.exp(-0.5j * np.pi * np.arange(_CHEB_X.size) / _CHEB_X.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +223,8 @@ def chebyshev_table(f, lo, hi, rel_tol):
         vals = f((mid[:, None] + half[:, None] * _CHEB_X).ravel())
         vals = vals.reshape(-1, mid.size, _CHEB_X.size)
         nodes, peak = nodes + vals[0].size, np.maximum(peak, np.abs(vals).max(axis=(1, 2)))
-        coeffs = np.moveaxis(fft.dct(vals, type=2) / _CHEB_X.size, 1, 2)
+        dct = (np.fft.fft(vals[..., _DCT_ORDER]) * _DCT_TWIDDLE).real
+        coeffs = np.moveaxis(dct / _CHEB_X.size, 1, 2)
         coeffs[:, 0] *= 0.5
         bad = (np.abs(coeffs[:, -3:]) > rel_tol * peak[:, None, None]).any(axis=(0, 1))
         split = bad & (half >= _CHEB_MIN_WIDTH)

@@ -177,5 +177,5 @@ def subordinated_exponent(scale, exponent, t, r):
         return np.log(scale.value(r / n)) + np.log(exponent.phi(n / t))
 
     a, b = scale.exponent_hi, exponent.beta_hi
-    guess = (r * t ** (-b / a)) ** (a / (a - b))
-    return monotone_root(balance, x0=float(guess))
+    log_guess = a / (a - b) * (np.log(r) - b / a * np.log(t))
+    return monotone_root(balance, x0=float(np.exp(np.clip(log_guess, -690.0, 690.0))))

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import stable
 from .bernstein import Stable
@@ -673,12 +673,21 @@ _WEAK_BLOCK = 1 << 14
 
 
 def _simpson_weights(x_grid):
-    """scipy's Simpson rule on x_grid as a weight vector: the rule applied
-    to the rows of the identity, a block of rows at a time."""
-    n = x_grid.size
-    step = max(1, _WEAK_BLOCK // n)
-    return np.concatenate([integrate.simpson(np.eye(min(step, n - i), n, i), x=x_grid)
-                           for i in range(0, n, step)])
+    """Simpson's rule (scipy's composite form, in its arithmetic) on x_grid
+    as a weight vector: the uneven-spacing three-point rule on each pair of
+    intervals, with Cartwright's correction on the last one for even n."""
+    h = np.diff(x_grid)
+    h0, h1 = h[:-1:2], h[1::2]
+    sixth, ratio = (h0 + h1) / 6.0, h0 / h1
+    weights = np.zeros_like(x_grid)
+    weights[:-2:2] = sixth * (2.0 - 1.0 / ratio)
+    weights[1:-1:2] = sixth * ((h0 + h1) * ((h0 + h1) / (h0 * h1)))
+    weights[2::2] += sixth * (2.0 - ratio)
+    if h.size % 2:
+        a, b = h[-2:-1], h[-1:]
+        weights[-3:] += np.r_[-b ** 3 / (6 * a * (a + b)), (b ** 2 + 3.0 * a * b) / (6 * a),
+                              (2 * b ** 2 + 3 * a * b) / (6 * (b + a))]
+    return weights
 
 
 def _x_integrals(f, r, weights, x_grid):
@@ -724,11 +733,11 @@ def caputo_weak_residual(beta, f, g, t_grid, x_grid):
     time-changed heat evolution of f, and the spatial generator the 1-d
     Laplacian.
 
-    The x integrals are scipy's Simpson rule on x_grid.  As E_s = s**beta E_1
-    in law, F(s) = int g (u(s, .) - f) dx = E[G(s**beta E_1)] - G(0), with
-    G(r) = int g T_r f dx, vanishes at 0, so the left side is exactly
-    int_0^t w(t-s) beta s**(beta-1) E[E_1 G2(s**beta E_1)] ds, G2(r) =
-    int g'' T_r f dx, and the right side E[G2(t**beta E_1)].  On each side of
+    The x integrals are Simpson's rule (scipy's composite form) on x_grid.  As
+    E_s = s**beta E_1 in law, F(s) = int g (u(s, .) - f) dx = E[G(s**beta E_1)] -
+    G(0), with G(r) = int g T_r f dx, vanishes at 0, so the left side is exactly
+    int_0^t w(t-s) beta s**(beta-1) E[E_1 G2(s**beta E_1)] ds, G2(r) = int g''
+    T_r f dx, and the right side E[G2(t**beta E_1)].  On each side of
     t/2, s = (t/2) v**(1/beta) or t - (t/2) v**(1/(1-beta)) makes it smooth
     in v, with _WEAK_NODES Gauss-Legendre nodes.  Each t is one self-similar
     Gauss-Kronrod pass in log rho, a row per memory time and one for the

@@ -49,7 +49,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError
-from .numerics import panel_nodes
+from .numerics import bisection, panel_nodes
 
 _EXP_CUT = 745.0       # |log| beyond which exp() under/overflows float64
 _SERIES_KMAX = 300
@@ -98,14 +98,8 @@ def _theta_at_levels(beta, log_targets, iters=40):
     Only used to place panel boundaries, so moderate precision suffices.
     """
     t = np.asarray(log_targets, dtype=float)
-    lo = np.full_like(t, 1e-14)
-    hi = np.full_like(t, np.pi - 1e-14)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = log_a(mid, beta) < t
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    return bisection(lambda mid: log_a(mid, beta) < t, np.full_like(t, 1e-14),
+                     np.full_like(t, np.pi - 1e-14), iters)
 
 
 def _log_w0(beta, log_x):

@@ -282,6 +282,24 @@ class TestCli:
         assert done.returncode == 0, done.stdout + done.stderr
         assert "PASS  fourier fundamental value" in done.stdout
 
+    @pytest.mark.parametrize("command, marker", [
+        ("eval --beta 0.5 --kernel gaussian:1 --t 1 --z 1e160", "fracheat:"),
+        ("verify --beta 0.5 --kernel gaussian:1 --phi-scale power:2 --t-n 1 --z-n 2 "
+         "--z-lo 1 --z-hi 1e200 --z-mode absolute", "flagged=1"),
+        ("estimate --subordinator mixture:1,0.3;1,0.7 --kernel gaussian:1 "
+         "--phi-scale power:2 --t 1 --z 1e300", "fracheat:"),
+    ], ids=["eval", "verify", "estimate"])
+    def test_distance_past_float_range_exits_3(self, command, marker):
+        # z**2 and the start of the root search lie past float range
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-m", "fracheat", *command.split()],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 3, done.stderr
+        assert marker in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_estimate(self, capsys):
         code = run_cli(["estimate", "--beta", "0.5", "--kernel", "cauchy:1",
                         "--phi-scale", "power:1", "--volume", "power:1",

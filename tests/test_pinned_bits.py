@@ -61,7 +61,7 @@ CLI_HASHES = {
     "eval --beta 0.5 --kernel gaussian:1 --t 1 --z 0 --method mc --n 2000":
         "bf11c9ffc7a459d6d5025d1144001421c1d5b52317daf6ccf957f82ec1f28aad",
     "eval --beta 0.5 --kernel gaussian:1 --t 1 --z 0 --method fourier":
-        "3a7f26b32a8212f27a52870112b31b24b5353600620fba0fee103c6321f5f8af",
+        "691b7b041044720ed30e4497b366753b8c468c2d1e093c06709320a703dca7a5",
     "estimate --beta 0.5 --kernel gaussian:1 --phi-scale power:2 --t 16 --z 1":
         "3f6b17b4402256d89394b0f6421165226cdceba791073de3a07c34c25fca49df",
     "estimate --beta 0.5 --kernel cauchy:1 --t 1 --z 10":
@@ -73,7 +73,7 @@ CLI_HASHES = {
     "sample --dist s --subordinator stable:0.5 --r 1 --n 100 --seed 7":
         "b5f21bd365d59021aa6c895e60002683998a2ddce2f6162eff58afd71cfdcb58",
     "residual --t-n 3":
-        "461076dd7dd58d911ad4b3e30f7b2458692e250d023b33b3f561dccad9c73b2a",
+        "123dfb76034db2e25286506985d363af099bdcbe1e23ee92806f4d728756a35d",
 }
 INVERSE_DENSITY_HASHES = {
     "stable:0.5": "725a9ea0ce4f4654035bf8b15acf5a7914beac3a2562a662845206f371f7a1c4",

@@ -188,6 +188,6 @@ def test_subordinated_residual_property(t, r, alpha, beta):
 
 
 def test_monotone_root_below_brent_precision():
-    # rtol under 4 eps is clamped to it, not refused by brentq
+    # an rtol under the float spacing is not refused: the bisection stops moving
     assert monotone_root(lambda x: x * x - 2.0, 1.0, rtol=1e-16) == pytest.approx(
         math.sqrt(2.0), rel=1e-15)
