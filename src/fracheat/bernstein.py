@@ -28,13 +28,19 @@ from .errors import DomainError, QuadratureError, UnsupportedModelError
 from .numerics import ABS_FLOOR, REL_TOL, kronrod_quad, monotone_root
 
 
+# values of lam per pass of ConstructedCBF, each adding a panel boundary at its kink
+_CBF_ROWS = 32
+
+
 def _check_positive(name, value):
-    if not value > 0.0:
+    """Refuse value unless each of its elements is > 0, NaN included."""
+    if not np.all(np.greater(value, 0.0)):
         raise DomainError(f"{name} must be positive, got {value}")
 
 
 class LaplaceExponent:
-    """Common solver-backed operations; subclasses provide phi/phi_prime."""
+    """Common solver-backed operations; subclasses provide phi/phi_prime.
+    Each takes a scalar, which gives a float, or an array, elementwise."""
 
     beta_lo: float
     beta_hi: float
@@ -46,7 +52,7 @@ class LaplaceExponent:
         raise NotImplementedError
 
     def phi_inverse(self, y):
-        """The unique lam with phi(lam) = y (phi is strictly increasing)."""
+        """The unique lam with phi(lam) = y at each y (phi is strictly increasing)."""
         _check_positive("y", y)
         return monotone_root(lambda l: self.phi(l) - y)
 
@@ -108,15 +114,15 @@ class StableMixture(LaplaceExponent):
         return max(b for _, b in self.terms)
 
     def phi(self, lam):
-        _check_positive("lam", np.min(lam))
+        _check_positive("lam", lam)
         return sum(a * lam ** b for a, b in self.terms)
 
     def phi_prime(self, lam):
-        _check_positive("lam", np.min(lam))
+        _check_positive("lam", lam)
         return sum(a * b * lam ** (b - 1.0) for a, b in self.terms)
 
     def levy_tail(self, s):
-        _check_positive("s", np.min(s))
+        _check_positive("s", s)
         return sum(a * s ** -b / math.gamma(1.0 - b) for a, b in self.terms)
 
     def integrated_tail(self, x):
@@ -168,31 +174,47 @@ class ConstructedCBF(LaplaceExponent):
         return self.scale.exponent_hi / self.alpha3
 
     def phi(self, lam):
-        """The defining integral in w = log u + log(lam)/alpha3, where it is
-        alpha3 int expit(alpha3 w) dw / Phi(u): one Gauss-Kronrod pass on
-        panels about 2 wide that do not move with lam, split at w = 0 and
-        at the kink of a two-branch Phi, between the points where the
-        integrand has fallen below e**-40 of its peak."""
-        _check_positive("lam", lam)
-        a3, scale = self.alpha3, self.scale
-        shift = math.log(lam) / a3
-        lo, hi = -40.0 / (a3 - scale.exponent_hi), 40.0 / scale.exponent_lo
-        kinks = [0.0, math.log(scale.r_break) + shift] if hasattr(scale, "r_break") else [0.0]
-        edges = np.union1d(np.linspace(lo, hi, int((hi - lo) / 2.0) + 2),
-                           [k for k in kinks if lo < k < hi])
-        total, err, ok = kronrod_quad(
-            lambda w: a3 * special.expit(a3 * w) / scale.value(np.exp(w - shift)),
-            edges, REL_TOL, ABS_FLOOR)
-        if not ok:
-            raise QuadratureError(
-                f"constructed exponent quadrature did not converge at lam={lam}",
-                value=total, error=err)
-        return total
+        return self._integral(lam, 0)
 
     def phi_prime(self, lam):
-        _check_positive("lam", lam)
-        h = lam * 1e-6
-        return (self.phi(lam + h) - self.phi(lam - h)) / (2.0 * h)
+        return self._integral(lam, 1)
+
+    def _integral(self, lam, row):
+        """Row `row` of `_pass` at each lam, in the shape of lam."""
+        lams = np.asarray(lam, dtype=float)
+        _check_positive("lam", lams)
+        flat = lams.ravel()
+        return np.concatenate([self._pass(flat[i:i + _CBF_ROWS])[row]
+                               for i in range(0, flat.size, _CBF_ROWS)]).reshape(lams.shape)[()]
+
+    def _pass(self, lams):
+        """(phi, phi') at each lam of a 1-d array: the defining integral in
+        w = log u + log(lam)/alpha3, where e**(alpha3 w) = lam u**alpha3 and
+            phi  = alpha3 int expit(alpha3 w) dw / Phi(u),
+            phi' = (alpha3/lam) int expit(alpha3 w) expit(-alpha3 w) dw / Phi(u).
+        One Gauss-Kronrod pass gives both rows from the same values of Phi,
+        on panels about 2 wide that do not move with lam, split at w = 0 and
+        at each lam's kink of a two-branch Phi, between the points where the
+        integrands have fallen below e**-40 of their peaks."""
+        a3, scale = self.alpha3, self.scale
+        shift = np.log(lams)[:, None] / a3
+        lo, hi = -40.0 / (a3 - scale.exponent_hi), 40.0 / scale.exponent_lo
+        kinks = np.zeros(1)
+        if hasattr(scale, "r_break"):
+            kinks = np.append(kinks, math.log(scale.r_break) + shift)
+        edges = np.union1d(np.linspace(lo, hi, int((hi - lo) / 2.0) + 2),
+                           kinks[(lo < kinks) & (kinks < hi)])
+
+        def integrands(w):
+            head = a3 * special.expit(a3 * w) / scale.value(np.exp(w - shift))
+            return np.stack([head, head * special.expit(-a3 * w)])
+
+        total, err, ok = kronrod_quad(integrands, edges, REL_TOL, ABS_FLOOR)
+        if not ok.all():
+            raise QuadratureError("constructed exponent quadrature did not converge at "
+                                  f"lam={lams[~ok.all(axis=0)]}", value=total, error=err)
+        total[1] /= lams
+        return total
 
 
 def cbf_from_scale(scale, alpha3):
@@ -224,35 +246,22 @@ def scaling_report(exponent, lams=None, kappas=None):
         lams = np.geomspace(1e-6, 1e6, 61)
     if kappas is None:
         kappas = 2.0 ** np.arange(1, 11)
-    lams = np.asarray(lams, dtype=float)
-    kappas = np.asarray(kappas, dtype=float)
+    lams, kappas = np.asarray(lams, dtype=float), np.asarray(kappas, dtype=float)
     if lams.size == 0 or kappas.size == 0:
         raise DomainError("scaling_report needs nonempty grids")
 
-    phis = np.array([exponent.phi(l) for l in lams])
-    primes = np.array([exponent.phi_prime(l) for l in lams])
-
-    defect = np.min((phis - lams * primes) / phis)
-    c_star = float(np.max(phis / (lams * primes)))
-
+    # row 0 at lams, row i at kappas[i - 1] * lams
+    grid = np.append(1.0, kappas)[:, None] * lams
+    phis, primes = exponent.phi(grid), exponent.phi_prime(grid)
+    defect = float(np.min((phis[0] - lams * primes[0]) / phis[0]))
+    ratio, dratio, k = phis[1:] / phis[0], primes[0] / primes[1:], kappas[:, None]
     b_lo, b_hi = exponent.beta_lo, exponent.beta_hi
-    c_scale_lo, c_scale_hi = np.inf, 0.0
-    c_deriv_lo, c_deriv_hi = np.inf, 0.0
-    for kappa in kappas:
-        phis_k = np.array([exponent.phi(kappa * l) for l in lams])
-        primes_k = np.array([exponent.phi_prime(kappa * l) for l in lams])
-        ratio = phis_k / phis
-        c_scale_lo = min(c_scale_lo, float(np.min(ratio / kappa ** b_lo)))
-        c_scale_hi = max(c_scale_hi, float(np.max(ratio / kappa ** b_hi)))
-        dratio = primes / primes_k
-        c_deriv_lo = min(c_deriv_lo, float(np.min(dratio / kappa ** (1.0 - b_hi))))
-        c_deriv_hi = max(c_deriv_hi, float(np.max(dratio / kappa ** (1.0 - b_lo))))
-
-    fitted = [c_scale_lo, c_scale_hi, c_deriv_lo, c_deriv_hi, c_star]
-    passed = bool(defect >= -1e-9
-                  and all(np.isfinite(v) and v > 0 for v in fitted))
-    return ScalingReport(c_scale_lo, c_scale_hi, c_deriv_lo, c_deriv_hi,
-                         c_star, float(defect), passed)
+    fitted = [float(v) for v in (np.min(ratio / k ** b_lo), np.max(ratio / k ** b_hi),
+                                 np.min(dratio / k ** (1.0 - b_hi)),
+                                 np.max(dratio / k ** (1.0 - b_lo)),
+                                 np.max(phis[0] / (lams * primes[0])))]
+    passed = bool(defect >= -1e-9 and all(np.isfinite(v) and v > 0 for v in fitted))
+    return ScalingReport(*fitted, defect, passed)
 
 
 def parse_exponent(key):

@@ -10,7 +10,7 @@ class DomainError(FracheatError, ValueError):
 
 
 class BracketError(FracheatError, RuntimeError):
-    """Geometric bracket expansion failed to straddle a root."""
+    """A monotone target keeps its sign over the whole range searched for its root."""
 
 
 class QuadratureError(FracheatError, RuntimeError):

@@ -1,14 +1,13 @@
-"""Shared numerical utilities: root bracketing, panel quadrature, tolerances.
+"""Shared numerical utilities: root finding, panel quadrature, tolerances.
 
 All root targets in this package are monotone on (0, inf), so the one
-solver brackets the root in log x, with steps that double from log 2 on
-both sides of a starting guess, and refines it by bisection in log x.
-Panel quadrature builds composite Gauss-Legendre rules on geometric
-subdivisions; it is used where an integrand must be evaluated vectorized
-for speed.  The adaptive composite Gauss-Kronrod rule, the package's one
-adaptive quadrature, does the same with an embedded error estimate.  A
-piecewise Chebyshev table, its DCT done by numpy's FFT, stands in for a
-costly smooth function.
+solver bisects in log x over [1e-300, 1e300], elementwise over an array
+of targets.  Panel quadrature builds composite Gauss-Legendre rules on
+geometric subdivisions; it is used where an integrand must be evaluated
+vectorized for speed.  The adaptive composite Gauss-Kronrod rule, the
+package's one adaptive quadrature, does the same with an embedded error
+estimate.  A piecewise Chebyshev table, its DCT done by numpy's FFT,
+stands in for a costly smooth function.
 """
 
 from __future__ import annotations
@@ -41,27 +40,18 @@ def bisection(below, lo, hi, iters):
     return 0.5 * (lo + hi)
 
 
-def monotone_root(f, x0=1.0, rtol=1e-13):
-    """Root of a monotone f on (0, inf), increasing or decreasing: steps in
-    log x on both sides of x0, doubling from log 2, until f changes sign,
-    then bisection in log x to a width of rtol, so rtol relative in x.
-    Raises BracketError if f keeps its sign on [1e-300, 1e300]."""
-    def in_log(y):
-        return f(math.exp(y))
-
-    y0, step = math.log(x0), math.log(2.0)
-    sign0 = np.sign(in_log(y0))
-    if sign0 == 0.0:
-        return x0
-    while step < 2.0 * (_LOG_HI - _LOG_LO):  # the last step spans the range
-        for end in (max(y0 - step, _LOG_LO), min(y0 + step, _LOG_HI)):
-            if np.sign(in_log(end)) != sign0:
-                a, b = sorted((y0, end))
-                up = (sign0 > 0.0) == (a == y0)  # whether f > 0 on a's side of the root
-                return math.exp(bisection(lambda y: (in_log(y) > 0.0) == up, a, b,
-                                          math.ceil(math.log2((b - a) / rtol))))
-        step *= 2.0
-    raise BracketError("no sign change of target function inside [1e-300, 1e300]")
+def monotone_root(f, rtol=1e-13):
+    """Root of a monotone f on (0, inf), increasing or decreasing,
+    elementwise over the shape of what f returns: bisection in log x over
+    [1e-300, 1e300] to a width of rtol, so rtol relative in x.  Raises
+    BracketError where f has the same sign at both ends."""
+    with np.errstate(all="ignore"):
+        below = np.sign(f(np.exp(_LOG_LO)))
+        if not np.all(below * np.sign(f(np.exp(_LOG_HI))) < 0.0):
+            raise BracketError("no sign change of target function inside [1e-300, 1e300]")
+        ends = np.full(np.shape(below), _LOG_LO), np.full(np.shape(below), _LOG_HI)
+        return np.exp(bisection(lambda y: np.sign(f(np.exp(y))) == below, *ends,
+                                math.ceil(math.log2((_LOG_HI - _LOG_LO) / rtol))))[()]
 
 
 @lru_cache(maxsize=64)
@@ -71,14 +61,15 @@ def _gl_rule(order: int):
 
 
 def panel_nodes(boundaries, order=16):
-    """Gauss-Legendre nodes/weights on consecutive [b_i, b_{i+1}] panels."""
+    """Gauss-Legendre nodes/weights on consecutive [b_i, b_{i+1}] panels,
+    along the last axis of the boundaries."""
     b = np.asarray(boundaries, dtype=float)
     x, w = _gl_rule(order)
-    mid = 0.5 * (b[1:] + b[:-1])
-    half = 0.5 * (b[1:] - b[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    mid = 0.5 * (b[..., 1:] + b[..., :-1])
+    half = 0.5 * (b[..., 1:] - b[..., :-1])
+    shape = mid.shape[:-1] + (-1,)
+    return ((mid[..., None] + half[..., None] * x).reshape(shape),
+            (half[..., None] * w).reshape(shape))
 
 
 def geometric_boundaries(lo, hi, per_decade=4, extra=()):

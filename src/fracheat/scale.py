@@ -17,7 +17,7 @@ here:
 * ``subordinated_exponent``: the unique n > 0 with
   1/phi(n/t) = Phi(r/n), its analogue after time change by an inverse
   subordinator.  Closed form n = (r * t**(-b/a))**(a/(a-b)) for
-  Phi = r**a and phi = lam**b.
+  Phi = r**a and phi = lam**b, else one elementwise bisection.
 """
 
 from __future__ import annotations
@@ -156,10 +156,12 @@ def subgaussian_exponent(scale, t, r):
 
 
 def subordinated_exponent(scale, exponent, t, r):
-    """Unique n > 0 with 1/phi(n/t) = Phi(r/n); needs alpha_lo > beta_hi.
+    """Unique n > 0 with 1/phi(n/t) = Phi(r/n) at each (t, r), broadcast;
+    needs alpha_lo > beta_hi.
 
-    Phi(r/n) * phi(n/t) is strictly decreasing in n under the index
-    condition, so the root of its log is bracketed and bisected.
+    Phi(r/(lam t)) * phi(lam) is strictly decreasing in lam = n/t under the
+    index condition, so the root of its log is bisected in lam, which keeps
+    the argument of phi inside the searched range.
     """
     if scale.exponent_lo <= exponent.beta_hi:
         raise DomainError(
@@ -169,13 +171,9 @@ def subordinated_exponent(scale, exponent, t, r):
         raise DomainError("subordinated exponent needs t, r > 0")
     from .bernstein import Stable  # local import keeps module deps one-way
 
+    t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
     if isinstance(scale, PowerLaw) and isinstance(exponent, Stable):
         a, b = scale.exponent, exponent.beta
-        return ((np.asarray(r) * np.asarray(t) ** (-b / a)) ** (a / (a - b)))[()]
-
-    def balance(n):
-        return np.log(scale.value(r / n)) + np.log(exponent.phi(n / t))
-
-    a, b = scale.exponent_hi, exponent.beta_hi
-    log_guess = a / (a - b) * (np.log(r) - b / a * np.log(t))
-    return monotone_root(balance, x0=float(np.exp(np.clip(log_guess, -690.0, 690.0))))
+        return ((r * t ** (-b / a)) ** (a / (a - b)))[()]
+    return (t * monotone_root(
+        lambda lam: np.log(scale.value(r / t / lam)) + np.log(exponent.phi(lam))))[()]

@@ -133,23 +133,26 @@ def survival(beta, x):
 
 
 def log_cdf_at(beta, log_x):
-    """log P(S <= x) at x = exp(log_x), stable deep into the left tail."""
-    f = law_rows(beta, [log_x])[0, 0]  # checks beta
-    if f > 1e-280:
-        return float(np.log(f))
-    if _log_w0(beta, log_x) > 700.0:
-        return -np.inf
-    # shifted representation: log F = -w0 + log (1/pi) int exp(-(w - w0))
-    c = np.exp(-tilt(beta) * log_x)
-    a0 = a_zero(beta)
-    w0 = c * a0
-    shifts = 2.0 ** np.arange(-10, 11, dtype=float)
-    shifts = shifts[shifts < _EXP_CUT]
-    levels = a0 + np.concatenate([shifts, [_EXP_CUT + 5.0]]) / c
-    thetas = np.concatenate([[0.0], np.unique(_theta_at_levels(beta, np.log(levels)))])
-    nodes, weights = panel_nodes(thetas, order=20)
-    shifted = c * (np.exp(log_a(nodes, beta)) - a0)
-    return float(-w0 + special.logsumexp(-shifted, b=weights / np.pi))
+    """log P(S <= x) at each x = exp(log_x), in the shape of log_x, stable
+    deep into the left tail: where the cdf falls below 1e-280, by the
+    shifted representation log F = -w0 + log (1/pi) int exp(-(w - w0)) on a
+    ladder of levels of its own for each x."""
+    flat = np.ravel(np.asarray(log_x, dtype=float))
+    f = law_rows(beta, flat)[0]  # checks beta
+    with np.errstate(divide="ignore"):
+        out = np.log(f)
+    # past w0 = e**700 the cdf is 0 and its log -inf
+    deep = ~(f > 1e-280) & (_log_w0(beta, flat) <= 700.0)
+    if deep.any():
+        c = np.exp(-tilt(beta) * flat[deep])[:, None]
+        a0 = a_zero(beta)
+        # the shifts 2**-10 .. 2**9 below 745, then past it
+        levels = a0 + np.append(2.0 ** np.arange(-10.0, 10.0), _EXP_CUT + 5.0) / c
+        edges = np.concatenate([np.zeros_like(c), _theta_at_levels(beta, np.log(levels))], axis=1)
+        nodes, weights = panel_nodes(edges, order=20)
+        shifted = c * (np.exp(log_a(nodes, beta)) - a0)
+        out[deep] = special.logsumexp(-shifted, axis=1, b=weights / np.pi) - c[:, 0] * a0
+    return out.reshape(np.shape(log_x))[()]
 
 
 @lru_cache(maxsize=32)

@@ -144,28 +144,38 @@ class SubordinatorModel:
     # ----- distribution of S_r ---------------------------------------
 
     def _law(self, name, r, t):
-        """(P(S_r <= t), P(S_r > t)) from `_sum_rows`; NaN fails r, t > 0."""
-        if not (r > 0.0 and t > 0.0):
+        """(P(S_r <= t), P(S_r > t)) at each pair of r and t, broadcast, in
+        their shape: one part elementwise, several by one `_sum_rows` call
+        per pair, as a pass shared by several r costs more than their own.
+        NaN fails r, t > 0."""
+        r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+        if not (np.all(r > 0.0) and np.all(t > 0.0)):
             raise DomainError(f"{name} needs r, t > 0")
-        return _sum_rows(self._components(), np.array([r]), np.array([t]))[:2, 0, 0]
+        (a, b), *rest = terms = self._components()
+        rs, ts = r.ravel(), t.ravel()
+        if not rest:
+            return _part_rows(b, a * rs, ts)[:2].reshape((2,) + r.shape)
+        return np.concatenate([_sum_rows(terms, rs[i:i + 1], ts[i:i + 1])[:2, 0]
+                               for i in range(rs.size)], axis=1).reshape((2,) + r.shape)
 
     def cdf(self, r, t):
-        """P(S_r <= t)."""
-        return float(self._law("cdf", r, t)[0])
+        """P(S_r <= t) at each (r, t), broadcast."""
+        return self._law("cdf", r, t)[0][()]
 
     def survival(self, r, t):
-        """P(S_r >= t)."""
-        return float(self._law("survival", r, t)[1])
+        """P(S_r >= t) at each (r, t), broadcast."""
+        return self._law("survival", r, t)[1][()]
 
     def log_cdf(self, r, t):
-        """log P(S_r <= t), stable deep into the small-t tail."""
-        if not (r > 0.0 and t > 0.0):
-            raise DomainError("log_cdf needs r, t > 0")
+        """log P(S_r <= t) at each (r, t), broadcast: log1p(-P(S_r > t))
+        where that is the smaller row, else the log of the cdf, for one part
+        stable deep into the small-t tail."""
+        low, high = self._law("log_cdf", r, t)
         (a, b), *rest = self._components()
-        if not rest:
-            return stable.log_cdf_at(b, float(_log_arg(b, np.float64(a * r), t)))
-        f = self.cdf(r, t)
-        return float(np.log(f)) if f > 0.0 else -np.inf
+        with np.errstate(divide="ignore"):
+            small = np.log(low) if rest else stable.log_cdf_at(
+                b, _log_arg(b, a * np.asarray(r, dtype=float), np.asarray(t, dtype=float)))
+            return np.where(high < low, np.log1p(-high), small)[()]
 
     # ----- inverse subordinator ---------------------------------------
 
@@ -276,35 +286,25 @@ class TailBoundsReport:
 
 
 def tail_bounds_report(model, rs, ts):
-    """Evaluate both sides of the subordinator tail bounds on a grid."""
+    """Evaluate both sides of the subordinator tail bounds on the grid rs x ts."""
     exp_ = model.exponent
-    conc = 0.0
-    lower_lin = np.inf
-    upper_exp = np.inf
-    lower_exp = 0.0
-    ratio_lo, ratio_hi = np.inf, 0.0
-    for r in rs:
-        for t in ts:
-            x = r * exp_.phi(1.0 / t)
-            sf = model.survival(r, t)
-            logf = model.log_cdf(r, t)
-            # concentration at the inflated time t(1 + e * x)
-            sf_inflated = model.survival(r, t * (1.0 + np.e * x))
-            conc = max(conc, sf_inflated / x)
-            if logf > -np.inf:
-                lower_lin = min(lower_lin, -logf / x)
-            big = r * exp_.phi(exp_.phi_prime_inverse(t / r))
-            if np.isfinite(logf) and logf < 0.0:
-                upper_exp = min(upper_exp, -logf / big)
-            if x > 1.0 and np.isfinite(logf):
-                lower_exp = max(lower_exp, -logf / big)
-            if x <= 1.0:
-                ratio_lo = min(ratio_lo, sf / x)
-                ratio_hi = max(ratio_hi, sf / x)
-    fitted = [conc, lower_lin, upper_exp, lower_exp, ratio_lo, ratio_hi]
+    r, t = np.asarray(rs, dtype=float)[:, None], np.asarray(ts, dtype=float)[None, :]
+    x = r * exp_.phi(1.0 / t)
+    sf = model.survival(r, t)
+    logf = model.log_cdf(r, t)
+    big = r * exp_.phi(exp_.phi_prime_inverse(t / r))
+    finite, near = np.isfinite(logf), x <= 1.0
+    fitted = [
+        # concentration at the inflated time t(1 + e * x)
+        np.max(model.survival(r, t * (1.0 + np.e * x)) / x, initial=0.0),
+        np.min(-logf / x, where=logf > -np.inf, initial=np.inf),
+        np.min(-logf / big, where=finite & (logf < 0.0), initial=np.inf),
+        np.max(-logf / big, where=finite & ~near, initial=0.0),
+        np.min(sf / x, where=near, initial=np.inf),
+        np.max(sf / x, where=near, initial=0.0),
+    ]
     passed = all(np.isfinite(v) and v > 0.0 for v in fitted)
-    return TailBoundsReport(conc, lower_lin, upper_exp, lower_exp,
-                            ratio_lo, ratio_hi, bool(passed))
+    return TailBoundsReport(*(float(v) for v in fitted), bool(passed))
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,26 @@ class TestScalingReport:
             rep = scaling_report(StableMixture(terms))
             assert rep.passed and np.isfinite(rep.c_star)
 
+    # criterion 9's reports, as the per-kappa loop gave them: (c_scale_lo,
+    # c_scale_hi, c_deriv_lo, c_deriv_hi, c_star, lower_defect)
+    @pytest.mark.parametrize("terms, ref", [
+        (((1.0, 0.5),), (0.9999999999999999, 1.0, 0.9999999999999999, 1.0, 2.0000000000000004,
+                         0.49999999999999994)),
+        (((1.0, 0.3), (1.0, 0.7)), (1.001266940123793, 0.9990398389327951, 1.0004126022913304,
+                                    0.9970679757605749, 3.315802527893596, 0.301586114247661)),
+        (((2.0, 0.2), (1.0, 0.5)), (1.0018172949440014, 0.9942316465053885, 1.0023562133363306,
+                                    0.9955297901391005, 4.941721078604991, 0.5092171938006034)),
+        (((1.0, 0.4), (3.0, 0.6)), (1.0236668616967437, 0.9973335122402941, 1.0017931583625477,
+                                    0.9681634682195489, 2.315715143483057, 0.40411973636595394)),
+    ])
+    def test_criterion_9_constants(self, terms, ref):
+        # within a few ulps: numpy's vectorized pow may round an array
+        # element one ulp away from the libm pow of the same scalar
+        rep = scaling_report(StableMixture(terms), lams=np.geomspace(1e-6, 1e6, 61))
+        got = (rep.c_scale_lo, rep.c_scale_hi, rep.c_deriv_lo, rep.c_deriv_hi, rep.c_star,
+               rep.lower_defect)
+        assert got == pytest.approx(ref, rel=1e-15, abs=0.0)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             scaling_report(Stable(0.5), lams=[], kappas=[2.0])
@@ -154,17 +174,29 @@ class TestConstructed:
     def test_derivative_consistent(self, cbf):
         # d/dlam of c lam**(2/3) is (2/3) c lam**(-1/3)
         target = (2.0 / 3.0) * 2.0 * math.pi / math.sqrt(3.0)
-        assert cbf.phi_prime(1.0) == pytest.approx(target, rel=1e-5)
+        assert cbf.phi_prime(1.0) == pytest.approx(target, rel=1e-12)
 
 
 def test_constructed_closed_form_everywhere(cbf):
-    # phi(lam) = (pi / sin(2 pi/3)) lam**(2/3), and its difference quotient
-    # sees one rule, as the panels in w do not move with lam
+    # phi(lam) = (pi / sin(2 pi/3)) lam**(2/3) and phi' its derivative, by
+    # scalar calls and over an array of lam
     c = math.pi / math.sin(2.0 * math.pi / 3.0)
     for lam in np.geomspace(1e-6, 1e6, 25):
         assert cbf.phi(lam) == pytest.approx(c * lam ** (2.0 / 3.0), rel=1e-12)
         assert cbf.phi_prime(lam) == pytest.approx(
-            2.0 / 3.0 * c * lam ** (-1.0 / 3.0), rel=1e-8)
+            2.0 / 3.0 * c * lam ** (-1.0 / 3.0), rel=1e-12)
+    lams = np.geomspace(1e-6, 1e6, 61)
+    assert np.all(np.abs(cbf.phi(lams) / (c * lams ** (2.0 / 3.0)) - 1.0) <= 1e-12)
+    assert np.all(np.abs(cbf.phi_prime(lams) / (2.0 / 3.0 * c * lams ** (-1.0 / 3.0)) - 1.0)
+                  <= 1e-12)
+
+
+def test_constructed_scaling_report(cbf):
+    # phi = c lam**(2/3) gives phi / (lam phi') = 3/2 at every lam
+    rep = scaling_report(cbf)
+    assert rep.passed
+    assert abs(rep.c_star - 1.5) <= 1e-12
+    assert abs(rep.lower_defect - 1.0 / 3.0) <= 1e-12
 
 
 def test_constructed_piecewise_against_mpmath():
@@ -181,9 +213,15 @@ def test_constructed_piecewise_against_mpmath():
                 phi = u ** 1.5 if u <= 1 else u ** 2.5
                 return 3 * lam_mp * u ** 3 / ((lam_mp * u ** 3 + 1) * u * phi)
 
+            def derivative(u):
+                phi = u ** 1.5 if u <= 1 else u ** 2.5
+                return 3 * u ** 3 / ((lam_mp * u ** 3 + 1) ** 2 * u * phi)
+
             split = sorted({mpmath.mpf(1), lam_mp ** (-mpmath.mpf(1) / 3)})
             ref = mpmath.quad(integrand, [0, *split, mpmath.inf])
             assert cbf.phi(lam) == pytest.approx(float(ref), rel=1e-10)
+            ref = mpmath.quad(derivative, [0, *split, mpmath.inf])
+            assert cbf.phi_prime(lam) == pytest.approx(float(ref), rel=1e-10)
     finally:
         mpmath.mp.dps = 15
 

@@ -1,6 +1,7 @@
 """The package's own Simpson weights, Chebyshev coefficients and root
-refinement against the scipy routines they stand in for, and a check that
-the program loads no scipy subpackage but scipy.special."""
+refinement against the scipy routines they stand in for, the roots over
+arrays against scalar calls, and a check that the program loads no scipy
+subpackage but scipy.special."""
 
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import fft, integrate, optimize
 
-from fracheat import Stable, solution
+from fracheat import BracketError, Stable, cbf_from_scale, solution
 from fracheat.bernstein import StableMixture
 from fracheat.numerics import _CHEB_X, chebyshev_table, monotone_root
 from fracheat.scale import PiecewisePower, PowerLaw, subordinated_exponent
@@ -117,3 +118,42 @@ print(sorted(m for m in sys.modules if m.split(".")[:2] in (
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def _elementwise(call, *args):
+    """call at each element of the broadcast args, one scalar call each."""
+    return np.array([call(*(float(v) for v in vals)) for vals in np.broadcast(*args)]
+                    ).reshape(np.broadcast(*args).shape)
+
+
+@pytest.mark.parametrize("scale", [PowerLaw(2.0), PiecewisePower(2.5, 3.0, 1.0)],
+                         ids=["power", "power2"])
+def test_subordinated_exponent_arrays_match_scalar_calls(scale):
+    t = np.geomspace(0.01, 100.0, 5)[:, None]
+    r = np.geomspace(0.2, 40.0, 4)
+    got = subordinated_exponent(scale, MIXTURE, t, r)
+    ref = _elementwise(lambda a, b: subordinated_exponent(scale, MIXTURE, a, b), t, r)
+    assert got.shape == (5, 4)
+    assert np.all(np.abs(got / ref - 1.0) <= 1e-13)
+    assert type(subordinated_exponent(scale, MIXTURE, 1.0, 2.0)) in (float, np.float64)
+
+
+@pytest.mark.parametrize("exponent", [Stable(0.5), MIXTURE, cbf_from_scale(PowerLaw(2.0), 3.0)],
+                         ids=["stable", "mixture", "cbf"])
+def test_inverses_over_arrays_match_scalar_calls(exponent):
+    y = np.array([[1e-6, 0.3, 1.0], [7.0, 1e3, 1e6]])
+    for inverse in (exponent.phi_inverse, exponent.phi_prime_inverse):
+        got = inverse(y)
+        assert got.shape == y.shape
+        assert np.all(np.abs(got / _elementwise(inverse, y) - 1.0) <= 1e-13)
+        assert isinstance(inverse(2.0), float)
+    got = exponent.power_ratio_inverse(2.0, y)
+    ref = _elementwise(lambda v: exponent.power_ratio_inverse(2.0, v), y)
+    assert np.all(np.abs(got / ref - 1.0) <= 1e-13)
+
+
+def test_monotone_root_refuses_a_target_without_sign_change():
+    with pytest.raises(BracketError):
+        monotone_root(lambda x: x + 1.0)
+    with pytest.raises(BracketError):
+        monotone_root(lambda x: x - np.array([2.0, -1.0]))

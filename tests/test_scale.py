@@ -92,7 +92,7 @@ class TestSubgaussianExponent:
         assert ms.shape == ts.shape
         for t, m in zip(ts, ms):
             root = monotone_root(lambda m: np.log(t / m) - np.log(scale.value(r / m)),
-                                 x0=1.0, rtol=1e-15)
+                                 rtol=1e-15)
             assert m == pytest.approx(root, rel=1e-13)
 
     def test_monotone_in_t(self):
@@ -189,5 +189,5 @@ def test_subordinated_residual_property(t, r, alpha, beta):
 
 def test_monotone_root_below_brent_precision():
     # an rtol under the float spacing is not refused: the bisection stops moving
-    assert monotone_root(lambda x: x * x - 2.0, 1.0, rtol=1e-16) == pytest.approx(
+    assert monotone_root(lambda x: x * x - 2.0, rtol=1e-16) == pytest.approx(
         math.sqrt(2.0), rel=1e-15)

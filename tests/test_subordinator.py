@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +11,7 @@ from scipy import integrate, special
 from fracheat import stable, subordinator
 from fracheat import (DomainError, QuadratureError, RngStream, Stable, StableMixture,
                       SubordinatorModel, UnsupportedModelError, cbf_from_scale,
-                      integrated_tail_identities, tail_bounds_report)
+                      integrated_tail_identities, parse_exponent, tail_bounds_report)
 from fracheat.numerics import geometric_boundaries, panel_nodes
 from fracheat.scale import PowerLaw
 from fracheat.solution import _hyperbola
@@ -313,6 +314,57 @@ class TestTailBounds:
         grid = np.geomspace(1e-1, 1e1, 5)
         rep = tail_bounds_report(mixture, grid, grid)
         assert rep.passed
+
+    def test_criterion_12_constants(self, half):
+        # the six constants of the per-point loop the report replaced
+        grid = np.geomspace(1e-2, 1e2, 25)
+        rep = tail_bounds_report(half, grid, grid)
+        ref = (0.5634242833544512, 0.5643487513361896, 0.5000135739500828,
+               1.2773653872121984, 0.5204998778130465, 0.5641895365319615)
+        got = (rep.concentration_c, rep.lower_linear_c, rep.upper_exp_c,
+               rep.lower_exp_c, rep.ratio_lo, rep.ratio_hi)
+        assert got == pytest.approx(ref, rel=1e-12)
+
+
+MODELS = {key: SubordinatorModel(parse_exponent(key))
+          for key in ("stable:0.05", "stable:0.5", "mixture:1,0.3;1,0.7")}
+
+
+class TestArrays:
+    @pytest.mark.parametrize("key", ["stable:0.5", "mixture:1,0.3;1,0.7"])
+    def test_law_matches_scalar_calls(self, key):
+        model = MODELS[key]
+        r = np.geomspace(0.05, 20.0, 4)[:, None]
+        t = np.array([0.1, 1.0, 1.0, 7.0, 1e-3])
+        for call in (model.cdf, model.survival, model.log_cdf):
+            got = call(r, t)
+            ref = np.array([[call(float(a), float(b)) for b in t] for a in r[:, 0]])
+            assert got.shape == (4, 5)
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+            assert isinstance(call(1.0, 2.0), float)
+
+    def test_domain_checked_elementwise(self, half):
+        with pytest.raises(DomainError):
+            half.cdf(np.array([1.0, math.nan]), 1.0)
+        with pytest.raises(DomainError):
+            half.log_cdf(1.0, np.array([2.0, 0.0]))
+
+
+@pytest.mark.parametrize("key", sorted(MODELS))
+def test_log_cdf_near_one(key):
+    # P(S_r > t) = r w(t) (1 + O(r)) as r -> 0, w the Levy tail
+    model = MODELS[key]
+    r, t = 1e-20, 1.0
+    assert model.log_cdf(r, t) == pytest.approx(-r * model.exponent.levy_tail(t), rel=1e-12,
+                                                abs=0.0)
+
+
+def test_log_cdf_near_one_against_erfc(half):
+    # P(S_r <= t) = erfc(r / (2 sqrt t)) for the 1/2-stable law
+    for r, t in ((1e-10, 1e6), (1e-6, 1.0), (0.01, 3.0)):
+        with mpmath.workdps(40):
+            ref = float(mpmath.log(mpmath.erfc(mpmath.mpf(r) / (2 * mpmath.sqrt(t)))))
+        assert half.log_cdf(r, t) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestIdentities:
