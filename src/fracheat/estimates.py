@@ -56,69 +56,79 @@ class EstimateModel:
                     "diffusion estimates need scale index > subordinator index")
 
     def _point(self, t, z):
-        """(phi(1/t), Phi(z) phi(1/t)) at a finite t > 0 and z >= 0."""
-        if not (0.0 < t < math.inf and 0.0 <= z < math.inf):
+        """(phi(1/t), Phi(z) phi(1/t)) at a finite t > 0 and a scalar z >= 0
+        or each z >= 0 of a 1-d row, in the shape of z."""
+        zs = np.asarray(z, dtype=float)
+        if not (0.0 < t < math.inf and zs.ndim <= 1
+                and np.all((0.0 <= zs) & (zs < math.inf))):
             raise DomainError(f"estimates need a finite t > 0 and z >= 0, got t={t}, z={z}")
         phi_t = self.exponent.phi(1.0 / t)
-        return phi_t, float(self.scale.value(z) * phi_t)
-
-    def near_diagonal_integral(self, t, z):
-        """int from Phi(z)*phi(1/t) to 2 of dr / V(Phi^-1(r / phi(1/t))).
-
-        The upper limit 2 is part of the estimate's normalization.  Closed
-        form for pure power laws; otherwise one Gauss-Kronrod pass in log r
-        split at the kinks of two-branch profiles.  Diverges
-        (returns inf) at z = 0 when the volume grows at least as fast as
-        the scale.
-        """
-        phi_t, a = self._point(t, z)
-        if a > 1.0:
-            raise DomainError(f"near-diagonal integral needs Phi(z) phi(1/t) <= 1, got {a}")
-        return self._near(phi_t, a)
+        return phi_t, self.scale.value(zs) * phi_t
 
     def _near(self, phi_t, a):
-        """The near-diagonal integral from a = Phi(z) phi(1/t) <= 1."""
+        """The integrals of dr / V(Phi^-1(r / phi(1/t))) from each a =
+        Phi(z) phi(1/t) <= 1 of a row to 2, part of the normalization.  Closed
+        form for pure power laws, else one Gauss-Kronrod pass in log r: the
+        integrand does not depend on z, so each a is a row zero below log a,
+        split there and at the profiles' kinks.  Infinite at a = 0 when the
+        volume grows at least as fast as the scale."""
         if isinstance(self.scale, PowerLaw) and isinstance(self.volume, PowerLaw):
             ratio = self.volume.exponent / self.scale.exponent
-            if abs(ratio - 1.0) < 1e-14:
-                if a == 0.0:
-                    return math.inf
-                return phi_t * math.log(2.0 / a)
-            front = phi_t ** ratio / (1.0 - ratio)
-            if a == 0.0 and ratio > 1.0:
-                return math.inf
-            lower = 0.0 if a == 0.0 else a ** (1.0 - ratio)
-            return front * (2.0 ** (1.0 - ratio) - lower)
+            with np.errstate(divide="ignore"):  # a = 0 gives inf
+                if abs(ratio - 1.0) < 1e-14:
+                    return phi_t * np.log(2.0 / a)
+                return phi_t ** ratio / (1.0 - ratio) * (2.0 ** (1.0 - ratio) - a ** (1.0 - ratio))
 
-        if a == 0.0 and self.volume.exponent_hi >= self.scale.exponent_lo:
-            return math.inf
         # at a = 0 the integrand in log r falls at least like r**(1 - rho),
         # rho = V's upper over Phi's lower index: start where that is e**-40
         rho = self.volume.exponent_hi / self.scale.exponent_lo
-        lo = a or 2.0 * math.exp(max(-40.0 / (1.0 - rho), -700.0))
-        kinks = tuple(phi_t * self.scale.value(p.r_break) for p in (self.scale, self.volume)
-                      if hasattr(p, "r_break"))
-        total, err, ok = kronrod_quad(
-            lambda v: np.exp(v) / self.volume.value(self.scale.inverse(np.exp(v) / phi_t)),
-            np.log(geometric_boundaries(lo, 2.0, per_decade=2, extra=kinks)), 1e-11, 0.0)
-        if not ok:
+        if rho < 1.0:
+            a = np.where(a > 0.0, a, 2.0 * math.exp(max(-40.0 / (1.0 - rho), -700.0)))
+        out, finite = np.full(a.shape, math.inf), a > 0.0
+        if not finite.any():
+            return out
+        a = a[finite]
+        kinks = [phi_t * self.scale.value(p.r_break) for p in (self.scale, self.volume)
+                 if hasattr(p, "r_break")]
+        lo = np.log(a)
+        edges = np.unique(np.log(geometric_boundaries(a.min(), 2.0, per_decade=2,
+                                                      extra=[*kinks, *a])))
+
+        def rows(v):
+            r = np.exp(v)
+            return (v > lo[:, None]) * (r / self.volume.value(self.scale.inverse(r / phi_t)))
+
+        total, err, ok = kronrod_quad(rows, edges, 1e-11, 0.0)
+        if not ok.all():
+            bad = np.flatnonzero(~ok)[0]
             raise QuadratureError(f"near-diagonal integral did not converge at "
-                                  f"Phi(z) phi(1/t) = {a}, phi(1/t) = {phi_t}",
-                                  value=total, error=err)
-        return total
+                                  f"Phi(z) phi(1/t) = {a[bad]}, phi(1/t) = {phi_t}",
+                                  value=total[bad], error=err[bad])
+        out[finite] = total
+        return out
 
     def estimate(self, t, z):
-        """The applicable estimate shape at (t, z), with its regime and
-        Phi(z) phi(1/t)."""
+        """The applicable estimate shape at t and a scalar z, with its
+        regime and Phi(z) phi(1/t); a list of them over a 1-d row of z, of
+        which a scalar is the one-element case.  phi(1/t) and the diffusion
+        prefactor are formed once per row, and the near-diagonal integrals
+        and the off-diagonal exponents n(t, z) each by one call."""
         phi_t, a = self._point(t, z)
-        if a <= 1.0:
-            return EstimateValue("near", a, value=self._near(phi_t, a))
+        row, a = np.atleast_1d(np.asarray(z, dtype=float)), np.atleast_1d(a)
+        near = a <= 1.0
+        value, n = np.full(a.shape, math.nan), np.full(a.shape, math.nan)
+        value[near] = self._near(phi_t, a[near])
+        far = row[~near]
         if self.flavor == "jump":
-            val = 1.0 / (phi_t * self.volume.value(z) * self.scale.value(z))
-            return EstimateValue("off", a, value=float(val))
-        prefactor = 1.0 / self.volume.value(self.scale.inverse(1.0 / phi_t))
-        n = subordinated_exponent(self.scale, self.exponent, t, z)
-        return EstimateValue("off", a, prefactor=float(prefactor), exponent_arg=float(n))
+            value[~near] = 1.0 / (phi_t * self.volume.value(far) * self.scale.value(far))
+        else:
+            prefactor = float(1.0 / self.volume.value(self.scale.inverse(1.0 / phi_t)))
+            n[~near] = subordinated_exponent(self.scale, self.exponent, t, far)
+        shapes = [EstimateValue("near", s, value=v) if s <= 1.0
+                  else EstimateValue("off", s, value=v) if self.flavor == "jump"
+                  else EstimateValue("off", s, prefactor=prefactor, exponent_arg=m)
+                  for s, v, m in zip(a.tolist(), value.tolist(), n.tolist())]
+        return shapes if np.ndim(z) else shapes[0]
 
 
 def explicit_near_diagonal(model, t, z):

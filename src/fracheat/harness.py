@@ -11,9 +11,9 @@ records finiteness and per-regime spread over the rows whose p converged
 and counts the flagged rest, and acceptance thresholds live with the test
 suite.
 
-p is evaluated a t-row of z at a time, in (t-index, z-index) order, and
-a Monte Carlo t-row draws from the stream (seed, t index), so output is
-byte-identical across runs.
+p and the estimate are evaluated a t-row of z at a time, in (t-index,
+z-index) order, and a Monte Carlo t-row draws from the stream (seed, t
+index), so output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -179,53 +179,42 @@ class SandwichReport:
     tilted: int                         # rows estimated from tilted Monte Carlo draws
 
 
-def _p_row(kernel, model, cfg, index, t, zs):
-    """p(t, z) at every z of the t of index `index` by one row call: of
-    density_quadrature, or of density_monte_carlo on the stream
-    (seed, index).  A FracheatError it raises stands for every z, as
-    per-point calls would have raised it: density errors do not depend on
-    z > 0."""
-    try:
-        if cfg.method == "mc":
-            return solution.density_monte_carlo(kernel, model, t, np.array(zs),
-                                                cfg.mc_samples, RngStream(cfg.seed, index))
-        return solution.density_quadrature(kernel, model, t, np.array(zs))
-    except FracheatError as exc:
-        return [exc] * len(zs)
-
-
-def _evaluate_row(emodel, cfg, t, z, est_p):
-    try:
-        if isinstance(est_p, FracheatError):
-            raise est_p
-        shape = emodel.estimate(t, z)
-        if shape.value is not None:
-            ratio = est_p.value / shape.value if shape.value > 0 else np.inf
-            return SandwichRow(t, z, shape.regime, est_p.value, est_p.error,
-                               shape.value, None, ratio, None, est_p.method,
-                               converged=est_p.converged)
-        ratio = est_p.value / shape.prefactor  # an underflowed p = 0 gives L = inf
-        log_ratio = -np.log(ratio) / shape.exponent_arg if ratio > 0 else np.inf
+def _sandwich_row(t, z, est_p, shape):
+    """The row at (t, z) from p and its estimate shape."""
+    if shape.value is not None:
+        ratio = est_p.value / shape.value if shape.value > 0 else np.inf
         return SandwichRow(t, z, shape.regime, est_p.value, est_p.error,
-                           shape.prefactor, shape.exponent_arg, None,
-                           float(log_ratio), est_p.method, converged=est_p.converged)
-    except FracheatError as exc:  # a failed row is recorded, the run continues
-        return SandwichRow(t, z, "error", method=cfg.method, error=str(exc))
+                           shape.value, None, ratio, None, est_p.method,
+                           converged=est_p.converged)
+    ratio = est_p.value / shape.prefactor  # an underflowed p = 0 gives L = inf
+    log_ratio = -np.log(ratio) / shape.exponent_arg if ratio > 0 else np.inf
+    return SandwichRow(t, z, shape.regime, est_p.value, est_p.error,
+                       shape.prefactor, shape.exponent_arg, None,
+                       float(log_ratio), est_p.method, converged=est_p.converged)
 
 
 def verify_sandwich(cfg):
-    """Run one campaign and summarize per-regime comparability; p is
-    evaluated a t-row of z at a time."""
+    """Run one campaign and summarize per-regime comparability; p and the
+    estimate are each evaluated a t-row of z at a time, and an error of
+    either is recorded on every row of its t."""
     kernel, model, emodel = build_models(cfg)
     t_grid = np.geomspace(cfg.t_lo, cfg.t_hi, cfg.t_n) if cfg.t_n else np.array([])
     v_grid = np.geomspace(cfg.z_lo, cfg.z_hi, cfg.z_n) if cfg.z_n else np.array([])
     rows = []
-    for i, t in enumerate(t_grid):
-        phi_t = emodel.exponent.phi(1.0 / t)
-        zs = [float(emodel.scale.inverse(v / phi_t)) if cfg.z_mode == "regime" else float(v)
-              for v in v_grid]
-        row = _p_row(kernel, model, cfg, i, float(t), zs)
-        rows.extend(_evaluate_row(emodel, cfg, float(t), z, p) for z, p in zip(zs, row))
+    for i, t in enumerate(t_grid.tolist()):
+        zs = (emodel.scale.inverse(v_grid / emodel.exponent.phi(1.0 / t))
+              if cfg.z_mode == "regime" else v_grid)
+        try:  # a failed t-row is recorded, the run continues
+            # a Monte Carlo row draws from the stream (seed, t index)
+            ps = (solution.density_monte_carlo(kernel, model, t, zs, cfg.mc_samples,
+                                               RngStream(cfg.seed, i))
+                  if cfg.method == "mc" else solution.density_quadrature(kernel, model, t, zs))
+            pairs = zip(ps, emodel.estimate(t, zs))
+        except FracheatError as exc:
+            rows.extend(SandwichRow(t, z, "error", method=cfg.method, error=str(exc))
+                        for z in zs.tolist())
+        else:
+            rows.extend(_sandwich_row(t, z, *pair) for z, pair in zip(zs.tolist(), pairs))
     rows = tuple(rows)
 
     # a flagged row's p carries no verdict: it is counted in `flagged` only

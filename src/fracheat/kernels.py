@@ -261,25 +261,20 @@ def time_derivative_report(kernel, ts=None, zs=None):
         ts = np.geomspace(1e-2, 1e2, 9)
     if zs is None:
         zs = np.geomspace(1e-3, 1e3, 41)
-    rows = []
-    c_bound = 0.0
-    for t in ts:
-        for z in zs:
-            qv = kernel.q(t, z)
-            if qv < 1e-250:
-                continue  # underflowed: neither sign nor ratio is meaningful
-            s = kernel.scale.value(z) / t
-            d = _dq_dt(kernel, t, z)
-            if isinstance(kernel, DiffusionSurrogate):
-                front = 1.0 / kernel.volume.value(kernel.scale.inverse(t))
-                envelope = math.sqrt(qv * front)  # front * exp(-m/2)
-            else:
-                envelope = qv
-            c_bound = max(c_bound, abs(d) * t / envelope)
-            rows.append((s, d))
-    rows.sort(key=lambda item: item[0])
-    svals = np.array([s for s, _ in rows])
-    signs = np.array([np.sign(d) for _, d in rows])
+    t, z = np.meshgrid(ts, zs, indexing="ij")
+    q = kernel.q(t, z)
+    keep = q >= 1e-250  # below it, underflowed: neither sign nor ratio is meaningful
+    t, z, q = t[keep], z[keep], q[keep]
+    d = _dq_dt(kernel, t, z)
+    if isinstance(kernel, DiffusionSurrogate):
+        front = 1.0 / kernel.volume.value(kernel.scale.inverse(t))
+        envelope = np.sqrt(q * front)  # front * exp(-m/2)
+    else:
+        envelope = q
+    c_bound = np.max(np.abs(d) * t / envelope, initial=0.0)
+    s = kernel.scale.value(z) / t
+    order = np.argsort(s, kind="stable")
+    svals, signs = s[order], np.sign(d[order])
     nonneg = np.nonzero(signs >= 0)[0]
     threshold_lo = svals[nonneg[0] - 1] if nonneg.size and nonneg[0] > 0 else (
         svals[-1] if not nonneg.size else 0.0)

@@ -50,13 +50,13 @@ class PowerLaw:
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
-        if np.min(r) < 0.0:
+        if np.any(r < 0.0):
             raise DomainError("profile argument must be >= 0")
         return (r ** self.exponent)[()]
 
     def inverse(self, t):
         t = np.asarray(t, dtype=float)
-        if np.min(t) < 0.0:
+        if np.any(t < 0.0):
             raise DomainError("profile inverse argument must be >= 0")
         return (t ** (1.0 / self.exponent))[()]
 
@@ -93,7 +93,7 @@ class PiecewisePower:
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
-        if np.min(r) < 0.0:
+        if np.any(r < 0.0):
             raise DomainError("profile argument must be >= 0")
         with np.errstate(invalid="ignore"):
             out = np.where(r <= self.r_break,
@@ -103,7 +103,7 @@ class PiecewisePower:
 
     def inverse(self, t):
         t = np.asarray(t, dtype=float)
-        if np.min(t) < 0.0:
+        if np.any(t < 0.0):
             raise DomainError("profile inverse argument must be >= 0")
         t_break = self.r_break ** self.exp_low
         with np.errstate(invalid="ignore"):
@@ -141,7 +141,7 @@ def subgaussian_exponent(scale, t, r):
     if scale.exponent_lo <= 1.0:
         raise DomainError(
             f"sub-Gaussian exponent needs scale index > 1, got {scale.exponent_lo}")
-    if np.min(t) <= 0.0 or np.min(r) <= 0.0:
+    if np.any(np.asarray(t) <= 0.0) or np.any(np.asarray(r) <= 0.0):
         raise DomainError("sub-Gaussian exponent needs t, r > 0")
     if isinstance(scale, PowerLaw):
         a = scale.exponent
@@ -167,7 +167,7 @@ def subordinated_exponent(scale, exponent, t, r):
         raise DomainError(
             f"subordinated exponent needs scale index {scale.exponent_lo} "
             f"> subordinator index {exponent.beta_hi}")
-    if np.min(t) <= 0.0 or np.min(r) <= 0.0:
+    if np.any(np.asarray(t) <= 0.0) or np.any(np.asarray(r) <= 0.0):
         raise DomainError("subordinated exponent needs t, r > 0")
     from .bernstein import Stable  # local import keeps module deps one-way
 

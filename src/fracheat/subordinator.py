@@ -41,7 +41,10 @@ from .numerics import REL_TOL, geometric_boundaries, kronrod_quad
 _MAX_INCREMENTS = 4_000_000
 # convolutions start at this share of the argument, on _CONV_PANELS log
 # panels bisected until |K15 - G7| meets _CONV_TOL relative in each row;
-# the rows of several parts or a tail mean take _CONV_ROWS values of r a pass
+# the rows of several parts or a tail mean take _CONV_ROWS values of r a pass,
+# refined for the worst row: on a two-part mixture 4 beat 1 and all, one x86-64
+# core (257 inverse_density nodes at t = 1: 0.5 s against 0.8 s and 3.0 s;
+# density_quadrature at z = 10, 30: 1.8 s against 2.8 s and 9.1 s)
 _CONV_HEAD, _CONV_PANELS, _CONV_TOL, _CONV_ROWS = 1e-14, 16, 1e-11, 4
 # the fine step of the mixture path sampler, relative to its pilot draw
 _PATH_TOL = 1e-3

@@ -3,10 +3,11 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from fracheat import (DomainError, EstimateModel, PiecewisePower, PowerLaw, Stable,
-                      explicit_near_diagonal)
+                      estimates, explicit_near_diagonal, parse_exponent)
 
 
 def model(beta=0.5, alpha=2.0, d=1.0, flavor="diffusion"):
@@ -40,17 +41,17 @@ class TestClassify:
 class TestNearDiagonalIntegral:
     def test_power_value_on_diagonal(self):
         m = model()  # d=1 < alpha=2, phi(1/1) = 1
-        assert m.near_diagonal_integral(1.0, 0.0) == pytest.approx(
+        assert m.estimate(1.0, 0.0).value == pytest.approx(
             2.0 * math.sqrt(2.0), rel=1e-12)
 
     def test_log_case(self):
         m = EstimateModel(Stable(0.5), PowerLaw(1.0), PowerLaw(1.0), "jump")
-        val = m.near_diagonal_integral(1.0, 0.02)  # phi(1/t)=1, a = 0.02
+        val = m.estimate(1.0, 0.02).value  # phi(1/t)=1, a = 0.02
         assert val == pytest.approx(math.log(100.0), rel=1e-12)
 
     def test_heavy_volume_diverges_on_diagonal(self):
         m = EstimateModel(Stable(0.5), PowerLaw(2.0), PowerLaw(3.0), "diffusion")
-        assert m.near_diagonal_integral(1.0, 0.0) == math.inf
+        assert m.estimate(1.0, 0.0).value == math.inf
 
     def test_quadrature_matches_closed_form(self):
         from fracheat import PiecewisePower
@@ -60,8 +61,7 @@ class TestNearDiagonalIntegral:
         for t, z in ((1.0, 0.5), (4.0, 1.0), (0.3, 0.1)):
             if m1.estimate(t, z).scalar > 1.0:
                 continue
-            assert m2.near_diagonal_integral(t, z) == pytest.approx(
-                m1.near_diagonal_integral(t, z), rel=1e-9)
+            assert m2.estimate(t, z).value == pytest.approx(m1.estimate(t, z).value, rel=1e-9)
 
     def test_kinked_profiles_against_mpmath(self):
         # Phi = power2:1.5,2.5,1 and V = power2:0.5,1.2,0.7 put kinks at
@@ -81,14 +81,9 @@ class TestNearDiagonalIntegral:
                 a = m.estimate(t, z).scalar
                 kinks = [k for k in (phi_t, phi_t * mpmath.mpf(0.7) ** 1.5) if a < k < 2]
                 ref = mpmath.quad(integrand, sorted([mpmath.mpf(a), *kinks, mpmath.mpf(2)]))
-                assert m.near_diagonal_integral(t, z) == pytest.approx(float(ref), rel=1e-10)
+                assert m.estimate(t, z).value == pytest.approx(float(ref), rel=1e-10)
         finally:
             mpmath.mp.dps = 15
-
-    def test_regime_guard(self):
-        m = model()
-        with pytest.raises(DomainError):
-            m.near_diagonal_integral(1.0, 2.0)
 
 
 class TestEstimate:
@@ -126,6 +121,62 @@ class TestEstimate:
             EstimateModel(Stable(0.9), PowerLaw(0.95), PowerLaw(1.0), "diffusion")
         with pytest.raises(DomainError):
             EstimateModel(Stable(0.5), PowerLaw(2.0), PowerLaw(1.0), "smooth")
+
+
+class TestRowForm:
+    """estimate(t, z) over a 1-d row of z is the list of its per-z scalar
+    calls: bitwise where the shapes are closed forms or elementwise roots,
+    within 1e-13 where the near-diagonal integral is one shared pass."""
+
+    @pytest.mark.parametrize("m, t", [(model(), 16.0),  # Phi(2) phi(1/16) = 1
+                                      (model(0.5, 1.0, 1.0, "jump"), 4.0),  # Phi(2) phi(1/4) = 1
+                                      (model(0.3, 2.0, 3.0, "jump"), 0.7)])
+    def test_power_profiles_bitwise(self, m, t):
+        zs = np.concatenate([[0.0, 2.0], np.geomspace(1e-3, 1e3, 25)])
+        row = m.estimate(t, zs)
+        assert repr(row) == repr([m.estimate(t, z) for z in zs.tolist()])
+        assert {shape.regime for shape in row} == {"near", "off"}
+        if t != 0.7:
+            assert row[1].scalar == 1.0 and row[1].regime == "near"
+
+    def test_mixture_roots_bitwise(self):
+        m = EstimateModel(parse_exponent("mixture:1,0.3;1,0.7"), PowerLaw(2.0), PowerLaw(1.0),
+                          "diffusion")
+        zs = np.concatenate([[0.0], np.geomspace(0.1, 100.0, 12)])
+        row = m.estimate(1.0, zs)
+        assert repr(row) == repr([m.estimate(1.0, z) for z in zs.tolist()])
+        assert sum(shape.exponent_arg is not None for shape in row) > 6
+
+    def test_mixture_row_takes_one_root_call(self, monkeypatch):
+        m = EstimateModel(parse_exponent("mixture:1,0.3;1,0.7"), PowerLaw(2.0), PowerLaw(1.0),
+                          "diffusion")
+        calls = []
+        root = estimates.subordinated_exponent
+        monkeypatch.setattr(estimates, "subordinated_exponent",
+                            lambda *args: calls.append(args[3]) or root(*args))
+        row = m.estimate(1.0, np.geomspace(0.1, 100.0, 400))
+        assert len(row) == 400 and len(calls) == 1
+        assert calls[0].size == sum(shape.regime == "off" for shape in row) > 250
+
+    def test_two_branch_near_integrals(self):
+        m = EstimateModel(Stable(0.5), PiecewisePower(1.5, 2.5, 1.0),
+                          PiecewisePower(0.5, 1.2, 0.7), "jump")
+        for t in (0.3, 1.0, 4.0):
+            zs = np.concatenate([[0.0], np.geomspace(1e-3, 3.0, 20)])
+            row = m.estimate(t, zs)
+            near = [(shape, z) for shape, z in zip(row, zs.tolist()) if shape.regime == "near"]
+            assert len(near) > 10
+            for shape, z in near:
+                assert shape.value == pytest.approx(m.estimate(t, z).value, rel=1e-13, abs=0)
+
+    def test_shapes_of_the_result(self):
+        m = model()
+        assert isinstance(m.estimate(1.0, 0.5), estimates.EstimateValue)
+        assert m.estimate(1.0, [0.5]) == [m.estimate(1.0, 0.5)]
+        assert m.estimate(1.0, np.array([])) == []
+        for bad in ([0.5, math.nan], [1.0, -1.0], [[0.5]]):
+            with pytest.raises(DomainError):
+                m.estimate(1.0, bad)
 
 
 class TestPowerLawSpecialization:
@@ -212,5 +263,5 @@ class TestExplicitNearDiagonal:
         for t in (0.5, 1.0, 2.0):
             for z in (0.0, 0.2):
                 _, val = explicit_near_diagonal(m, t, z)
-                ratios.append(m.near_diagonal_integral(t, z) / val)
+                ratios.append(m.estimate(t, z).value / val)
         assert max(ratios) / min(ratios) < 10.0

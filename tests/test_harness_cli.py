@@ -75,6 +75,37 @@ class TestVerify:
         assert [z.size for z in calls] == [3, 3, 3]
         assert [r.z for r in rep.rows] == [z for row in calls for z in row.tolist()]
 
+    def test_estimate_takes_one_call_per_t(self, monkeypatch):
+        from fracheat import solution
+        from fracheat.estimates import EstimateModel
+        calls, p_calls = [], []
+        row_form, p_row_form = EstimateModel.estimate, solution.density_quadrature
+        monkeypatch.setattr(EstimateModel, "estimate",
+                            lambda self, t, z: calls.append((t, z)) or row_form(self, t, z))
+        monkeypatch.setattr(solution, "density_quadrature",
+                            lambda *args: p_calls.append(args[3]) or p_row_form(*args))
+        rep = verify_sandwich(small_jump_config())
+        assert [t for t, _ in calls] == sorted({r.t for r in rep.rows})
+        assert all(z is p_z for (_, z), p_z in zip(calls, p_calls))
+        assert [r.z for r in rep.rows] == [z for _, row in calls for z in row.tolist()]
+
+    def test_estimate_error_recorded_per_t(self, monkeypatch):
+        from fracheat.errors import QuadratureError
+        from fracheat.estimates import EstimateModel
+        row_form = EstimateModel.estimate
+
+        def explode(self, t, z):
+            if 0.5 < t < 2.0:
+                raise QuadratureError("no estimate here", value=1.0, error=1.0)
+            return row_form(self, t, z)
+
+        monkeypatch.setattr(EstimateModel, "estimate", explode)
+        rep = verify_sandwich(small_jump_config())
+        assert [r.regime for r in rep.rows[3:6]] == ["error"] * 3
+        assert [r.error for r in rep.rows[3:6]] == ["no estimate here"] * 3
+        assert all(r.error is None and r.p > 0.0 for r in rep.rows[:3] + rep.rows[6:])
+        assert not rep.all_finite
+
     def test_mc_takes_one_call_per_t(self, monkeypatch):
         from fracheat import solution
         calls = []

@@ -156,6 +156,16 @@ class TestDerivativeStructure:
         assert 0.0 < rep.threshold_lo <= rep.threshold_hi < np.inf
         assert np.isfinite(rep.c_bound) and rep.c_bound > 0.0
 
+    @pytest.mark.parametrize("kind, want", [
+        (JumpSurrogate, (0.9999999999882663, 0.5011872336272726, 0.6309573444801929)),
+        (DiffusionSurrogate, (0.572999513862406, 0.398107170553497, 0.5011872336272715))])
+    def test_criterion_15_numbers(self, kind, want):
+        # the (c_bound, threshold_lo, threshold_hi) of criterion 15's two
+        # reports, as a point-by-point loop over the grid gave them
+        rep = time_derivative_report(kind(PowerLaw(1.0), PowerLaw(2.0)))
+        assert (rep.c_bound, rep.threshold_lo, rep.threshold_hi) == pytest.approx(
+            want, rel=1e-14, abs=0)
+
     def test_near_diagonal_sign(self):
         # Phi(z)/t = 1e-3: decreasing in t
         k = JumpSurrogate(PowerLaw(1.0), PowerLaw(2.0))

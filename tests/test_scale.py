@@ -51,6 +51,23 @@ class TestProfiles:
         with pytest.raises(DomainError, match="finite and positive"):
             make(value)
 
+    @pytest.mark.parametrize("profile", [PowerLaw(2.0), PiecewisePower(1.5, 2.5, 1.0)])
+    def test_empty_arrays(self, profile):
+        empty = np.array([])
+        for got in (profile.value(empty), profile.inverse(empty),
+                    subgaussian_exponent(profile, 1.0, empty),
+                    subordinated_exponent(profile, Stable(0.5), 1.0, empty)):
+            assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    @pytest.mark.parametrize("profile", [PowerLaw(2.0), PiecewisePower(1.5, 2.5, 1.0)])
+    def test_negative_in_array_refused(self, profile):
+        with pytest.raises(DomainError):
+            profile.value(np.array([1.0, -1.0]))
+        with pytest.raises(DomainError):
+            profile.inverse(np.array([1.0, -1.0]))
+        with pytest.raises(DomainError):
+            subordinated_exponent(profile, Stable(0.5), 1.0, np.array([1.0, 0.0]))
+
 
 class TestSubgaussianExponent:
     def test_power_law_closed_form(self):

@@ -711,7 +711,7 @@ class TestMass:
         assert cbf_from_scale(PowerLaw(2.0), 3.0).phi(1.0) == pytest.approx(
             2.0 * math.pi / math.sqrt(3.0), rel=1e-12)
         emodel = EstimateModel(Stable(0.5), PiecewisePower(2.0, 3.0, 1.0), PowerLaw(1.0), "jump")
-        assert emodel.near_diagonal_integral(1.0, 0.5) > 0.0
+        assert emodel.estimate(1.0, 0.5).value > 0.0
         assert run_cli(["selftest"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
