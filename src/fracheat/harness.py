@@ -5,7 +5,8 @@ the closed-form estimate for the configured model.  Jump-flavored and
 near-diagonal rows report the plain ratio p / estimate; off-diagonal
 diffusion rows report the normalized log-ratio
     L(t, z) = -log(p * V(Phi^-1(1/phi(1/t)))) / n(t, z),
-since only two-sided exponential comparability is claimed there.  The
+since only two-sided exponential comparability is claimed there; where p
+underflows, L comes from the log p its evaluator carries, if any.  The
 report asserts nothing about the (unknown) comparability constants; it
 records finiteness and per-regime spread over the rows whose p converged
 and counts the flagged rest, and acceptance thresholds live with the test
@@ -29,6 +30,7 @@ from .bernstein import parse_exponent
 from .errors import DomainError, FracheatError
 from .estimates import EstimateModel
 from .kernels import DiffusionSurrogate, ExactGaussian, parse_kernel
+from .numerics import TINY
 from .rng import RngStream
 from .scale import parse_profile
 from .subordinator import SubordinatorModel
@@ -186,8 +188,11 @@ def _sandwich_row(t, z, est_p, shape):
         return SandwichRow(t, z, shape.regime, est_p.value, est_p.error,
                            shape.value, None, ratio, None, est_p.method,
                            converged=est_p.converged)
-    ratio = est_p.value / shape.prefactor  # an underflowed p = 0 gives L = inf
-    log_ratio = -np.log(ratio) / shape.exponent_arg if ratio > 0 else np.inf
+    if est_p.log_value is not None and not est_p.value >= TINY:  # p underflowed, log p did not
+        log_ratio = (math.log(shape.prefactor) - est_p.log_value) / shape.exponent_arg
+    else:
+        ratio = est_p.value / shape.prefactor  # an underflowed p = 0 gives L = inf
+        log_ratio = -np.log(ratio) / shape.exponent_arg if ratio > 0 else np.inf
     return SandwichRow(t, z, shape.regime, est_p.value, est_p.error,
                        shape.prefactor, shape.exponent_arg, None,
                        float(log_ratio), est_p.method, converged=est_p.converged)

@@ -106,6 +106,13 @@ class ExactGaussian(SpatialKernel):
         root = np.sqrt(np.asarray(mu, dtype=complex))
         return np.exp(-root * z) / (2.0 * root)
 
+    def log_resolvent(self, mu, z):
+        """log R_mu(z) = -sqrt(mu) z - log(2 sqrt(mu)) in one dimension,
+        which does not underflow off the diagonal."""
+        _check_one_dimensional(self)
+        root = np.sqrt(np.asarray(mu, dtype=complex))
+        return -root * z - np.log(2.0 * root)
+
 
 @dataclass(frozen=True)
 class ExactCauchy(SpatialKernel):
@@ -262,8 +269,12 @@ def time_derivative_report(kernel, ts=None, zs=None):
     if zs is None:
         zs = np.geomspace(1e-3, 1e3, 41)
     t, z = np.meshgrid(ts, zs, indexing="ij")
+    if not t.size:
+        raise DomainError("derivative report needs at least one t and one z")
     q = kernel.q(t, z)
     keep = q >= 1e-250  # below it, underflowed: neither sign nor ratio is meaningful
+    if not keep.any():
+        return DerivativeReport(math.nan, math.nan, math.nan, False)
     t, z, q = t[keep], z[keep], q[keep]
     d = _dq_dt(kernel, t, z)
     if isinstance(kernel, DiffusionSurrogate):

@@ -107,6 +107,8 @@ _G7_W[1::2] = np.concatenate([_WG, _WG[-2::-1]])
 # tolerance that cannot be met
 _MAX_BISECTIONS = 128
 EPS = float(np.finfo(float).eps)
+# the smallest normal float: a value below it has lost digits to underflow
+TINY = float(np.finfo(float).tiny)
 
 
 def _kronrod_panels(f, lo, hi):

@@ -13,12 +13,22 @@ independent ways:
   the result is valid only when that error meets REL_TOL*|p|: off the
   diagonal p is tiny against the contour terms and the result comes back
   flagged,
+* for the 1-d Gaussian, the same inversion on a saddle contour
+  (`_saddle_row`): the hyperbola's vertex sits at the real saddle lam* of
+  lam t - z sqrt(phi(lam)) and its trapezoid step comes from the curvature
+  there, so the terms near the saddle share one phase and nothing cancels
+  off the diagonal.  It sums in log space, so log p holds where p
+  underflows.  Its error is twice the difference of two step sizes, plus
+  eps times the sum of |terms| and eps |log p| p; near the diagonal the
+  saddle nears the branch point at 0 and the result comes back flagged,
 * quadrature against h_t (`density_quadrature`): one vectorized adaptive
   Gauss-Kronrod panel rule in log s, whose error is the summed
   |K15 - G7| difference plus a rounding bound.  A stable or
-  stable-mixture time change tries the contour first, as the fast path,
-  and takes this rule only when the kernel has no resolvent or the
-  contour result is flagged,
+  stable-mixture time change tries the hyperbola first, then the saddle
+  contour on the z it flags, and takes this rule only for the z left:
+  those of a kernel without a closed-form resolvent, the flagged Cauchy z,
+  z = 0 and the flagged z near the diagonal.  A p of this rule below the smallest normal float
+  has lost digits and is flagged,
 * Monte Carlo over inverse-subordinator samples (`density_monte_carlo`),
   one draw set per call shared by every z of the row.  A z whose sample
   of q has an effective size (sum q)**2 / sum q**2 below _MC_MIN_ESS rests
@@ -52,28 +62,32 @@ converged, the worst row and table errors and the number of heat profiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, wraps
+from typing import Optional
 
 import numpy as np
 from scipy import special
 
 from . import stable
 from .bernstein import Stable
-from .errors import DomainError, UnsupportedModelError
-from .numerics import (ABS_FLOOR, EPS, REL_TOL, chebyshev_table, geometric_boundaries,
-                       kronrod_quad, panel_nodes)
+from .errors import BracketError, DomainError, UnsupportedModelError
+from .numerics import (ABS_FLOOR, EPS, REL_TOL, TINY, chebyshev_table, geometric_boundaries,
+                       kronrod_quad, monotone_root, panel_nodes)
 from .subordinator import SubordinatorModel
 
 
 @dataclass(frozen=True)
 class SolutionEstimate:
-    """A value with its error scale and the method that produced it."""
+    """A value with its error scale and the method that produced it;
+    log_value is log p where the method forms it, which stays exact where
+    value underflows."""
 
     value: float
     error: float
     method: str
     converged: bool = True
+    log_value: Optional[float] = field(default=None, repr=False)
 
 
 def _along_z(row_form):
@@ -145,21 +159,29 @@ def density_quadrature(kernel, model, t, z):
 
     The contour of `density_laplace` goes first, being far cheaper: it is
     summed once for the whole row, and its result is kept at each z where
-    it is not flagged.  The kernels without a resolvent, and the flagged z,
-    take one vectorized composite Gauss-Kronrod pass in u = log s with a
-    row per z: the rows share the panels, which `_log_panels` splits at the
-    change-of-character points of every row, and h_t, evaluated once per
-    node.  A panel is bisected where |K15 - G7| exceeds its share of
-    REL_TOL*|p| in some row; each row's error is the sum of those
-    differences plus a rounding bound, and its `converged` says whether
-    that meets REL_TOL*|p| of the row with p != 0: an underflowed p is
-    flagged, wherever it came from.
+    it is not flagged.  The saddle contour of `_saddle_row` takes the z it
+    flags, and its result is kept where it is not flagged in turn.  The
+    kernels without a resolvent, and the z left, take one vectorized
+    composite Gauss-Kronrod pass in u = log s with a row per z: the rows
+    share the panels, which `_log_panels` splits at the change-of-character
+    points of every row, and h_t, evaluated once per node.  A panel is
+    bisected where |K15 - G7| exceeds its share of REL_TOL*|p| in some row;
+    each row's error is the sum of those differences plus a rounding bound,
+    and its `converged` says whether that meets REL_TOL*|p| of the row with
+    p at least the smallest normal float: a p of this rule that underflowed,
+    to zero or to a subnormal float, is flagged.
     """
     _check_domain(kernel, model, t, z)
-    try:
-        row = _contour_row(kernel, model, t, z)
-    except UnsupportedModelError:  # no closed-form resolvent, or no stable parts
-        row = [None] * z.size
+    row = [None] * z.size
+    for path in (_contour_row, _saddle_row):
+        flagged = [i for i, est in enumerate(row) if est is None or not est.converged]
+        if not flagged:
+            return row
+        try:
+            for i, est in zip(flagged, path(kernel, model, t, z[flagged])):
+                row[i] = est
+        except UnsupportedModelError:  # no closed-form resolvent, or no stable parts
+            pass
     flagged = [i for i, est in enumerate(row) if est is None or not est.converged]
     if not flagged:
         return row
@@ -171,7 +193,7 @@ def density_quadrature(kernel, model, t, z):
 
     bounds = _log_panels(kernel, model, t, rows)
     total, error, ok = kronrod_quad(in_log_s, bounds, REL_TOL, ABS_FLOOR)
-    ok &= total != 0.0  # an underflowed p meets any tolerance, but is no answer
+    ok &= np.abs(total) >= TINY  # an underflowed p meets any tolerance, but is no answer
     for i, value, err, conv in zip(flagged, total.tolist(), error.tolist(), ok.tolist()):
         row[i] = SolutionEstimate(value, err, "quad", conv)
     return row
@@ -228,6 +250,83 @@ def _contour_row(kernel, model, t, z):
         ok = (error <= REL_TOL * np.abs(second)) & (second != 0.0)
     return [SolutionEstimate(v, e if math.isfinite(e) else math.inf, "laplace", k)
             for v, e, k in zip(second.tolist(), error.tolist(), ok.tolist())]
+
+
+# the saddle contour: the hyperbola shape above with its vertex at the real
+# saddle lam* of lam t - z sqrt(phi(lam)) and trapezoid steps h = sigma/2
+# and 2h/3 on |k| <= 24 and |k| <= 36, sigma the width in theta of the
+# Gaussian peak of the terms there: both rules span +-12 sigma
+_SADDLE_NODES = (24, 36)
+# theta / h and the trapezoid weight over h of each node of the two rules,
+# halved at k = 0, and d lambda / d theta = i lam* _SADDLE_SLOPE at theta = 0
+_SADDLE_K = np.concatenate([np.arange(n + 1.0) * _SADDLE_NODES[0] / n for n in _SADDLE_NODES])
+_SADDLE_WEIGHT = np.concatenate([np.r_[0.5, np.ones(n)] * _SADDLE_NODES[0] / n
+                                 for n in _SADDLE_NODES])
+_SADDLE_SLOPE = math.cos(_WT_ALPHA) / (1.0 - math.sin(_WT_ALPHA))
+
+
+def _phi_derivative(terms, lam, k):
+    """The k-th derivative of phi = sum a lam**b at real lam > 0."""
+    return sum(a * math.prod(b - j for j in range(k)) * lam ** (b - k) for a, b in terms)
+
+
+def _saddle_row(kernel, model, t, z):
+    """The saddle-contour estimates of p(t, z) at each z of the 1-d array
+    z, None at z = 0, summed in log space, so that log_value holds where p
+    underflows.
+
+    The exponent lam t - z sqrt(phi(lam)) of the transform has one real
+    saddle lam*, where t = z phi'/(2 sqrt(phi)): a closed form for one part,
+    else one bisection over the row, as phi'/sqrt(phi) decreases in lam.
+    The hyperbola lam* (1 + sin(i theta - alpha)) / (1 - sin alpha) leaves
+    it along the steepest descent, where the terms share one phase, so
+    nothing cancels; the step comes from the curvature f'' of the exponent
+    there.  log p = m + log Re sum exp(L_k - m), m the largest Re L_k, and
+    the error is _LAPLACE_SAFETY |p_h - p_2h/3| plus eps sum |terms| of both
+    rules plus eps |log p| p.  Near the diagonal the saddle nears the branch
+    point of sqrt(phi) at 0, the two rules part and the z comes back flagged.
+    """
+    terms = model._components()
+    if not hasattr(kernel, "log_resolvent"):  # the kernels whose resolvent is one exponential
+        raise UnsupportedModelError(f"{type(kernel).__name__} has no closed-form log resolvent")
+    row = [None] * z.size
+    live = np.flatnonzero(z > 0.0)
+    if not live.size:
+        return row
+    zs = z[live]
+    with np.errstate(all="ignore"):  # a non-finite sum is flagged below
+        if len(terms) == 1:
+            (a, b), = terms
+            lam = (zs * math.sqrt(a) * b / (2.0 * t)) ** (1.0 / (1.0 - 0.5 * b))
+        else:
+            try:
+                lam = monotone_root(lambda x: zs * _phi_derivative(terms, x, 1)
+                                    / (2.0 * np.sqrt(_phi_derivative(terms, x, 0))) - t)
+            except BracketError:  # a saddle outside [1e-300, 1e300]: no z is taken here
+                return row
+        phi, d1, d2 = (_phi_derivative(terms, lam, k) for k in range(3))
+        curvature = zs * (d1 * d1 / (4.0 * phi ** 1.5) - d2 / (2.0 * np.sqrt(phi)))
+        h = 0.5 / (lam * _SADDLE_SLOPE * np.sqrt(curvature))
+        arg = 1j * h[:, None] * _SADDLE_K - _WT_ALPHA
+        mu = lam[:, None] / (1.0 - math.sin(_WT_ALPHA))
+        nodes = mu * (1.0 + np.sin(arg))
+        log_nodes = np.log(nodes)
+        phis = sum(a * np.exp(b * log_nodes) for a, b in terms)
+        logs = (np.log(h[:, None] * _SADDLE_WEIGHT * mu * np.cos(arg) / np.pi) + nodes * t
+                + np.log(phis) - log_nodes + kernel.log_resolvent(phis, zs[:, None]))
+        peak = logs.real.max(axis=1)
+        vals = np.exp(logs - peak[:, None])
+        cut = _SADDLE_NODES[0] + 1
+        first, second = vals[:, :cut].sum(axis=1).real, vals[:, cut:].sum(axis=1).real
+        log_p = peak + np.log(second)
+        rel = ((_LAPLACE_SAFETY * np.abs(first - second) + EPS * np.abs(vals).sum(axis=1)) / second
+               + EPS * np.abs(log_p))
+        ok = (second > 0.0) & (rel <= REL_TOL)
+        value = np.exp(log_p)
+    for i, v, r, k, lp in zip(live.tolist(), value.tolist(), rel.tolist(), ok.tolist(),
+                              log_p.tolist()):
+        row[i] = SolutionEstimate(v, r * v if k else math.inf, "saddle", k, lp)
+    return row
 
 
 @_along_z

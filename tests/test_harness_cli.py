@@ -1,5 +1,6 @@
 """Campaign harness and command-line surface."""
 
+import math
 import os
 import re
 import shlex
@@ -12,13 +13,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracheat import VerifyConfig, harness, verify_sandwich
+from fracheat import VerifyConfig, harness, solution, verify_sandwich
 from fracheat.cli import run_cli
 from fracheat.harness import build_models, config_from_mapping, read_config
 from fracheat.errors import DomainError
 
 CAMPAIGNS = Path(__file__).parents[1] / "campaigns"
 README = Path(__file__).parents[1] / "README.md"
+# the deep off-diagonal diffusion grid, where p underflows past n ~ 1.7e4,
+# and log p at two of its points (1-d Gaussian, 1/2-stable time change) by
+# one mpmath integral at 30 digits, test_solution._half_stable_log_reference
+DEEP_ARGS = ["--t-n", "3", "--z-n", "4", "--z-lo", "1e3", "--z-hi", "1e8"]
+DEEP_LOG_P = {(0.01, 464.1588833612782): -7883.566554597685, (1.0, 1e4): -101794.73688375616}
+
+
+def _saddle_flags_all(monkeypatch):
+    """Let the saddle contour flag every z: the deep rows then underflow."""
+    monkeypatch.setattr(solution, "_saddle_row", lambda kernel, model, t, z: [None] * z.size)
 
 
 def small_jump_config(**overrides):
@@ -155,9 +166,27 @@ class TestVerify:
         assert np.isfinite(rep.off_log_lo) and np.isfinite(rep.off_log_hi)
         assert 0.0 < rep.off_log_lo <= rep.off_log_hi
 
-    def test_underflowed_rows_are_flagged(self):
+    def test_underflowed_rows_take_log_p(self):
+        # past n ~ 1.7e4 p underflows to 0; the saddle contour's log p gives L
+        base = config_from_mapping(read_config(CAMPAIGNS / "diffusion.cfg"))
+        cfg = config_from_mapping(dict(t_n=3, z_n=4, z_lo=1e3, z_hi=1e8), base=base)
+        rep = verify_sandwich(cfg)
+        zeros = [r for r in rep.rows if r.p == 0.0]
+        assert len(zeros) == 6 and rep.flagged == 0 and rep.all_finite
+        assert all(r.method == "saddle" and r.converged for r in rep.rows)
+        checked = 0
+        for (t, z), log_p in DEEP_LOG_P.items():
+            for r in rep.rows:
+                if math.isclose(r.t, t, rel_tol=1e-14) and math.isclose(r.z, z, rel_tol=1e-14):
+                    assert r.log_ratio == pytest.approx((math.log(r.estimate) - log_p) / r.n,
+                                                        rel=1e-10)
+                    checked += 1
+        assert checked == 2
+
+    def test_underflowed_rows_are_flagged(self, monkeypatch):
         # past n ~ 1.7e4 p underflows to 0 on the contour and on the
         # Gauss-Kronrod rule; a zero is no converged answer
+        _saddle_flags_all(monkeypatch)
         base = config_from_mapping(read_config(CAMPAIGNS / "diffusion.cfg"))
         cfg = config_from_mapping(dict(t_n=3, z_n=4, z_lo=1e3, z_hi=1e8), base=base)
         rep = verify_sandwich(cfg)
@@ -403,14 +432,28 @@ class TestCli:
         assert captured.err == ("fracheat: estimates need a finite t > 0 and z >= 0, "
                                 f"got t={float(t)}, z={float(z)}\n")
 
-    def test_verify_flagged_rows_exit_3(self, capsys):
-        # the six underflowed rows (p = 0) are flagged: they leave the
-        # verdict and the off log-ratio range, and the run is a
-        # non-convergence, not a verification failure
+    def test_verify_deep_rows_exit_0(self, capsys):
+        # the six rows whose p underflows take L from the saddle's log p
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = run_cli(["verify", "--config", str(CAMPAIGNS / "diffusion.cfg"), "--t-n", "3",
-                            "--z-n", "4", "--z-lo", "1e3", "--z-hi", "1e8"])
+            code = run_cli(["verify", "--config", str(CAMPAIGNS / "diffusion.cfg"), *DEEP_ARGS])
+        captured = capsys.readouterr()
+        assert code == 0
+        summary = captured.err.strip().splitlines()[-1]
+        assert summary.endswith("all_finite=True; flagged=0; tilted=0")
+        lo, hi = (float(v) for v in summary.split("off log-ratio: [")[1].split("]")[0].split(","))
+        assert lo == pytest.approx(0.4724893140401937, rel=1e-9)
+        assert hi == pytest.approx(0.4940753288435190, rel=1e-9)
+        assert captured.out.count(",saddle\n") == 12
+
+    def test_verify_flagged_rows_exit_3(self, capsys, monkeypatch):
+        # without the saddle contour, the six underflowed rows (p = 0) are
+        # flagged: they leave the verdict and the off log-ratio range, and
+        # the run is a non-convergence, not a verification failure
+        _saddle_flags_all(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["verify", "--config", str(CAMPAIGNS / "diffusion.cfg"), *DEEP_ARGS])
         captured = capsys.readouterr()
         assert code == 3
         summary = captured.err.strip().splitlines()[-1]

@@ -197,6 +197,19 @@ class TestDerivativeStructure:
         with pytest.raises(DomainError):
             time_derivative_report(ExactGaussian(1))
 
+    def test_empty_grid_rejected(self):
+        kernel = DiffusionSurrogate(PowerLaw(1.0), PowerLaw(2.0))
+        for ts, zs in (([1.0], []), ([], [1.0])):
+            with pytest.raises(DomainError):
+                time_derivative_report(kernel, ts=ts, zs=zs)
+
+    def test_all_underflowed_grid_fails(self):
+        # q(1, 1e6) = exp(-m) underflows: no point is left to judge
+        kernel = DiffusionSurrogate(PowerLaw(1.0), PowerLaw(2.0))
+        assert kernel.q(1.0, 1e6) == 0.0
+        rep = time_derivative_report(kernel, ts=[1.0], zs=[1e6])
+        assert not rep.passed
+
 
 @given(t=st.floats(0.01, 100.0), z1=st.floats(0.0, 50.0), z2=st.floats(0.0, 50.0))
 def test_monotone_in_distance(t, z1, z2):

@@ -98,6 +98,12 @@ def _no_resolvent(self, mu, z):
     raise UnsupportedModelError("resolvent withheld")
 
 
+def _saddle_flags_all(monkeypatch):
+    """Let the saddle contour flag every z, so that the z the hyperbola
+    flags take the Gauss-Kronrod rule."""
+    monkeypatch.setattr(solution, "_saddle_row", lambda kernel, model, t, z: [None] * z.size)
+
+
 @pytest.fixture(scope="module")
 def mix():
     return SubordinatorModel(StableMixture(MIXTURES[0]))
@@ -141,8 +147,9 @@ class TestQuadrature:
         for withheld in (False, True):
             if withheld:
                 monkeypatch.setattr(type(kernel), "resolvent", _no_resolvent)
+                _saddle_flags_all(monkeypatch)
             est = density_quadrature(kernel, half, t, z)
-            assert est.converged
+            assert est.converged and (est.method == "quad" or not withheld)
             assert abs(est.value - ref) <= 1e-10 * ref
             assert abs(est.value - ref) <= est.error
 
@@ -161,10 +168,14 @@ class TestQuadrature:
                 assert est.method == ("quad" if withheld else "laplace") and est.converged
                 assert abs(est.value - exact) <= est.error
 
-    def test_stable_takes_the_contour_near_the_diagonal(self, gauss, cauchy, half):
+    def test_stable_takes_the_contour_near_the_diagonal(self, gauss, cauchy, half, monkeypatch):
         assert density_quadrature(cauchy, half, 1.0, 0.3).method == "laplace"
-        est = density_quadrature(gauss, half, 1.0, 30.0)  # flagged on the contour
+        saddle = density_quadrature(gauss, half, 1.0, 30.0)  # flagged on the hyperbola
+        assert saddle.method == "saddle" and saddle.converged
+        _saddle_flags_all(monkeypatch)
+        est = density_quadrature(gauss, half, 1.0, 30.0)
         assert est.method == "quad" and est.converged
+        assert abs(saddle.value - est.value) <= saddle.error + est.error
 
     def test_unmet_tolerance_is_flagged(self, cauchy, half, monkeypatch):
         from fracheat import numerics, solution
@@ -278,11 +289,17 @@ class TestQuadrature:
         assert single[0] == pytest.approx(exact[2], rel=1e-12)
 
     def test_kronrod_path_deep_off_diagonal(self, gauss, cauchy, mix, monkeypatch):
-        # the contour flags Gaussian (1, 30), p ~ 1e-36; the Gauss-Kronrod
-        # rule meets Talbot at 50 digits within its stated error
-        est = density_quadrature(gauss, mix, 1.0, 30.0)
-        assert est.method == "quad" and est.converged
+        # the hyperbola flags Gaussian (1, 30), p ~ 1e-36; the saddle
+        # contour, and the Gauss-Kronrod rule without it, meet Talbot at 50
+        # digits within their stated errors
         ref = _talbot_mixture_reference(MIXTURES[0], "gaussian", 1.0, 30.0, dps=50)
+        est = density_quadrature(gauss, mix, 1.0, 30.0)
+        assert est.method == "saddle" and est.converged
+        assert abs(est.value - ref) <= est.error
+        with monkeypatch.context() as patch:
+            _saddle_flags_all(patch)
+            est = density_quadrature(gauss, mix, 1.0, 30.0)
+        assert est.method == "quad" and est.converged
         assert abs(est.value - ref) <= est.error
         contour = density_laplace(cauchy, mix, 0.1, 3.0)
         assert contour.converged
@@ -332,12 +349,16 @@ class TestRow:
         assert all(est.method == "quad" and est.converged for est in row)
         _row_against_points(kernel, half, 1.0, zs)
 
-    def test_row_mixes_contour_and_flagged(self, gauss, half, mix):
-        # (1, 30) is flagged on the contour (p ~ 1e-36 for the mixture)
-        for model in (half, mix):
-            row = _row_against_points(gauss, model, 1.0, [0.0, 0.5, 30.0])
-            assert [est.method for est in row] == ["laplace", "laplace", "quad"]
-            assert all(est.converged for est in row)
+    def test_row_mixes_contour_and_flagged(self, gauss, half, mix, monkeypatch):
+        # (1, 30) is flagged on the hyperbola (p ~ 1e-36 for the mixture)
+        # and taken by the saddle contour, or else by the Gauss-Kronrod rule
+        for last in ("saddle", "quad"):
+            if last == "quad":
+                _saddle_flags_all(monkeypatch)
+            for model in (half, mix):
+                row = _row_against_points(gauss, model, 1.0, [0.0, 0.5, 30.0])
+                assert [est.method for est in row] == ["laplace", "laplace", last]
+                assert all(est.converged for est in row)
 
     def test_forms(self, gauss, half):
         assert isinstance(density_quadrature(gauss, half, 1.0, 0.5), SolutionEstimate)
@@ -407,9 +428,14 @@ class TestLaplace:
     def test_zero_is_not_converged(self, gauss, half, monkeypatch):
         # p(1, 1467.8) underflows to 0, which meets any relative tolerance
         # but is no answer: the contour flags it, and so does the
-        # Gauss-Kronrod rule it falls through to, with or without a resolvent
+        # Gauss-Kronrod rule it falls through to, with or without a resolvent;
+        # the saddle contour answers in log p
         contour = density_laplace(gauss, half, 1.0, 1467.8)
         assert contour.value == 0.0 and not contour.converged
+        saddle = density_quadrature(gauss, half, 1.0, 1467.8)
+        assert (saddle.value, saddle.method, saddle.converged) == (0.0, "saddle", True)
+        assert -1e4 < saddle.log_value < -745.0
+        _saddle_flags_all(monkeypatch)
         quad = density_quadrature(gauss, half, 1.0, np.array([0.5, 1467.8]))
         assert quad[0].converged and quad[0].method == "laplace"
         assert (quad[1].value, quad[1].method, quad[1].converged) == (0.0, "quad", False)
@@ -424,6 +450,128 @@ class TestLaplace:
             density_laplace(gauss, SubordinatorModel(cbf_from_scale(PowerLaw(2.0), 3.0)), 1.0, 0.5)
         with pytest.raises(DomainError):
             density_laplace(gauss, half, 0.0, 0.5)
+
+
+# (t, z) off the diagonal for the saddle contour against the Gauss-Kronrod rule
+SADDLE_POINTS = ((1.0, 10.0), (0.1, 10.0), (10.0, 30.0), (1.0, 30.0))
+
+
+def _kronrod_row(kernel, model, t, zs):
+    """The Gauss-Kronrod estimates of p(t, z) along zs, both contours withheld."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(type(kernel), "resolvent", _no_resolvent)
+        _saddle_flags_all(patch)
+        row = density_quadrature(kernel, model, t, np.asarray(zs, dtype=float))
+    assert all(est.method == "quad" for est in row)
+    return row
+
+
+def _half_stable_log_reference(t, z, dps=30):
+    """log p(t, z) for the 1-d Gaussian kernel under a 1/2-stable time
+    change, at any depth: one mpmath integral of q(s, z) h_t(s) s over
+    u = log(s/s*) around the peak s* of exp(-z**2/4s - s**2/4t), at
+    (s*)**3 = t z**2 / 2, out to +-40 widths sigma = (1.5 (s*)**2 / t)**-0.5,
+    with the exponent at u = 0 taken out."""
+    with mpmath.workdps(dps):
+        t, z = mpmath.mpf(t), mpmath.mpf(z)
+        peak = mpmath.cbrt(t * z * z / 2)
+
+        def log_f(u):
+            s = peak * mpmath.exp(u)
+            return (-mpmath.log(4 * mpmath.pi * s) / 2 - z * z / (4 * s) - s * s / (4 * t)
+                    - mpmath.log(mpmath.pi * t) / 2 + mpmath.log(s))
+
+        top = log_f(0)
+        reach = 40 / mpmath.sqrt(1.5 * peak * peak / t)
+        area = mpmath.quad(lambda u: mpmath.exp(log_f(u) - top), mpmath.linspace(-reach, reach, 41))
+        return float(top + mpmath.log(area))
+
+
+class TestSaddle:
+    """The saddle contour, which takes the Gaussian z the hyperbola flags."""
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7, 0.9])
+    def test_stable_against_kronrod(self, gauss, beta):
+        model = SubordinatorModel(Stable(beta))
+        for t, z in SADDLE_POINTS:
+            saddle, = solution._saddle_row(gauss, model, t, np.array([z]))
+            quad, = _kronrod_row(gauss, model, t, [z])
+            assert quad.converged
+            assert saddle.value == pytest.approx(quad.value, rel=1e-12, abs=0.0), (t, z)
+            assert abs(saddle.value - quad.value) <= saddle.error + quad.error, (t, z)
+
+    @pytest.mark.parametrize("terms", MIXTURES)
+    def test_mixtures_against_kronrod(self, gauss, terms):
+        # one Gauss-Kronrod pass per t; a p below the smallest normal float
+        # is flagged there, and checked against the saddle in its own test
+        model = SubordinatorModel(StableMixture(terms))
+        for t, zs in ((1.0, [10.0, 30.0, 100.0]), (0.1, [30.0])):
+            saddle = solution._saddle_row(gauss, model, t, np.array(zs))
+            for z, est, quad in zip(zs, saddle, _kronrod_row(gauss, model, t, zs)):
+                assert est.converged, (t, z)
+                if quad.value >= np.finfo(float).tiny:
+                    assert quad.converged
+                    assert est.value == pytest.approx(quad.value, rel=1e-12, abs=0.0), (t, z)
+                    assert abs(est.value - quad.value) <= est.error + quad.error, (t, z)
+
+    def test_subnormal_kronrod_is_flagged(self, gauss, monkeypatch):
+        # p(1, 100) = 2.4655e-309 is subnormal: the Gauss-Kronrod rule comes
+        # within its absolute floor but 3.7% off, so it is flagged
+        model = SubordinatorModel(StableMixture(MIXTURES[2]))
+        saddle = density_quadrature(gauss, model, 1.0, 100.0)
+        assert saddle.method == "saddle" and saddle.converged
+        assert saddle.value == pytest.approx(2.4655e-309, rel=1e-4)
+        assert saddle.log_value == pytest.approx(math.log(2.4655e-309), abs=1e-4)
+        _saddle_flags_all(monkeypatch)
+        quad = density_quadrature(gauss, model, 1.0, 100.0)
+        assert quad.method == "quad" and not quad.converged
+        assert 0.0 < quad.value < np.finfo(float).tiny
+
+    @pytest.mark.parametrize("t, z, log_p", [(0.01, 464.1588833612782, -7883.566554597685),
+                                             (1.0, 1e4, -101794.73688375616)])
+    def test_log_p_against_mpmath(self, gauss, half, t, z, log_p):
+        assert _half_stable_log_reference(t, z) == pytest.approx(log_p, rel=1e-15)
+        est = density_quadrature(gauss, half, t, z)
+        assert (est.value, est.method, est.converged) == (0.0, "saddle", True)
+        assert est.log_value == pytest.approx(log_p, rel=1e-13)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7, 0.9])
+    def test_near_diagonal_is_flagged_not_wrong(self, gauss, beta):
+        # near the diagonal the saddle nears the branch point at 0: each z
+        # is flagged or within its stated error of the hyperbola
+        model = SubordinatorModel(Stable(beta))
+        zs = np.array([0.05, 0.5, 1.0, 3.0])
+        saddle = solution._saddle_row(gauss, model, 1.0, zs)
+        for z, est, contour in zip(zs, saddle, density_laplace(gauss, model, 1.0, zs)):
+            assert contour.converged
+            assert abs(est.value - contour.value) <= est.error + contour.error, z
+        assert not saddle[1].converged  # (1, 0.5)
+        assert beta != 0.3 or not saddle[3].converged  # (1, 3)
+
+    def test_zero_never_reaches_the_saddle(self, gauss, half, monkeypatch):
+        assert solution._saddle_row(gauss, half, 1.0, np.array([0.0, 30.0]))[0] is None
+        monkeypatch.setattr(ExactGaussian, "resolvent", _no_resolvent)
+        row = density_quadrature(gauss, half, 1.0, np.array([0.0, 30.0]))
+        assert [est.method for est in row] == ["quad", "saddle"]
+        assert all(est.converged for est in row)
+
+    def test_saddle_out_of_float_range_is_flagged(self, gauss, half, mix):
+        # past z ~ 1e200 lam* leaves [1e-300, 1e300]: no number, never an error
+        zs = np.array([30.0, 1e200])
+        assert solution._saddle_row(gauss, mix, 1.0, zs) == [None, None]
+        near, far = solution._saddle_row(gauss, half, 1.0, np.array([30.0, 1e250]))
+        assert near.converged and not far.converged and far.error == math.inf
+
+    def test_kernels_without_log_resolvent(self, cauchy, half):
+        with pytest.raises(UnsupportedModelError):
+            solution._saddle_row(cauchy, half, 1.0, np.array([30.0]))
+        with pytest.raises(UnsupportedModelError):
+            solution._saddle_row(ExactGaussian(2), half, 1.0, np.array([30.0]))
+
+    def test_log_value_stays_out_of_the_repr(self, gauss, half):
+        est = density_quadrature(gauss, half, 1.0, 30.0)
+        assert est.log_value is not None and "log_value" not in repr(est)
+        assert repr(est) == repr(SolutionEstimate(est.value, est.error, est.method, est.converged))
 
 
 class TestMonteCarlo:
@@ -523,6 +671,7 @@ class TestSelfSimilarity:
     @pytest.mark.parametrize("beta", [0.5, 0.7])
     def test_kronrod(self, gauss, cauchy, beta, monkeypatch):
         model = SubordinatorModel(Stable(beta))
+        _saddle_flags_all(monkeypatch)
         for kernel, alpha in ((gauss, 2), (cauchy, 1)):
             monkeypatch.setattr(type(kernel), "resolvent", _no_resolvent)
             for base, scaled in _scaled_pair(
@@ -542,6 +691,18 @@ class TestSelfSimilarity:
                     _assert_self_similar(base, scaled)
                     checked += 1
         assert checked >= 4
+
+    @pytest.mark.parametrize("beta", [0.5, 0.7])
+    def test_saddle(self, gauss, beta):
+        # off the diagonal, in log p: log p(lam**(2/beta) t, lam z) = log p(t, z) - log lam
+        model = SubordinatorModel(Stable(beta))
+        for t, z in SADDLE_POINTS:
+            base, scaled = (solution._saddle_row(gauss, model, tt, np.array([zz]))[0]
+                            for tt, zz in ((t, z), (SCALE_LAM ** (2.0 / beta) * t, SCALE_LAM * z)))
+            if base.converged and scaled.converged:
+                gap = abs(scaled.log_value + math.log(SCALE_LAM) - base.log_value)
+                assert gap <= (base.error / base.value + scaled.error / scaled.value
+                               + 1e-14 * abs(base.log_value))
 
     @pytest.mark.parametrize("beta", [0.5, 0.7])
     def test_fourier(self, beta):
