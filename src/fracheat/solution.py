@@ -6,29 +6,26 @@ independent ways:
 
 * contour inversion of the Laplace transform in t,
       phi(lam)/lam * R_{phi(lam)}(z),  R_mu the kernel's resolvent,
-  by the trapezoid rule on a Weideman-Trefethen hyperbola
-  (`density_laplace`), for stable and stable-mixture time changes and the
-  1-d Gaussian and Cauchy kernels, whose resolvents are closed forms.  Its
-  error is the difference of two node counts plus a rounding bound, and
-  the result is valid only when that error meets REL_TOL*|p|: off the
-  diagonal p is tiny against the contour terms and the result comes back
-  flagged,
-* for the 1-d Gaussian, the same inversion on a saddle contour
-  (`_saddle_row`): the hyperbola's vertex sits at the real saddle lam* of
-  lam t - z sqrt(phi(lam)) and its trapezoid step comes from the curvature
-  there, so the terms near the saddle share one phase and nothing cancels
-  off the diagonal.  It sums in log space, so log p holds where p
-  underflows.  Its error is twice the difference of two step sizes, plus
-  eps times the sum of |terms| and eps |log p| p; near the diagonal the
-  saddle nears the branch point at 0 and the result comes back flagged,
-* quadrature against h_t (`density_quadrature`): one vectorized adaptive
-  Gauss-Kronrod panel rule in log s, whose error is the summed
-  |K15 - G7| difference plus a rounding bound.  A stable or
-  stable-mixture time change tries the hyperbola first, then the saddle
-  contour on the z it flags, and takes this rule only for the z left:
-  those of a kernel without a closed-form resolvent, the flagged Cauchy z,
-  z = 0 and the flagged z near the diagonal.  A p of this rule below the smallest normal float
-  has lost digits and is flagged,
+  for stable and stable-mixture time changes and the 1-d Gaussian and
+  Cauchy kernels, whose resolvents are closed forms, by the trapezoid rule
+  on one hyperbola lam = mu (1 + sin(i theta - alpha)) (`_hyperbola`) with
+  two choices of vertex mu and step h.  The Weideman-Trefethen rule
+  (`density_laplace`) fixes them by t alone and sums the terms; off the
+  diagonal p is tiny against them and the result comes back flagged.  For
+  the 1-d Gaussian the saddle rule puts the vertex at the real saddle lam*
+  of lam t - z sqrt(phi(lam)) and the step from the curvature there, so
+  the terms near it share one phase, and sums in log space, so log p holds
+  where p underflows; near the diagonal lam* nears the branch point at 0
+  and the result comes back flagged.  Each rule's error is twice the
+  difference of two node counts plus eps times the sum of |terms| (and
+  eps |log p| p on the saddle rule), and must meet REL_TOL*|p|,
+* quadrature against h_t (`density_quadrature`): a chain of three row
+  paths, each taking the z the ones before it flagged: the fixed
+  hyperbola, the saddle hyperbola, then one vectorized adaptive
+  Gauss-Kronrod panel rule in log s, whose error is the summed |K15 - G7|
+  difference plus a rounding bound, and which alone takes a kernel without
+  a closed-form resolvent and z = 0.  A p of this rule below the smallest
+  normal float has lost digits and is flagged,
 * Monte Carlo over inverse-subordinator samples (`density_monte_carlo`),
   one draw set per call shared by every z of the row.  A z whose sample
   of q has an effective size (sum q)**2 / sum q**2 below _MC_MIN_ESS rests
@@ -157,51 +154,47 @@ def density_quadrature(kernel, model, t, z):
     """p(t, z) by quadrature of q(s, z) against the density of E_t, for a
     scalar z or each z of a 1-d array, as one estimate or a list of them.
 
-    The contour of `density_laplace` goes first, being far cheaper: it is
-    summed once for the whole row, and its result is kept at each z where
-    it is not flagged.  The saddle contour of `_saddle_row` takes the z it
-    flags, and its result is kept where it is not flagged in turn.  The
-    kernels without a resolvent, and the z left, take one vectorized
-    composite Gauss-Kronrod pass in u = log s with a row per z: the rows
-    share the panels, which `_log_panels` splits at the change-of-character
-    points of every row, and h_t, evaluated once per node.  A panel is
-    bisected where |K15 - G7| exceeds its share of REL_TOL*|p| in some row;
-    each row's error is the sum of those differences plus a rounding bound,
-    and its `converged` says whether that meets REL_TOL*|p| of the row with
-    p at least the smallest normal float: a p of this rule that underflowed,
-    to zero or to a subnormal float, is flagged.
+    Three row paths run in turn, each on the z left unanswered or flagged
+    by those before: `_contour_row`, far the cheapest, `_saddle_row` and
+    `_kronrod_row`, which answers every z.  A contour that cannot take the
+    kernel or the time change leaves its z to the next path.
     """
     _check_domain(kernel, model, t, z)
     row = [None] * z.size
-    for path in (_contour_row, _saddle_row):
+    for path in (_contour_row, _saddle_row, _kronrod_row):
         flagged = [i for i, est in enumerate(row) if est is None or not est.converged]
         if not flagged:
-            return row
+            break
         try:
             for i, est in zip(flagged, path(kernel, model, t, z[flagged])):
                 row[i] = est
         except UnsupportedModelError:  # no closed-form resolvent, or no stable parts
-            pass
-    flagged = [i for i, est in enumerate(row) if est is None or not est.converged]
-    if not flagged:
-        return row
-    rows = z[flagged]
-
-    def in_log_s(u):
-        s = np.exp(u)
-        return model.inverse_density(t, s) * kernel.q(s, rows[:, None]) * s
-
-    bounds = _log_panels(kernel, model, t, rows)
-    total, error, ok = kronrod_quad(in_log_s, bounds, REL_TOL, ABS_FLOOR)
-    ok &= np.abs(total) >= TINY  # an underflowed p meets any tolerance, but is no answer
-    for i, value, err, conv in zip(flagged, total.tolist(), error.tolist(), ok.tolist()):
-        row[i] = SolutionEstimate(value, err, "quad", conv)
+            if path is _kronrod_row:
+                raise
     return row
 
 
-# Weideman & Trefethen (2007) hyperbola lambda(theta) = mu (1 + sin(i theta
-# - alpha)) with mu = _WT_MU * N / t, trapezoid step h = _WT_STEP / N on
-# theta = k h, |k| <= N; the error decays like exp(-2.32 N)
+def _kronrod_row(kernel, model, t, z):
+    """The Gauss-Kronrod estimates of p(t, z) at each z of the 1-d array z:
+    one composite pass in u = log s with a row per z, sharing the panels,
+    split by `_log_panels` for every row, and h_t at each node.  A panel is
+    bisected where |K15 - G7| exceeds its share of REL_TOL*|p| in some row;
+    a row's error is the sum of those plus a rounding bound, and a p below
+    the smallest normal float, zero or subnormal, is flagged."""
+    def in_log_s(u):
+        s = np.exp(u)
+        return model.inverse_density(t, s) * kernel.q(s, z[:, None]) * s
+
+    bounds = _log_panels(kernel, model, t, z)
+    total, error, ok = kronrod_quad(in_log_s, bounds, REL_TOL, ABS_FLOOR)
+    ok &= np.abs(total) >= TINY  # an underflowed p meets any tolerance, but is no answer
+    return [SolutionEstimate(v, e, "quad", k)
+            for v, e, k in zip(total.tolist(), error.tolist(), ok.tolist())]
+
+
+# the hyperbola lambda(theta) = mu (1 + sin(i theta - alpha)), trapezoid
+# steps theta = k h; Weideman & Trefethen (2007) fix mu = _WT_MU * N / t and
+# h = _WT_STEP / N on |k| <= N, whose error decays like exp(-2.32 N)
 _WT_ALPHA, _WT_MU, _WT_STEP = 1.1721, 4.492, 1.0818
 # two node counts whose difference estimates the truncation error; the
 # stated error is _LAPLACE_SAFETY times that difference plus the rounding
@@ -211,63 +204,71 @@ _LAPLACE_SAFETY = 2.0
 
 
 @lru_cache(maxsize=None)
-def _hyperbola_shape(n):
-    """The t-free parts of `_hyperbola`: h, 1 + sin(i k h - alpha) and
-    cos(i k h - alpha) for 0 <= k <= n."""
-    h = _WT_STEP / n
+def _hyperbola_shape(h, n):
+    """1 + sin(i k h - alpha) and cos(i k h - alpha), halved at k = 0, for
+    0 <= k <= n along the last axis, h a step or a column of them; cached
+    for a float h, the fixed rule's, whose shape is t-free."""
     arg = 1j * h * np.arange(n + 1) - _WT_ALPHA
     shape, slope = 1.0 + np.sin(arg), np.cos(arg)
-    shape.flags.writeable = slope.flags.writeable = False  # shared by every caller
-    return h, shape, slope
+    slope[..., 0] *= 0.5  # the trapezoid end weight
+    shape.flags.writeable = slope.flags.writeable = False  # a cached pair is shared by every caller
+    return shape, slope
 
 
-def _hyperbola(n, t):
-    """Nodes lambda_k = lambda(k h), 0 <= k <= n, and weights w_k such
-    that Re sum_k w_k F(lambda_k) is the trapezoid rule over |k| <= n for
-    (1/2 pi i) int F dlambda, F being real on the real axis: the k < 0
-    nodes are the conjugates of the k > 0 ones."""
-    h, shape, slope = _hyperbola_shape(n)
-    mu = _WT_MU * n / t
-    weights = (h / np.pi) * mu * slope
-    weights[0] *= 0.5
-    return mu * shape, weights
+def _hyperbola(rules):
+    """The nodes lambda(k h), 0 <= k <= n, and weights w_k of each rule
+    (mu, h, n) of rules, side by side along the last axis: Re sum_k w_k
+    F(lambda_k) is the trapezoid rule over |k| <= n for (1/2 pi i) int F
+    dlambda, F being real on the real axis, as the k < 0 nodes are the
+    conjugates of the k > 0 ones.  mu and h are scalars, or columns with one
+    value per row."""
+    nodes, weights = [], []
+    for mu, h, n in rules:
+        shape, slope = (_hyperbola_shape if np.isscalar(h) else _hyperbola_shape.__wrapped__)(h, n)
+        nodes.append(mu * shape)
+        weights.append((h / np.pi) * mu * slope)
+    return np.concatenate(nodes, axis=-1), np.concatenate(weights, axis=-1)
+
+
+def _rule_sums(vals, n):
+    """Re of the sum of the first rule's n + 1 terms and of the second's,
+    the rest, along the last axis of vals, and the sum of |terms| of both,
+    the scale of their rounding."""
+    return (vals[..., :n + 1].sum(axis=-1).real, vals[..., n + 1:].sum(axis=-1).real,
+            np.abs(vals).sum(axis=-1))
+
+
+def _phi_derivative(terms, lam, k):
+    """The k-th derivative of phi = sum a lam**b at real lam > 0; phi itself
+    (k = 0) at complex lam off the negative axis too."""
+    return sum(a * math.prod(b - j for j in range(k)) * lam ** (b - k) for a, b in terms)
 
 
 def _contour_row(kernel, model, t, z):
-    """The contour estimates of p(t, z) at each z of the 1-d array z: the
-    transform's z-free factor is formed once on the shared nodes, and the
-    resolvent on the (z, node) grid."""
+    """The contour estimates of p(t, z) at each z of the 1-d array z on the
+    fixed hyperbola: the transform's z-free factor is formed once on the
+    shared nodes, and the resolvent on the (z, node) grid."""
     terms = model._components()
-    lam, weights = (np.concatenate(part) for part in
-                    zip(*(_hyperbola(n, t) for n in _LAPLACE_NODES)))
-    phi = sum(a * lam ** b for a, b in terms)
+    lam, weights = _hyperbola([(_WT_MU * n / t, _WT_STEP / n, n) for n in _LAPLACE_NODES])
+    phi = _phi_derivative(terms, lam, 0)
     with np.errstate(all="ignore"):
-        vals = (weights * np.exp(lam * t) * phi / lam) * kernel.resolvent(phi, z[:, None])
-        cut = _LAPLACE_NODES[0] + 1
-        first, second = vals[:, :cut].sum(axis=-1).real, vals[:, cut:].sum(axis=-1).real
-        rounding = EPS * np.abs(vals).sum(axis=-1)
-        error = _LAPLACE_SAFETY * (np.abs(first - second) + rounding)
+        first, second, spread = _rule_sums(
+            (weights * np.exp(lam * t) * phi / lam) * kernel.resolvent(phi, z[:, None]),
+            _LAPLACE_NODES[0])
+        error = _LAPLACE_SAFETY * (np.abs(first - second) + EPS * spread)
         ok = (error <= REL_TOL * np.abs(second)) & (second != 0.0)
     return [SolutionEstimate(v, e if math.isfinite(e) else math.inf, "laplace", k)
             for v, e, k in zip(second.tolist(), error.tolist(), ok.tolist())]
 
 
-# the saddle contour: the hyperbola shape above with its vertex at the real
-# saddle lam* of lam t - z sqrt(phi(lam)) and trapezoid steps h = sigma/2
-# and 2h/3 on |k| <= 24 and |k| <= 36, sigma the width in theta of the
-# Gaussian peak of the terms there: both rules span +-12 sigma
-_SADDLE_NODES = (24, 36)
-# theta / h and the trapezoid weight over h of each node of the two rules,
-# halved at k = 0, and d lambda / d theta = i lam* _SADDLE_SLOPE at theta = 0
-_SADDLE_K = np.concatenate([np.arange(n + 1.0) * _SADDLE_NODES[0] / n for n in _SADDLE_NODES])
-_SADDLE_WEIGHT = np.concatenate([np.r_[0.5, np.ones(n)] * _SADDLE_NODES[0] / n
-                                 for n in _SADDLE_NODES])
-_SADDLE_SLOPE = math.cos(_WT_ALPHA) / (1.0 - math.sin(_WT_ALPHA))
-
-
-def _phi_derivative(terms, lam, k):
-    """The k-th derivative of phi = sum a lam**b at real lam > 0."""
-    return sum(a * math.prod(b - j for j in range(k)) * lam ** (b - k) for a, b in terms)
+# the saddle contour: the hyperbola with its vertex at the real saddle lam*
+# of lam t - z sqrt(phi(lam)), on |k| <= n for each n here at step
+# _SADDLE_SPAN sigma / n, sigma the width in theta of the Gaussian peak of
+# the terms there: both rules span +-12 sigma, at steps sigma/2 and sigma/3
+_SADDLE_NODES, _SADDLE_SPAN = (24, 36), 12.0
+# the relative width to which a mixture's lam* is bisected: the two rules
+# check the sum, so the vertex need not sit on the saddle more closely
+_SADDLE_RTOL = 1e-6
 
 
 def _saddle_row(kernel, model, t, z):
@@ -278,13 +279,13 @@ def _saddle_row(kernel, model, t, z):
     The exponent lam t - z sqrt(phi(lam)) of the transform has one real
     saddle lam*, where t = z phi'/(2 sqrt(phi)): a closed form for one part,
     else one bisection over the row, as phi'/sqrt(phi) decreases in lam.
-    The hyperbola lam* (1 + sin(i theta - alpha)) / (1 - sin alpha) leaves
-    it along the steepest descent, where the terms share one phase, so
-    nothing cancels; the step comes from the curvature f'' of the exponent
-    there.  log p = m + log Re sum exp(L_k - m), m the largest Re L_k, and
-    the error is _LAPLACE_SAFETY |p_h - p_2h/3| plus eps sum |terms| of both
-    rules plus eps |log p| p.  Near the diagonal the saddle nears the branch
-    point of sqrt(phi) at 0, the two rules part and the z comes back flagged.
+    The hyperbola with vertex mu = lam* / (1 - sin alpha) leaves it along
+    the steepest descent, where the terms share one phase, so nothing
+    cancels; the steps come from the curvature f'' of the exponent there.
+    log p = m + log Re sum exp(L_k - m), m the largest Re L_k, and the error
+    is _LAPLACE_SAFETY |p_h - p_2h/3| plus eps sum |terms| of both rules plus
+    eps |log p| p.  Near the diagonal the saddle nears the branch point of
+    sqrt(phi) at 0, the two rules part and the z comes back flagged.
     """
     terms = model._components()
     if not hasattr(kernel, "log_resolvent"):  # the kernels whose resolvent is one exponential
@@ -301,25 +302,23 @@ def _saddle_row(kernel, model, t, z):
         else:
             try:
                 lam = monotone_root(lambda x: zs * _phi_derivative(terms, x, 1)
-                                    / (2.0 * np.sqrt(_phi_derivative(terms, x, 0))) - t)
+                                    / (2.0 * np.sqrt(_phi_derivative(terms, x, 0))) - t,
+                                    _SADDLE_RTOL)
             except BracketError:  # a saddle outside [1e-300, 1e300]: no z is taken here
                 return row
         phi, d1, d2 = (_phi_derivative(terms, lam, k) for k in range(3))
         curvature = zs * (d1 * d1 / (4.0 * phi ** 1.5) - d2 / (2.0 * np.sqrt(phi)))
-        h = 0.5 / (lam * _SADDLE_SLOPE * np.sqrt(curvature))
-        arg = 1j * h[:, None] * _SADDLE_K - _WT_ALPHA
-        mu = lam[:, None] / (1.0 - math.sin(_WT_ALPHA))
-        nodes = mu * (1.0 + np.sin(arg))
-        log_nodes = np.log(nodes)
-        phis = sum(a * np.exp(b * log_nodes) for a, b in terms)
-        logs = (np.log(h[:, None] * _SADDLE_WEIGHT * mu * np.cos(arg) / np.pi) + nodes * t
-                + np.log(phis) - log_nodes + kernel.log_resolvent(phis, zs[:, None]))
+        mu = (lam / (1.0 - math.sin(_WT_ALPHA)))[:, None]
+        # |d lambda / d theta| = mu cos alpha at the vertex
+        sigma = 1.0 / (mu * math.cos(_WT_ALPHA) * np.sqrt(curvature[:, None]))
+        nodes, weights = _hyperbola([(mu, sigma * (_SADDLE_SPAN / n), n) for n in _SADDLE_NODES])
+        phis = _phi_derivative(terms, nodes, 0)
+        logs = (np.log(weights) + nodes * t + np.log(phis) - np.log(nodes)
+                + kernel.log_resolvent(phis, zs[:, None]))
         peak = logs.real.max(axis=1)
-        vals = np.exp(logs - peak[:, None])
-        cut = _SADDLE_NODES[0] + 1
-        first, second = vals[:, :cut].sum(axis=1).real, vals[:, cut:].sum(axis=1).real
+        first, second, spread = _rule_sums(np.exp(logs - peak[:, None]), _SADDLE_NODES[0])
         log_p = peak + np.log(second)
-        rel = ((_LAPLACE_SAFETY * np.abs(first - second) + EPS * np.abs(vals).sum(axis=1)) / second
+        rel = ((_LAPLACE_SAFETY * np.abs(first - second) + EPS * spread) / second
                + EPS * np.abs(log_p))
         ok = (second > 0.0) & (rel <= REL_TOL)
         value = np.exp(log_p)

@@ -51,7 +51,7 @@ DENSITY_HASHES = {
 # which covers the regime, estimate, n, ratio and log_ratio columns
 CAMPAIGN_HASHES = {
     "jump.cfg": "456933d65c5ae286921d23e14539253c61e614bfaeaa3452eae870e4e21dce3f",
-    "diffusion.cfg": "66d17d31df1322a061a33cc8c18762d76a3cb7f1ff82b30893cedfa65306e969",
+    "diffusion.cfg": "1cee59fb91005be3d530f8338555f4af407199cc641a8b415fc78b3c7ba66f84",
 }
 # the stdout of one command of each CSV shape: eval by every method,
 # estimate in each regime and flavor, sample of S_r and E_t, residual

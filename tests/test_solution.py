@@ -456,16 +456,6 @@ class TestLaplace:
 SADDLE_POINTS = ((1.0, 10.0), (0.1, 10.0), (10.0, 30.0), (1.0, 30.0))
 
 
-def _kronrod_row(kernel, model, t, zs):
-    """The Gauss-Kronrod estimates of p(t, z) along zs, both contours withheld."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(type(kernel), "resolvent", _no_resolvent)
-        _saddle_flags_all(patch)
-        row = density_quadrature(kernel, model, t, np.asarray(zs, dtype=float))
-    assert all(est.method == "quad" for est in row)
-    return row
-
-
 def _half_stable_log_reference(t, z, dps=30):
     """log p(t, z) for the 1-d Gaussian kernel under a 1/2-stable time
     change, at any depth: one mpmath integral of q(s, z) h_t(s) s over
@@ -495,7 +485,7 @@ class TestSaddle:
         model = SubordinatorModel(Stable(beta))
         for t, z in SADDLE_POINTS:
             saddle, = solution._saddle_row(gauss, model, t, np.array([z]))
-            quad, = _kronrod_row(gauss, model, t, [z])
+            quad, = solution._kronrod_row(gauss, model, t, np.array([z]))
             assert quad.converged
             assert saddle.value == pytest.approx(quad.value, rel=1e-12, abs=0.0), (t, z)
             assert abs(saddle.value - quad.value) <= saddle.error + quad.error, (t, z)
@@ -505,9 +495,10 @@ class TestSaddle:
         # one Gauss-Kronrod pass per t; a p below the smallest normal float
         # is flagged there, and checked against the saddle in its own test
         model = SubordinatorModel(StableMixture(terms))
-        for t, zs in ((1.0, [10.0, 30.0, 100.0]), (0.1, [30.0])):
-            saddle = solution._saddle_row(gauss, model, t, np.array(zs))
-            for z, est, quad in zip(zs, saddle, _kronrod_row(gauss, model, t, zs)):
+        for t, zs in ((1.0, [10.0, 30.0, 100.0]), (0.1, [30.0]), (100.0, [30.0, 100.0, 300.0])):
+            row = np.array(zs)
+            saddle = solution._saddle_row(gauss, model, t, row)
+            for z, est, quad in zip(zs, saddle, solution._kronrod_row(gauss, model, t, row)):
                 assert est.converged, (t, z)
                 if quad.value >= np.finfo(float).tiny:
                     assert quad.converged

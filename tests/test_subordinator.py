@@ -14,7 +14,7 @@ from fracheat import (DomainError, QuadratureError, RngStream, Stable, StableMix
                       integrated_tail_identities, parse_exponent, tail_bounds_report)
 from fracheat.numerics import geometric_boundaries, panel_nodes
 from fracheat.scale import PowerLaw
-from fracheat.solution import _hyperbola
+from fracheat.solution import _WT_MU, _WT_STEP, _hyperbola, _rule_sums
 
 
 def parent_sample(beta, gen, n):
@@ -228,13 +228,11 @@ class TestInverseDensity:
         h = model.inverse_density(t, r)
         fd = (model.survival(r + step, t) - model.survival(r - step, t)) / (2.0 * step)
         assert h == pytest.approx(fd, rel=1e-8)
-        contour = []
-        for n in (16, 24):
-            lam, weights = _hyperbola(n, t)
-            phi = sum(a * lam ** b for a, b in terms)
-            contour.append(float((weights * np.exp(lam * t - r * phi) * phi / lam).sum().real))
-        assert abs(contour[1] - contour[0]) <= 1e-12
-        assert h == pytest.approx(contour[1], rel=1e-10)
+        lam, weights = _hyperbola([(_WT_MU * n / t, _WT_STEP / n, n) for n in (16, 24)])
+        phi = sum(a * lam ** b for a, b in terms)
+        first, second, _ = _rule_sums(weights * np.exp(lam * t - r * phi) * phi / lam, 16)
+        assert abs(second - first) <= 1e-12
+        assert h == pytest.approx(second, rel=1e-10)
         assert model.inverse_density(t, 1e-8) == pytest.approx(
             model.exponent.levy_tail(t), rel=1e-6)
 
