@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, QuadratureError, UnsupportedModelError
 from .numerics import ABS_FLOOR, REL_TOL, kronrod_quad, monotone_root
@@ -36,6 +35,13 @@ def _check_positive(name, value):
     """Refuse value unless each of its elements is > 0, NaN included."""
     if not np.all(np.greater(value, 0.0)):
         raise DomainError(f"{name} must be positive, got {value}")
+
+
+def _expit(x):
+    """The logistic function 1/(1 + e**-x), as e**x/(1 + e**x) for x < 0, so
+    that no exponential overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class LaplaceExponent:
@@ -206,8 +212,8 @@ class ConstructedCBF(LaplaceExponent):
                            kinks[(lo < kinks) & (kinks < hi)])
 
         def integrands(w):
-            head = a3 * special.expit(a3 * w) / scale.value(np.exp(w - shift))
-            return np.stack([head, head * special.expit(-a3 * w)])
+            head = a3 * _expit(a3 * w) / scale.value(np.exp(w - shift))
+            return np.stack([head, head * _expit(-a3 * w)])
 
         total, err, ok = kronrod_quad(integrands, edges, REL_TOL, ABS_FLOOR)
         if not ok.all():

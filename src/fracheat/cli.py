@@ -17,7 +17,6 @@ import sys
 from dataclasses import fields
 
 import numpy as np
-from scipy import special
 
 from . import harness, solution
 from .bernstein import parse_exponent
@@ -217,7 +216,7 @@ def _cmd_selftest(args):
     model = SubordinatorModel(s5)
     checks.append(("phi round-trip", abs(s5.phi_inverse(s5.phi(3.7)) - 3.7) < 1e-9))
     checks.append(("cdf closed form",
-                   abs(model.cdf(2.0, 4.0) - special.erfc(0.5)) < 1e-10))
+                   abs(model.cdf(2.0, 4.0) - math.erfc(0.5)) < 1e-10))
     checks.append(("scale solver m", abs(subgaussian_exponent(PowerLaw(2.0), 1.0, 2.0) - 4.0) < 1e-12))
     checks.append(("scale solver n",
                    abs(subordinated_exponent(PowerLaw(2.0), s5, 1.0, 2.0) - 2.0 ** (4 / 3)) < 1e-12))
@@ -229,7 +228,7 @@ def _cmd_selftest(args):
                    and abs(seam.scalar - 1.0) < 1e-12 and abs(off.prefactor - 1.0) < 1e-12
                    and abs(off.exponent_arg - 2.0 ** (4 / 3)) < 1e-12))
     checks.append(("mittag-leffler identity",
-                   abs(solution.mittag_leffler(0.5, 1.0) - math.e * special.erfc(1.0)) < 1e-11))
+                   abs(solution.mittag_leffler(0.5, 1.0) - math.e * math.erfc(1.0)) < 1e-11))
     target = math.gamma(0.25) / (4.0 ** 0.75 * math.pi)
     est = solution.density_quadrature(ExactGaussian(1), model, 1.0, 0.0)
     checks.append(("fundamental value", abs(est.value - target) < 1e-6))

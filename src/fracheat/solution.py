@@ -64,7 +64,6 @@ from functools import lru_cache, wraps
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from . import stable
 from .bernstein import Stable
@@ -495,7 +494,7 @@ def mittag_leffler(beta, x):
 def _ml_series(beta, x):
     """sum_k (-x)**k / Gamma(1 + beta k) by Horner's rule, down to the
     first coefficient below _ML_NEGLIGIBLE."""
-    coef = special.rgamma(1.0 + beta * np.arange(math.ceil(25.0 / beta) + 4))
+    coef = _rgamma(1.0 + beta * np.arange(math.ceil(25.0 / beta) + 4))
     total = np.zeros(x.size)
     for ck in coef[:4 + int(np.argmax(coef[4:] < _ML_NEGLIGIBLE))][::-1]:
         total = total * -x + ck
@@ -512,9 +511,29 @@ def _ml_spectral_rule(beta):
         np.linspace(lo, hi, math.ceil((hi - lo) / _ML_PANEL) + 1), _ML_ORDER)
     v = np.exp(log_v)
     m = np.arange(1, math.ceil(math.log(_ML_NEGLIGIBLE) / math.log(_ML_HEAD)) + 1)
-    head = (beta * np.sin(m * math.pi * (1.0 - beta))
-            * special.gammainc(beta * m, v_head) * special.gamma(beta * m))
+    head = beta * np.sin(m * math.pi * (1.0 - beta)) * _lower_gamma(beta * m, v_head)
     return v ** beta, beta * weights * np.exp(-v), beta * weights, head
+
+
+def _rgamma(x):
+    """1/Gamma at each x of a 1-d array, exactly 0 at the poles 0, -1, -2, ..."""
+    return np.array([0.0 if v <= 0.0 and v == math.floor(v) else 1.0 / math.gamma(v)
+                     for v in x.tolist()])
+
+
+def _lower_gamma(a, x):
+    """The lower incomplete gamma function int_0^x s**(a-1) e**-s ds at each
+    a > 0 of an array, for one x > 0, by its series (DLMF 8.7.1)
+    x**a e**-x sum_n x**n / (a (a+1) ... (a+n)), whose terms all have one
+    sign, to the first term below eps/4 of every sum."""
+    term = 1.0 / a
+    total = term.copy()
+    n = 0
+    while np.any(term > 0.25 * EPS * total):
+        n += 1
+        term = term * x / (a + n)
+        total += term
+    return x ** a * math.exp(-x) * total
 
 
 @_elementwise
@@ -559,7 +578,7 @@ def _ml_integral(beta, x):
 def _ml_asymptotic_coeffs(beta):
     """(k, (-1)**(k+1) / Gamma(1 - beta k)) for the nonzero terms, k < 120."""
     k = np.arange(1.0, 120.0)
-    coef = (-1.0) ** (k + 1) * special.rgamma(1.0 - beta * k)
+    coef = (-1.0) ** (k + 1) * _rgamma(1.0 - beta * k)
     return k[coef != 0.0], coef[coef != 0.0]
 
 

@@ -46,7 +46,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 from .numerics import bisection, panel_nodes
@@ -150,8 +149,11 @@ def log_cdf_at(beta, log_x):
         levels = a0 + np.append(2.0 ** np.arange(-10.0, 10.0), _EXP_CUT + 5.0) / c
         edges = np.concatenate([np.zeros_like(c), _theta_at_levels(beta, np.log(levels))], axis=1)
         nodes, weights = panel_nodes(edges, order=20)
+        # log sum (w/pi) e**-shifted about the least shift, the largest term
         shifted = c * (np.exp(log_a(nodes, beta)) - a0)
-        out[deep] = special.logsumexp(-shifted, axis=1, b=weights / np.pi) - c[:, 0] * a0
+        least = shifted.min(axis=1)
+        terms = weights / np.pi * np.exp(least[:, None] - shifted)
+        out[deep] = np.log(terms.sum(axis=1)) - least - c[:, 0] * a0
     return out.reshape(np.shape(log_x))[()]
 
 
@@ -171,7 +173,7 @@ def _series_coeffs(beta):
     kmax = int(np.clip(kmax, _SERIES_KMAX, 30000))
     k = np.arange(1, kmax + 1, dtype=float)
     sign = np.sin(np.pi * k * beta) * (-1.0) ** (k + 1)
-    log_c = special.gammaln(k * beta + 1.0) - special.gammaln(k + 1.0)
+    log_c = np.array([math.lgamma(v * beta + 1.0) - math.lgamma(v + 1.0) for v in k.tolist()])
     n = np.flatnonzero(log_c >= log_c[0] + np.log(_SERIES_CUT))[-1] + 1
     return k[:n], sign[:n], log_c[:n]
 

@@ -1,7 +1,7 @@
 """The package's own Simpson weights, Chebyshev coefficients and root
-refinement against the scipy routines they stand in for, the roots over
-arrays against scalar calls, and a check that the program loads no scipy
-subpackage but scipy.special."""
+refinement against the scipy routines they stand in for, its complex E1
+against mpmath, the roots over arrays against scalar calls, and a check
+that the program loads no scipy module."""
 
 import math
 import os
@@ -9,13 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import fft, integrate, optimize
 
 from fracheat import BracketError, Stable, cbf_from_scale, solution
 from fracheat.bernstein import StableMixture
-from fracheat.numerics import _CHEB_X, chebyshev_table, monotone_root
+from fracheat.numerics import TINY, _CHEB_X, chebyshev_table, exp1, monotone_root
 from fracheat.scale import PiecewisePower, PowerLaw, subordinated_exponent
 
 MIXTURE = StableMixture(((1.0, 0.3), (1.0, 0.7)))
@@ -92,24 +93,29 @@ def test_inverses_match_brent(exponent, y):
     assert s == pytest.approx(_brent_root(lambda l: exponent.phi_prime(l) - y, s), rel=1e-13)
 
 
-def test_program_imports_only_scipy_special():
-    """The CLI module and the weak form, Fourier, root and mixture-root
-    paths, run in a fresh process, load no other scipy subpackage that
-    stands in for a package routine: a deferred import fails here too."""
+def test_program_imports_no_scipy():
+    """The CLI module and the weak form, Fourier, root, mixture-root, Cauchy
+    contour, constructed-exponent, deep stable cdf and Mittag-Leffler
+    series paths, run in a fresh process, load no scipy module: a deferred
+    import fails here too."""
     script = """
 import sys
 import numpy as np
 import fracheat.cli
-from fracheat import GaussianBump, Stable, solution
+from fracheat import (ExactCauchy, GaussianBump, PowerLaw, Stable, SubordinatorModel,
+                      cbf_from_scale, solution, stable)
 from fracheat.bernstein import StableMixture
-from fracheat.scale import PowerLaw, subordinated_exponent
+from fracheat.scale import subordinated_exponent
 solution.caputo_weak_residual(0.5, GaussianBump(), GaussianBump(), np.array([0.5, 1.0, 2.0]),
                               np.linspace(-8.0, 8.0, 65))
 solution.density_fourier(0.5, 2.0, 1.0, 0.5)
 Stable(0.5).phi_inverse(2.0)
 subordinated_exponent(PowerLaw(2.0), StableMixture(((1.0, 0.3), (1.0, 0.7))), 1.0, 2.0)
-print(sorted(m for m in sys.modules if m.split(".")[:2] in (
-    ["scipy", "optimize"], ["scipy", "integrate"], ["scipy", "fft"])))
+assert solution.density_laplace(ExactCauchy(1), SubordinatorModel(Stable(0.5)), 1.0, 2.0).converged
+cbf_from_scale(PowerLaw(2.0), 3.0).phi(2.0)
+assert stable.log_cdf_at(0.5, -20.0) < -1000.0
+solution.mittag_leffler(0.5, 0.5)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -118,6 +124,56 @@ print(sorted(m for m in sys.modules if m.split(".")[:2] in (
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def _mp_exp1(z):
+    """mpmath's E1 at 30 digits, on the side of the cut that the sign of Im z
+    picks (mpmath has no signed zero)."""
+    with mpmath.workdps(30):
+        value = complex(mpmath.e1(mpmath.mpc(z.real, abs(z.imag))))
+    return value.conjugate() if math.copysign(1.0, z.imag) < 0.0 else value
+
+
+def _exp1_points():
+    """|z| from 1e-8 to 700 at arguments in [-0.95 pi, 0.95 pi]; both sides
+    of each seam: |z| + Re z = 4 (power series, continued fraction) and
+    |z| = 40 (asymptotic series); points above, on and below the negative
+    real axis; and the points where a series out to |z| = 5 with a fraction
+    of depth 60 fails."""
+    size = np.geomspace(1e-8, 700.0, 61)
+    grid = size[:, None] * np.exp(1j * np.pi * np.linspace(-0.95, 0.95, 39))
+    points = list(grid.ravel())
+    for r in np.geomspace(2.01, 39.9, 12):
+        for x in (4.0 - r - 1e-9, 4.0 - r + 1e-9):
+            points += [complex(x, math.sqrt(r * r - x * x)), complex(x, -math.sqrt(r * r - x * x))]
+    for r in (40.0 * (1.0 - 1e-12), 40.0 * (1.0 + 1e-12)):
+        points += list(r * np.exp(1j * np.pi * np.linspace(-1.0, 1.0, 41)))
+    for r in np.geomspace(1e-8, 700.0, 25):
+        points += [complex(-r, y) for y in (0.0, -0.0, 1e-300, -1e-300, 1e-9 * r, -1e-9 * r)]
+    points += [5.5 * np.exp(0.82j * np.pi), 7.9 * np.exp(-0.84j * np.pi),
+               4.6 * np.exp(0.01j), 4.6 * np.exp(-0.01j), complex(4.6, 0.0)]
+    return np.array(points)
+
+
+def test_exp1_against_mpmath():
+    z = _exp1_points()
+    ref = np.array([_mp_exp1(v) for v in z])
+    normal = (np.abs(ref) >= TINY) & (np.abs(ref) <= np.finfo(float).max)
+    assert normal.mean() > 0.99
+    got = exp1(z)
+    err = np.abs(got[normal] - ref[normal]) / np.abs(ref[normal])
+    assert err.max() <= 5e-14, z[normal][np.argmax(err)]
+
+
+def test_exp1_shapes_and_ends():
+    assert exp1(np.ones((2, 3))).shape == (2, 3)
+    assert exp1(np.zeros(0)).shape == (0,)
+    assert isinstance(exp1(1.0), complex)
+    assert exp1(0.0) == complex(math.inf, 0.0)
+    assert exp1(800.0) == 0.0
+    assert not np.isfinite(exp1(-800.0))
+    assert exp1(math.inf) == 0.0
+    assert np.isnan(exp1(np.array([1.0, math.nan, 50.0])))[1]
 
 
 def _elementwise(call, *args):

@@ -41,16 +41,16 @@ SAMPLE_INVERSE_HASH = "fbc454481f54e0c18af4664fcfd29ed80fca80259a198ef4ecb7f3634
 # through the grid (x < 1) and the series (x >= 1)
 LOG_X = np.concatenate([-np.geomspace(300.0, 1e-3, 400), [0.0], np.geomspace(1e-3, 1e3, 200)])
 DENSITY_HASHES = {
-    0.05: "82c130cff0546a3e642e0261b6dac50dc45aca93c35d62871e770505ce81f8f8",
-    0.3: "627bcddd2bafe2a5ac185c25caf8217ef2be202e988cd4f0dc1ae2a3b48d8689",
-    0.5: "33d6026f67654d74fb0423e8f40cc93ec60f254d42ceb15ceda397050b1e481a",
-    0.7: "3f574e3561e7351ba163f5d3b5fb6ef680df833c54a160cf33ec483a5b7ed9af",
-    0.99: "fb1abb2360f0a53f5b0a81ff9626575095005e1c5c09736c493d30eb6ecc40e0",
+    0.05: "45bd900335fbeef60a68a74fe53a64921602f9f7860fa992ef3d0715f072ca9b",
+    0.3: "390a167c213b8a24c4489c260d20396788e56c2315cb8828a5565abff93571f8",
+    0.5: "8908b99fced31059569a66ebe9ec1add3b9f031cea57b37cea1f2a2c3628515d",
+    0.7: "73568dca44c36074124f383276d8fe07a683a80c3a8f34a6167ab9afc8eb0e62",
+    0.99: "03c65b7f9e2de43ef93358bf57b64d1a59c35f18645f1b5b0fcbae0f7cf44dcf",
 }
 # the verify CSV text of 5 x 5 quadrature grids of the two campaign configs,
 # which covers the regime, estimate, n, ratio and log_ratio columns
 CAMPAIGN_HASHES = {
-    "jump.cfg": "456933d65c5ae286921d23e14539253c61e614bfaeaa3452eae870e4e21dce3f",
+    "jump.cfg": "7deaf5350a41724700378256eba5d7e12074ff4d0746d8c7194369156a41d8d2",
     "diffusion.cfg": "1cee59fb91005be3d530f8338555f4af407199cc641a8b415fc78b3c7ba66f84",
 }
 # the stdout of one command of each CSV shape: eval by every method,
@@ -73,11 +73,11 @@ CLI_HASHES = {
     "sample --dist s --subordinator stable:0.5 --r 1 --n 100 --seed 7":
         "b5f21bd365d59021aa6c895e60002683998a2ddce2f6162eff58afd71cfdcb58",
     "residual --t-n 3":
-        "123dfb76034db2e25286506985d363af099bdcbe1e23ee92806f4d728756a35d",
+        "789ee5b77d52d36f008c13d777ef67fac93c2f06e06810638f587c87bbc0c5ff",
 }
 INVERSE_DENSITY_HASHES = {
-    "stable:0.5": "725a9ea0ce4f4654035bf8b15acf5a7914beac3a2562a662845206f371f7a1c4",
-    "mixture:2,0.5": "cfc11ce1fdeaf0b73d8c5842035582c0d1d334ee3a9982947080b14ed06d9899",
+    "stable:0.5": "4023a1435f4dd736d2b55513e7583db2f6a0dcacb07ef9dd1b2947f3e13c1fc4",
+    "mixture:2,0.5": "fc4d3641fec1f7c2eb9e7a9f8a6d2298b8f96df50f27ba89c38570a1811feb01",
 }
 
 

@@ -733,6 +733,27 @@ class TestMittagLeffler:
         assert mittag_leffler(0.5, 100.0) == pytest.approx(
             float(special.erfcx(100.0)), rel=1e-9)
 
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 2.0 / 3.0, 0.7, 0.99])
+    def test_spectral_head_against_mpmath(self, beta):
+        # the head coefficients beta sin(m pi (1 - beta)) gamma(beta m, v) of
+        # the spectral integral, with v = _ML_HEAD**(1/beta)
+        head = solution._ml_spectral_rule(beta)[3]
+        m = np.arange(1, head.size + 1)
+        sines = beta * np.sin(m * math.pi * (1.0 - beta))
+        with mpmath.workdps(30):
+            v = mpmath.mpf(solution._ML_HEAD ** (1.0 / beta))
+            ref = sines * np.array([float(mpmath.gammainc(beta * k, 0, v)) for k in m.tolist()])
+        assert np.all(np.abs(head - ref) <= 1e-14 * np.abs(ref))
+
+    def test_asymptotic_coefficients_skip_the_poles(self):
+        # 1/Gamma(1 - k/2) is exactly 0 at every even k, so only odd k remain
+        k, coef = solution._ml_asymptotic_coeffs(0.5)
+        assert np.array_equal(k, np.arange(1.0, 120.0, 2.0))
+        with mpmath.workdps(30):
+            ref = [float((-1) ** (j + 1) * mpmath.rgamma(1 - mpmath.mpf(j) / 2))
+                   for j in k.tolist()]
+        assert np.all(np.abs(coef - ref) <= 1e-14 * np.abs(ref))
+
     @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_branch_overlap(self, beta):
         from fracheat.solution import _ml_asymptotic, _ml_integral, _ml_series

@@ -184,6 +184,33 @@ class TestGenericBeta:
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("beta", [0.05, 0.3, 0.7, 0.99])
+def test_log_cdf_deep_rows_against_mpmath(beta):
+    # x where c A(0+) = w0 in [700, 1e6], so the cdf is below 1e-280 and
+    # log_cdf_at takes its shifted ladder:
+    # log F = -w0 + log (1/pi) int exp(-c (A(u) - A(0+))) du, c = x**(-beta/(1-beta))
+    bb = beta / (1.0 - beta)
+    a0 = stable.a_zero(beta)
+    log_x = np.array([(math.log(a0) - math.log(w0)) / bb for w0 in (700.0, 5e3, 1e6)])
+    got = stable.log_cdf_at(beta, log_x)
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        e = b / (1 - b)
+        a0_mp = b ** e * (1 - b)
+        for lx, value in zip(log_x.tolist(), got):
+            c = mpmath.exp(-e * lx)
+
+            def shifted(u):
+                a = mpmath.sin(b * u) ** e * mpmath.sin((1 - b) * u) / mpmath.sin(u) ** (1 + e)
+                return mpmath.exp(-c * (a - a0_mp))
+            width = 1 / mpmath.sqrt(c)
+            pts = [0] + [width * 4 ** j for j in range(40) if width * 4 ** j < mpmath.pi]
+            integral = mpmath.quad(shifted, pts + [mpmath.pi]) / mpmath.pi
+            ref = float(-c * a0_mp + mpmath.log(integral))
+            assert value < -640.0
+            assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
 class TestSampler:
     def test_ks_against_cdf(self):
         for beta in (0.3, 0.5, 0.7):
