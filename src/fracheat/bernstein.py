@@ -157,9 +157,9 @@ class Stable(StableMixture):
 class ConstructedCBF(LaplaceExponent):
     """Complete Bernstein function matched to a scale function.
 
-    ``scale`` must expose value(r) and scaling indices exponent_lo <=
-    exponent_hi; alpha3 must exceed exponent_hi for the defining integral
-    to converge at 0.
+    ``scale`` must expose value(r), its pieces and scaling indices
+    exponent_lo <= exponent_hi; alpha3 must exceed exponent_hi for the
+    defining integral to converge at 0.
     """
 
     scale: object
@@ -200,14 +200,12 @@ class ConstructedCBF(LaplaceExponent):
             phi' = (alpha3/lam) int expit(alpha3 w) expit(-alpha3 w) dw / Phi(u).
         One Gauss-Kronrod pass gives both rows from the same values of Phi,
         on panels about 2 wide that do not move with lam, split at w = 0 and
-        at each lam's kink of a two-branch Phi, between the points where the
-        integrands have fallen below e**-40 of their peaks."""
+        at each lam's image of a radius where Phi bends, between the points
+        where the integrands have fallen below e**-40 of their peaks."""
         a3, scale = self.alpha3, self.scale
         shift = np.log(lams)[:, None] / a3
         lo, hi = -40.0 / (a3 - scale.exponent_hi), 40.0 / scale.exponent_lo
-        kinks = np.zeros(1)
-        if hasattr(scale, "r_break"):
-            kinks = np.append(kinks, math.log(scale.r_break) + shift)
+        kinks = np.append(0.0, [math.log(u) + shift for u, _, _ in scale.pieces[1:]])
         edges = np.union1d(np.linspace(lo, hi, int((hi - lo) / 2.0) + 2),
                            kinks[(lo < kinks) & (kinks < hi)])
 

@@ -22,9 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .bernstein import LaplaceExponent
-from .errors import DomainError, QuadratureError
-from .numerics import geometric_boundaries, kronrod_quad
-from .scale import PowerLaw, subordinated_exponent
+from .errors import DomainError
+from .scale import subordinated_exponent
 
 
 @dataclass(frozen=True)
@@ -67,45 +66,33 @@ class EstimateModel:
 
     def _near(self, phi_t, a):
         """The integrals of dr / V(Phi^-1(r / phi(1/t))) from each a =
-        Phi(z) phi(1/t) <= 1 of a row to 2, part of the normalization.  Closed
-        form for pure power laws, else one Gauss-Kronrod pass in log r: the
-        integrand does not depend on z, so each a is a row zero below log a,
-        split there and at the profiles' kinks.  Infinite at a = 0 when the
-        volume grows at least as fast as the scale."""
-        if isinstance(self.scale, PowerLaw) and isinstance(self.volume, PowerLaw):
-            ratio = self.volume.exponent / self.scale.exponent
-            with np.errstate(divide="ignore"):  # a = 0 gives inf
-                if abs(ratio - 1.0) < 1e-14:
-                    return phi_t * np.log(2.0 / a)
-                return phi_t ** ratio / (1.0 - ratio) * (2.0 ** (1.0 - ratio) - a ** (1.0 - ratio))
-
-        # at a = 0 the integrand in log r falls at least like r**(1 - rho),
-        # rho = V's upper over Phi's lower index: start where that is e**-40
-        rho = self.volume.exponent_hi / self.scale.exponent_lo
-        if rho < 1.0:
-            a = np.where(a > 0.0, a, 2.0 * math.exp(max(-40.0 / (1.0 - rho), -700.0)))
-        out, finite = np.full(a.shape, math.inf), a > 0.0
-        if not finite.any():
-            return out
-        a = a[finite]
-        kinks = [phi_t * self.scale.value(p.r_break) for p in (self.scale, self.volume)
-                 if hasattr(p, "r_break")]
-        lo = np.log(a)
-        edges = np.unique(np.log(geometric_boundaries(a.min(), 2.0, per_decade=2,
-                                                      extra=[*kinks, *a])))
-
-        def rows(v):
-            r = np.exp(v)
-            return (v > lo[:, None]) * (r / self.volume.value(self.scale.inverse(r / phi_t)))
-
-        total, err, ok = kronrod_quad(rows, edges, 1e-11, 0.0)
-        if not ok.all():
-            bad = np.flatnonzero(~ok)[0]
-            raise QuadratureError(f"near-diagonal integral did not converge at "
-                                  f"Phi(z) phi(1/t) = {a[bad]}, phi(1/t) = {phi_t}",
-                                  value=total[bad], error=err[bad])
-        out[finite] = total
-        return out
+        Phi(z) phi(1/t) <= 1 of a row to 2, part of the normalization.
+        Between the images phi(1/t) Phi(u) of the radii u where either
+        profile bends, Phi(u) = c_s u**e_s and V(u) = c_v u**e_v, so the
+        integrand is (phi(1/t) c_s)**g / c_v * r**-g with g = e_v / e_s, and
+        each integral is a sum of closed-form power integrals (a log where
+        g = 1).
+        At a = 0 it is finite exactly when the first piece has g < 1."""
+        scale, volume = self.scale.pieces, self.volume.pieces
+        starts = sorted({u for u, _, _ in scale + volume})
+        edges = [0.0, *[phi_t * self.scale.value(u) for u in starts[1:]], 2.0]
+        terms = []
+        with np.errstate(divide="ignore"):  # a = 0 gives inf where g >= 1
+            for u, lo, hi in zip(starts, edges, edges[1:]):
+                hi = min(hi, 2.0)
+                if lo >= hi:
+                    continue
+                _, c_s, e_s = [piece for piece in scale if piece[0] <= u][-1]
+                _, c_v, e_v = [piece for piece in volume if piece[0] <= u][-1]
+                g = e_v / e_s
+                # each a <= 1 lies in (0, 2): clip it only where an edge is inside
+                x = a if lo == 0.0 and hi == 2.0 else np.minimum(np.maximum(a, lo), hi)
+                if abs(g - 1.0) < 1e-14:
+                    terms.append(phi_t * c_s / c_v * np.log(hi / x))
+                else:
+                    terms.append((phi_t * c_s) ** g / c_v / (1.0 - g)
+                                 * (hi ** (1.0 - g) - x ** (1.0 - g)))
+        return sum(terms[1:], terms[0])
 
     def estimate(self, t, z):
         """The applicable estimate shape at t and a scalar z, with its
@@ -117,7 +104,8 @@ class EstimateModel:
         row, a = np.atleast_1d(np.asarray(z, dtype=float)), np.atleast_1d(a)
         near = a <= 1.0
         value, n = np.full(a.shape, math.nan), np.full(a.shape, math.nan)
-        value[near] = self._near(phi_t, a[near])
+        if near.any():  # a row past the diagonal needs no near-diagonal sum
+            value[near] = self._near(phi_t, a[near])
         far = row[~near]
         if self.flavor == "jump":
             value[~near] = 1.0 / (phi_t * self.volume.value(far) * self.scale.value(far))

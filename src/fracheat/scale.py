@@ -6,6 +6,10 @@ pair of profile classes serves both roles; only the interpretation of the
 exponents differs.  Spatial homogeneity is assumed throughout: the volume
 of a ball depends on its radius only.
 
+Each profile owns its pieces: ``pieces`` lists, from r = 0 up, where each
+power piece starts, with its exact coefficient and exponent, so only this
+module knows where a profile bends.
+
 Two implicit equations recur in off-diagonal kernel shapes and are solved
 here:
 
@@ -30,8 +34,22 @@ from .errors import DomainError
 from .numerics import monotone_root
 
 
+class _Pieces:
+    """A profile's scaling indices are the least and greatest exponent of
+    its pieces ((start, coef, exponent), ...), where profile(r) =
+    coef * r**exponent from each start radius to the next, the first from 0."""
+
+    @property
+    def exponent_lo(self):
+        return min(e for _, _, e in self.pieces)
+
+    @property
+    def exponent_hi(self):
+        return max(e for _, _, e in self.pieces)
+
+
 @dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(_Pieces):
     """profile(r) = r**exponent."""
 
     exponent: float
@@ -41,12 +59,8 @@ class PowerLaw:
             raise DomainError(f"exponent must be finite and positive, got {self.exponent}")
 
     @property
-    def exponent_lo(self):
-        return self.exponent
-
-    @property
-    def exponent_hi(self):
-        return self.exponent
+    def pieces(self):
+        return ((0.0, 1.0, self.exponent),)
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
@@ -62,7 +76,7 @@ class PowerLaw:
 
 
 @dataclass(frozen=True)
-class PiecewisePower:
+class PiecewisePower(_Pieces):
     """Two power branches glued continuously at r_break.
 
     profile(r) = r**exp_low for r <= r_break and
@@ -78,18 +92,16 @@ class PiecewisePower:
         for name in ("exp_low", "exp_high", "r_break"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise DomainError(f"{name} must be finite and positive, got {getattr(self, name)}")
-
-    @property
-    def exponent_lo(self):
-        return min(self.exp_low, self.exp_high)
-
-    @property
-    def exponent_hi(self):
-        return max(self.exp_low, self.exp_high)
+        if max(self.exp_low, self.exp_high) * abs(np.log(self.r_break)) > 700.0:
+            raise DomainError("r_break**exp_low and r_break**exp_high must lie within float range")
 
     @property
     def _coef_high(self):
         return self.r_break ** (self.exp_low - self.exp_high)
+
+    @property
+    def pieces(self):
+        return ((0.0, 1.0, self.exp_low), (self.r_break, self._coef_high, self.exp_high))
 
     def value(self, r):
         r = np.asarray(r, dtype=float)

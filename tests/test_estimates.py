@@ -50,8 +50,19 @@ class TestNearDiagonalIntegral:
         assert val == pytest.approx(math.log(100.0), rel=1e-12)
 
     def test_heavy_volume_diverges_on_diagonal(self):
-        m = EstimateModel(Stable(0.5), PowerLaw(2.0), PowerLaw(3.0), "diffusion")
-        assert m.estimate(1.0, 0.0).value == math.inf
+        # the first piece has V's exponent over Phi's at least 1
+        for volume in (PowerLaw(3.0), PiecewisePower(2.0, 1.0, math.pi)):
+            m = EstimateModel(Stable(0.5), PowerLaw(2.0), volume, "diffusion")
+            assert m.estimate(1.0, 0.0).value == math.inf
+
+    @pytest.mark.parametrize("t, exact", [(1.0, 4.0 - math.sqrt(2.0)),
+                                          (100.0, 0.4 - 1.0 / math.sqrt(500.0))])
+    def test_light_first_piece_finite_on_diagonal(self, t, exact):
+        # V = r up to 1, r**3 beyond, under Phi = r**2: r**-1/2 then r**-3/2
+        # from 0 to 2, split at phi(1/t); finite though V's upper index is 3
+        m = EstimateModel(Stable(0.5), PowerLaw(2.0), PiecewisePower(1.0, 3.0, 1.0),
+                          "diffusion")
+        assert m.estimate(t, 0.0).value == pytest.approx(exact, rel=1e-14, abs=0)
 
     def test_quadrature_matches_closed_form(self):
         from fracheat import PiecewisePower
@@ -64,24 +75,29 @@ class TestNearDiagonalIntegral:
             assert m2.estimate(t, z).value == pytest.approx(m1.estimate(t, z).value, rel=1e-9)
 
     def test_kinked_profiles_against_mpmath(self):
-        # Phi = power2:1.5,2.5,1 and V = power2:0.5,1.2,0.7 put kinks at
-        # r = phi(1/t) Phi(1) and phi(1/t) Phi(0.7) inside (a, 2)
-        scale, volume = PiecewisePower(1.5, 2.5, 1.0), PiecewisePower(0.5, 1.2, 0.7)
-        m = EstimateModel(Stable(0.5), scale, volume, "jump")
+        # Phi = power2:1.5,2.5,1 and V = power2:0.5,v_hi,0.7 put kinks at
+        # r = phi(1/t) Phi(1) and phi(1/t) Phi(0.7) inside (a, 2); with
+        # v_hi = 1.6, V's upper index is above Phi's lower one, but the first
+        # piece falls like r**-1/3, so the integral from a = 0 is finite
+        inputs = [(1.2, t, z, 1e-10) for t, z in ((1.0, 0.3), (0.3, 0.1), (4.0, 1.0))]
+        inputs += [(1.6, t, 0.0, 1e-13) for t in (1.0, 0.3, 4.0)]
         mpmath.mp.dps = 30
         try:
-            for t, z in ((1.0, 0.3), (0.3, 0.1), (4.0, 1.0)):
+            for v_hi, t, z, rel in inputs:
+                scale, volume = PiecewisePower(1.5, 2.5, 1.0), PiecewisePower(0.5, v_hi, 0.7)
+                m = EstimateModel(Stable(0.5), scale, volume, "jump")
                 phi_t = mpmath.sqrt(mpmath.mpf(1) / t)
 
                 def integrand(r):
                     x = r / phi_t
                     u = x ** (1 / mpmath.mpf(1.5)) if x <= 1 else x ** (1 / mpmath.mpf(2.5))
-                    return 1 / (u ** 0.5 if u <= 0.7 else 0.7 ** -0.7 * u ** 1.2)
+                    return 1 / (u ** 0.5 if u <= 0.7
+                                else mpmath.mpf(0.7) ** (0.5 - mpmath.mpf(v_hi)) * u ** v_hi)
 
                 a = m.estimate(t, z).scalar
                 kinks = [k for k in (phi_t, phi_t * mpmath.mpf(0.7) ** 1.5) if a < k < 2]
                 ref = mpmath.quad(integrand, sorted([mpmath.mpf(a), *kinks, mpmath.mpf(2)]))
-                assert m.estimate(t, z).value == pytest.approx(float(ref), rel=1e-10)
+                assert m.estimate(t, z).value == pytest.approx(float(ref), rel=rel)
         finally:
             mpmath.mp.dps = 15
 
@@ -126,7 +142,7 @@ class TestEstimate:
 class TestRowForm:
     """estimate(t, z) over a 1-d row of z is the list of its per-z scalar
     calls: bitwise where the shapes are closed forms or elementwise roots,
-    within 1e-13 where the near-diagonal integral is one shared pass."""
+    and within 1e-13 on the two-branch near-diagonal rows."""
 
     @pytest.mark.parametrize("m, t", [(model(), 16.0),  # Phi(2) phi(1/16) = 1
                                       (model(0.5, 1.0, 1.0, "jump"), 4.0),  # Phi(2) phi(1/4) = 1

@@ -370,6 +370,16 @@ class TestCli:
         assert regime == "off"
         assert float(est) == pytest.approx(0.01, rel=1e-12)
 
+    def test_estimate_finite_on_diagonal_of_a_bent_volume(self, capsys):
+        # V = power2:1,3,1 under Phi = r**2: the first piece falls like r**-1/2
+        code = run_cli(["estimate", "--t", "1", "--z", "0", "--kernel", "gaussian:1",
+                        "--phi-scale", "power:2", "--volume", "power2:1,3,1"])
+        assert code == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        t, z, regime, est, _ = line.split(",")
+        assert regime == "near"
+        assert float(est) == pytest.approx(4.0 - math.sqrt(2.0), rel=1e-14, abs=0)
+
     def test_sample_deterministic(self, capsys):
         argv = ["sample", "--dist", "e", "--beta", "0.5", "--t", "1",
                 "--n", "50", "--seed", "3"]
@@ -505,6 +515,8 @@ class TestCli:
          "mixture weights must be finite and positive, got nan"),
         (["estimate", "--phi-scale", "power:inf"], "exponent must be finite and positive, got inf"),
         (["estimate", "--phi-scale", "power2:1,2,inf"], "r_break must be finite and positive, got inf"),
+        (["estimate", "--volume", "power2:6,1,1e-150"],
+         "r_break**exp_low and r_break**exp_high must lie within float range"),
         (["eval", "--kernel", "gaussian:0"], "kernel dimension must be >= 1, got 0"),
         (["eval", "--kernel", "gaussian:-1"], "kernel dimension must be >= 1, got -1"),
         (["eval", "--kernel", "cauchy:0"], "kernel dimension must be >= 1, got 0")],
