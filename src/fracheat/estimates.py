@@ -72,12 +72,14 @@ class EstimateModel:
         integrand is (phi(1/t) c_s)**g / c_v * r**-g with g = e_v / e_s, and
         each integral is a sum of closed-form power integrals (a log where
         g = 1).
-        At a = 0 it is finite exactly when the first piece has g < 1."""
+        At a = 0 it is finite exactly when the first piece has g < 1; past
+        float range it is inf, and a stretch adds only where a is below its top."""
         scale, volume = self.scale.pieces, self.volume.pieces
+        diverges = (a == 0.0) & (volume[0][2] / scale[0][2] > 1.0 - 1e-14)
         starts = sorted({u for u, _, _ in scale + volume})
         edges = [0.0, *[phi_t * self.scale.value(u) for u in starts[1:]], 2.0]
-        terms = []
-        with np.errstate(divide="ignore"):  # a = 0 gives inf where g >= 1
+        total = np.where(diverges, np.inf, 0.0)
+        with np.errstate(over="ignore"):
             for u, lo, hi in zip(starts, edges, edges[1:]):
                 hi = min(hi, 2.0)
                 if lo >= hi:
@@ -85,14 +87,14 @@ class EstimateModel:
                 _, c_s, e_s = [piece for piece in scale if piece[0] <= u][-1]
                 _, c_v, e_v = [piece for piece in volume if piece[0] <= u][-1]
                 g = e_v / e_s
-                # each a <= 1 lies in (0, 2): clip it only where an edge is inside
-                x = a if lo == 0.0 and hi == 2.0 else np.minimum(np.maximum(a, lo), hi)
+                inside = (a < hi) & ~diverges
+                x = np.maximum(a[inside], lo)
                 if abs(g - 1.0) < 1e-14:
-                    terms.append(phi_t * c_s / c_v * np.log(hi / x))
+                    total[inside] += phi_t * c_s / c_v * np.log(hi / x)
                 else:
-                    terms.append((phi_t * c_s) ** g / c_v / (1.0 - g)
-                                 * (hi ** (1.0 - g) - x ** (1.0 - g)))
-        return sum(terms[1:], terms[0])
+                    total[inside] += (np.float64(phi_t * c_s) ** g / c_v / (1.0 - g)
+                                      * (hi ** (1.0 - g) - x ** (1.0 - g)))
+        return total
 
     def estimate(self, t, z):
         """The applicable estimate shape at t and a scalar z, with its

@@ -8,24 +8,27 @@ of a ball depends on its radius only.
 
 Each profile owns its pieces: ``pieces`` lists, from r = 0 up, where each
 power piece starts, with its exact coefficient and exponent, so only this
-module knows where a profile bends.
+module knows where a profile bends.  Value, inverse and both chaining
+exponents are written once over the pieces, each point answered by the
+piece that holds there.
 
-Two implicit equations recur in off-diagonal kernel shapes and are solved
-here:
+Two implicit equations recur in off-diagonal kernel shapes.  With x = r/m
+or r/n, each reads Phi(x)/x**k = y, increasing in x, so it has one closed
+form on the piece c x**e of Phi that holds at the root:
 
 * ``subgaussian_exponent``: the unique m > 0 with t/m = Phi(r/m), the
-  chaining exponent of sub-Gaussian bounds.  Closed form
-  m = (r**a / t)**(1/(a-1)) for a pure power law Phi(r) = r**a, and
-  branch by branch for a two-branch profile.
+  chaining exponent of sub-Gaussian bounds; k = 1,
+  m = (c r**e / t)**(1/(e-1)).
 
-* ``subordinated_exponent``: the unique n > 0 with
-  1/phi(n/t) = Phi(r/n), its analogue after time change by an inverse
-  subordinator.  Closed form n = (r * t**(-b/a))**(a/(a-b)) for
-  Phi = r**a and phi = lam**b, else one elementwise bisection.
+* ``subordinated_exponent``: the unique n > 0 with 1/phi(n/t) = Phi(r/n),
+  its analogue after an inverse-subordinator time change; for a one-part
+  phi = a lam**b, k = b and n = ((a c)**(1/e) r t**(-b/e))**(e/(e-b)).
+  Only an exponent of several parts or a constructed one is bisected.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +50,37 @@ class _Pieces:
     def exponent_hi(self):
         return max(e for _, _, e in self.pieces)
 
+    def _by_piece(self, formula, args, key, edge):
+        """formula(coef, exponent, *args) at each point of the broadcast args
+        on the piece that holds there: key() is compared with edge(coef,
+        exponent, start) of each later start on the piece before it, an
+        equal key taking the lower piece.  Each piece sees only its own
+        points, so a discarded one can neither overflow nor warn."""
+        pieces = self.pieces
+        if len(pieces) == 1:
+            return formula(*pieces[0][1:], *args)[()]
+        args = np.broadcast_arrays(*args)
+        at = np.searchsorted([edge(c, e, s) for (_, c, e), (s, _, _) in zip(pieces, pieces[1:])],
+                             key())
+        out = np.empty(args[0].shape)
+        for i, (_, c, e) in enumerate(pieces):
+            mask = at == i
+            out[mask] = formula(c, e, *(a[mask] for a in args))
+        return out[()]
+
+    def value(self, r):
+        r = np.asarray(r, dtype=float)
+        if np.any(r < 0.0):
+            raise DomainError("profile argument must be >= 0")
+        return self._by_piece(lambda c, e, r: c * r ** e, (r,), lambda: r, lambda c, e, s: s)
+
+    def inverse(self, t):
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0.0):
+            raise DomainError("profile inverse argument must be >= 0")
+        return self._by_piece(lambda c, e, t: (t / c) ** (1.0 / e), (t,), lambda: t,
+                              lambda c, e, s: c * s ** e)
+
 
 @dataclass(frozen=True)
 class PowerLaw(_Pieces):
@@ -61,18 +95,6 @@ class PowerLaw(_Pieces):
     @property
     def pieces(self):
         return ((0.0, 1.0, self.exponent),)
-
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0.0):
-            raise DomainError("profile argument must be >= 0")
-        return (r ** self.exponent)[()]
-
-    def inverse(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise DomainError("profile inverse argument must be >= 0")
-        return (t ** (1.0 / self.exponent))[()]
 
 
 @dataclass(frozen=True)
@@ -96,33 +118,9 @@ class PiecewisePower(_Pieces):
             raise DomainError("r_break**exp_low and r_break**exp_high must lie within float range")
 
     @property
-    def _coef_high(self):
-        return self.r_break ** (self.exp_low - self.exp_high)
-
-    @property
     def pieces(self):
-        return ((0.0, 1.0, self.exp_low), (self.r_break, self._coef_high, self.exp_high))
-
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0.0):
-            raise DomainError("profile argument must be >= 0")
-        with np.errstate(invalid="ignore"):
-            out = np.where(r <= self.r_break,
-                           r ** self.exp_low,
-                           self._coef_high * r ** self.exp_high)
-        return out[()]
-
-    def inverse(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise DomainError("profile inverse argument must be >= 0")
-        t_break = self.r_break ** self.exp_low
-        with np.errstate(invalid="ignore"):
-            out = np.where(t <= t_break,
-                           t ** (1.0 / self.exp_low),
-                           (t / self._coef_high) ** (1.0 / self.exp_high))
-        return out[()]
+        return ((0.0, 1.0, self.exp_low),
+                (self.r_break, self.r_break ** (self.exp_low - self.exp_high), self.exp_high))
 
 
 def parse_profile(key):
@@ -143,37 +141,34 @@ def parse_profile(key):
     raise DomainError(f"unknown profile spec {key!r}")
 
 
-def subgaussian_exponent(scale, t, r):
-    """Unique m > 0 with t/m = Phi(r/m); needs lower index > 1.
+def _chaining_root(scale, k, log_a, formula, t, r):
+    """formula(c, e, t, r) on the piece c x**e of Phi that holds at the root x
+    of Phi(x)/x**k = (t/r)**k / a, placed in logs so t/r cannot overflow."""
+    return scale._by_piece(formula, (t, r), lambda: k * (np.log(t) - np.log(r)) - log_a,
+                           lambda c, e, s: math.log(c) + (e - k) * math.log(s))
 
-    Non-increasing in t for fixed r, and equal to 1 at t = Phi(r) for pure
-    power laws.  A closed form for both profile classes, vectorized over t
-    and r.
-    """
+
+def subgaussian_exponent(scale, t, r):
+    """Unique m > 0 with t/m = Phi(r/m); needs lower index > 1.  Non-increasing
+    in t, 1 at t = Phi(r) for pure power laws, and one closed form on the
+    piece of Phi that holds at r/m, over arrays of t and r."""
     if scale.exponent_lo <= 1.0:
         raise DomainError(
             f"sub-Gaussian exponent needs scale index > 1, got {scale.exponent_lo}")
     if np.any(np.asarray(t) <= 0.0) or np.any(np.asarray(r) <= 0.0):
         raise DomainError("sub-Gaussian exponent needs t, r > 0")
-    if isinstance(scale, PowerLaw):
-        a = scale.exponent
-        return ((np.asarray(r) ** a / np.asarray(t)) ** (1.0 / (a - 1.0)))[()]
-    # Phi(x)/x = t/r at x = r/m, a power of x on each branch of Phi
-    lo, hi = scale.exp_low, scale.exp_high
-    r = np.asarray(r, dtype=float)
-    ratio = np.asarray(t, dtype=float) / r
-    x = np.where(ratio <= scale.r_break ** (lo - 1.0), ratio ** (1.0 / (lo - 1.0)),
-                 (ratio / scale._coef_high) ** (1.0 / (hi - 1.0)))
-    return (r / x)[()]
+    t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
+    return _chaining_root(scale, 1.0, 0.0,
+                          lambda c, e, t, r: (c * r ** e / t) ** (1.0 / (e - 1.0)), t, r)
 
 
 def subordinated_exponent(scale, exponent, t, r):
     """Unique n > 0 with 1/phi(n/t) = Phi(r/n) at each (t, r), broadcast;
     needs alpha_lo > beta_hi.
 
-    Phi(r/(lam t)) * phi(lam) is strictly decreasing in lam = n/t under the
-    index condition, so the root of its log is bisected in lam, which keeps
-    the argument of phi inside the searched range.
+    One closed form on the piece of Phi that holds at r/n for a one-part
+    exponent.  Otherwise Phi(r/(lam t)) * phi(lam) is strictly decreasing
+    in lam = n/t, and the root of its log is bisected in lam.
     """
     if scale.exponent_lo <= exponent.beta_hi:
         raise DomainError(
@@ -181,11 +176,13 @@ def subordinated_exponent(scale, exponent, t, r):
             f"> subordinator index {exponent.beta_hi}")
     if np.any(np.asarray(t) <= 0.0) or np.any(np.asarray(r) <= 0.0):
         raise DomainError("subordinated exponent needs t, r > 0")
-    from .bernstein import Stable  # local import keeps module deps one-way
-
     t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
-    if isinstance(scale, PowerLaw) and isinstance(exponent, Stable):
-        a, b = scale.exponent, exponent.beta
-        return ((r * t ** (-b / a)) ** (a / (a - b)))[()]
+    terms = getattr(exponent, "terms", ())
+    if len(terms) == 1:
+        (a, b), = terms
+        return _chaining_root(
+            scale, b, math.log(a),
+            lambda c, e, t, r: (np.float64(a * c) ** (1.0 / e) * r * t ** (-b / e)) ** (e / (e - b)),
+            t, r)
     return (t * monotone_root(
         lambda lam: np.log(scale.value(r / t / lam)) + np.log(exponent.phi(lam))))[()]

@@ -380,6 +380,29 @@ class TestCli:
         assert regime == "near"
         assert float(est) == pytest.approx(4.0 - math.sqrt(2.0), rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("command, column, expected", [
+        # V(1e60) on the second piece of power2:6,1,1, where r**6 overflows
+        ("estimate --t 1 --z 1e60 --kernel cauchy:1 --beta 0.5 --volume power2:6,1,1",
+         3, 1.0000000000000002e-120),
+        # m(t, r) at the kernel's r = 1e-300 floor, where t/r overflows
+        ("eval --kernel diffusion --phi-scale power2:2,3,1 --t 1e20 --z 0 --beta 0.5",
+         2, 0.000556815312271348),
+        # near-diagonal integrals past float range: (phi(1/t) c)**g overflows
+        ("estimate --t 1e-300 --z 1e-200 --kernel cauchy:1 --phi-scale power:1 "
+         "--volume power:3 --beta 0.5", 3, math.inf),
+        ("estimate --t 1 --z 0 --kernel cauchy:1 --phi-scale power2:1,3,1e-100 "
+         "--volume power:8 --beta 0.5", 3, math.inf),
+    ], ids=["volume-second-piece", "scale-root-floor", "near-overflow", "near-tiny-edge"])
+    def test_out_of_range_pieces_under_warnings_as_errors(self, command, column, expected):
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "fracheat", *command.split()],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        value = float(done.stdout.strip().splitlines()[-1].split(",")[column])
+        assert value == pytest.approx(expected, rel=1e-13, abs=0)
+
     def test_sample_deterministic(self, capsys):
         argv = ["sample", "--dist", "e", "--beta", "0.5", "--t", "1",
                 "--n", "50", "--seed", "3"]

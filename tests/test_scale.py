@@ -2,12 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fracheat import (DomainError, PiecewisePower, PowerLaw, Stable,
-                      parse_profile, subgaussian_exponent,
+                      StableMixture, parse_profile, subgaussian_exponent,
                       subordinated_exponent)
 from fracheat.numerics import monotone_root
 
@@ -140,12 +141,42 @@ class TestSubordinatedExponent:
 
     def test_bisection_matches_closed_form(self):
         rng = np.random.default_rng(11)
-        scale_b = PiecewisePower(2.0, 2.0, 1.0)
+        scale, exp_ = PiecewisePower(2.0, 2.0, 1.0), Stable(0.5)
         for _ in range(20):
             t, r = rng.uniform(0.1, 10.0, 2)
-            got = subordinated_exponent(scale_b, Stable(0.5), t, r)
-            ref = subordinated_exponent(PowerLaw(2.0), Stable(0.5), t, r)
-            assert got == pytest.approx(ref, rel=1e-12)
+            got = subordinated_exponent(scale, exp_, t, r)
+            root = monotone_root(lambda n: np.log(scale.value(r / n)) + np.log(exp_.phi(n / t)),
+                                 rtol=1e-15)
+            assert got == pytest.approx(root, rel=1e-12)
+
+    @pytest.mark.parametrize("scale, exp_", [
+        *[(PiecewisePower(*p), Stable(b)) for p in ((1.5, 2.5, 1.0), (3.0, 1.2, 0.5), (2.0, 1.0, math.pi))
+          for b in (0.3, 0.5, 0.9)],
+        (PowerLaw(2.0), StableMixture(((2.0, 0.5),)))])
+    def test_closed_form_against_mpmath(self, scale, exp_):
+        # x = r/n solves Phi(x)/x**b = (t/r)**b / a: on the piece c x**e that
+        # holds there, x = (y/c)**(1/(e-b)); the t, r grid crosses every kink
+        (a, b), = exp_.terms
+        ts, rs = np.geomspace(1e-4, 1e4, 9), np.geomspace(1e-3, 1e3, 13)
+        got = subordinated_exponent(scale, exp_, ts[:, None], rs)
+        with mpmath.workdps(40):
+            (s, c, e), *later = scale.pieces
+            pieces = [(mpmath.mpf(s), mpmath.mpf(c), mpmath.mpf(e))]
+            for s, _, e in later:  # glued exactly at each start
+                _, c, e_before = pieces[-1]
+                pieces.append((mpmath.mpf(s), c * mpmath.mpf(s) ** (e_before - e), mpmath.mpf(e)))
+            worst, used = 0.0, set()
+            for t, row in zip(ts, got):
+                for r, n in zip(rs, row):
+                    y = (mpmath.mpf(t) / r) ** b / a
+                    for i, (s, c, e) in enumerate(pieces):
+                        x = (y / c) ** (1 / (e - b))
+                        end = pieces[i + 1][0] if i + 1 < len(pieces) else mpmath.inf
+                        if s <= x <= end:
+                            used.add(i)
+                            break
+                    worst = max(worst, float(abs(n / (r / x) - 1)))
+        assert worst < 2e-14 and used == set(range(len(pieces)))
 
     def test_residual_generic(self):
         scale = PiecewisePower(1.5, 3.0, 1.0)
