@@ -23,6 +23,7 @@ import numpy as np
 
 from .bernstein import LaplaceExponent
 from .errors import DomainError
+from .numerics import TINY
 from .scale import subordinated_exponent
 
 
@@ -33,6 +34,24 @@ class EstimateValue:
     value: Optional[float] = None          # set for near and off-jump rows
     prefactor: Optional[float] = None      # set for off-diffusion rows
     exponent_arg: Optional[float] = None   # n(t, z) for off-diffusion rows
+
+
+def _normal(v):
+    """Where v is a finite float of at least the smallest normal size."""
+    size = np.abs(v)
+    return (TINY <= size) & (size < np.inf)
+
+
+def _power_integral_in_logs(log_front, g, hi, x):
+    """exp(log_front) / (1 - g) * (hi**(1 - g) - x**(1 - g)) for g != 1 at
+    each 0 <= x <= hi, formed in logs so that only the result may leave
+    float range: the larger power, hi**(1 - g) for g < 1 and x**(1 - g)
+    for g > 1, times 1 - (x/hi)**|1 - g| from one expm1 (a log of 0 is
+    -inf, which the caller lets pass)."""
+    d, log_x = abs(1.0 - g), np.log(x)
+    log_big = math.log(hi) if g < 1.0 else log_x
+    return np.exp(log_front + (1.0 - g) * log_big - math.log(d)
+                  + np.log(-np.expm1(d * (log_x - math.log(hi)))))
 
 
 @dataclass(frozen=True)
@@ -73,13 +92,15 @@ class EstimateModel:
         each integral is a sum of closed-form power integrals (a log where
         g = 1).
         At a = 0 it is finite exactly when the first piece has g < 1; past
-        float range it is inf, and a stretch adds only where a is below its top."""
+        float range it is inf, and a stretch adds only where a is below its top.
+        A term one of whose factors leaves float range, though the term need
+        not, is taken in logs (`_power_integral_in_logs`)."""
         scale, volume = self.scale.pieces, self.volume.pieces
         diverges = (a == 0.0) & (volume[0][2] / scale[0][2] > 1.0 - 1e-14)
         starts = sorted({u for u, _, _ in scale + volume})
         edges = [0.0, *[phi_t * self.scale.value(u) for u in starts[1:]], 2.0]
         total = np.where(diverges, np.inf, 0.0)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for u, lo, hi in zip(starts, edges, edges[1:]):
                 hi = min(hi, 2.0)
                 if lo >= hi:
@@ -92,8 +113,16 @@ class EstimateModel:
                 if abs(g - 1.0) < 1e-14:
                     total[inside] += phi_t * c_s / c_v * np.log(hi / x)
                 else:
-                    total[inside] += (np.float64(phi_t * c_s) ** g / c_v / (1.0 - g)
-                                      * (hi ** (1.0 - g) - x ** (1.0 - g)))
+                    front = np.float64(phi_t * c_s) ** g
+                    at_hi, at_x = hi ** (1.0 - g), x ** (1.0 - g)
+                    term = front / c_v / (1.0 - g) * (at_hi - at_x)
+                    # where a factor has left float range, a nan or a lost
+                    # value is replaced by the term in logs
+                    logs = ~(_normal(front) & _normal(at_hi) & (_normal(at_x) | (x == 0.0)))
+                    if logs.any():
+                        term[logs] = _power_integral_in_logs(
+                            g * (np.log(phi_t) + np.log(c_s)) - np.log(c_v), g, hi, x[logs])
+                    total[inside] += term
         return total
 
     def estimate(self, t, z):

@@ -30,10 +30,11 @@ independent ways:
   one draw set per call shared by every z of the row.  A z whose sample
   of q has an effective size (sum q)**2 / sum q**2 below _MC_MIN_ESS rests
   on a handful of draws, so its stated error means nothing.  A stable time
-  change re-estimates it from exactly Esscher-tilted draws, weighted back
-  by exp(theta X - theta**beta), with theta set by the saddle of q against
-  the left tail of h_t; a z still below the floor, and every such z of a
-  mixture, comes back flagged,
+  change re-estimates it from exactly Esscher-tilted draws, made by
+  rejection from the row's own stable draws and one array of exponentials
+  shared by the row, weighted back by exp(theta X - theta**beta), with
+  theta set by the saddle of q against the left tail of h_t; a z still
+  below the floor, and every such z of a mixture, comes back flagged,
 * for stable subordinators and 1-d Gaussian/Cauchy kernels, the
   Fourier-Mittag-Leffler representation
       p(t, z) = (1/pi) int_0^inf cos(xi z) E_beta(-xi**alpha t**beta) dxi,
@@ -396,14 +397,29 @@ def _saddle_tilt(kernel, model, t, z):
     return math.exp((math.log(b) - log_x) / (1.0 - b))
 
 
-def _tilted(kernel, model, t, z, n, generator):
+def _stable_draws(model, t, e_samples, generator):
+    """The draws behind e_samples of a one-part exponent a lam**b, for
+    `stable.tilted_sample`: log X = log t - log(a E) / b of each inverse
+    time E = (t/X)**b / a, and n unit exponentials that continue the
+    stream.  An E that underflowed to 0 gives X = inf, a piece the tilt
+    always rejects."""
+    (a, b), = model._components()
+    with np.errstate(divide="ignore"):
+        log_x = np.log(e_samples)
+    log_x += math.log(a)
+    log_x /= -b
+    log_x += math.log(t)
+    return log_x, generator.exponential(1.0, e_samples.size)
+
+
+def _tilted(kernel, model, t, z, log_x, e):
     """p(t, z) for a one-part exponent a lam**b from the Esscher-tilted X
-    of `stable.tilted_sample`, spending n Kanter draws of the generator: the
+    that `stable.tilted_sample` makes of the row's draws log_x and e: the
     mean of q((t/X)**b / a, z) exp(theta X - theta**b).  None when fewer
     than two tilted draws came out."""
     (a, b), = model._components()
     theta = _saddle_tilt(kernel, model, t, z)
-    x = stable.tilted_sample(b, theta, generator, n)
+    x = stable.tilted_sample(b, theta, log_x, e)
     if x.size < 2:
         return None
     weights = np.exp(theta * x - theta ** b)
@@ -415,27 +431,31 @@ def _tilted(kernel, model, t, z, n, generator):
 def density_monte_carlo(kernel, model, t, z, n, rng):
     """p(t, z) as the sample mean of q over n inverse-subordinator draws,
     for a scalar z or each z of a 1-d array, as one estimate or a list of
-    them.  One array of draws is made per call and shared by every z, and
-    so is one q buffer: the kernel's row form at the draws fills it one z
-    at a time, so no (z, draw) array is built, and the estimate at an
-    untilted z is the one a scalar call on the same stream gives.
+    them.  One draw set is made per call and shared by every z, and so is
+    one q buffer: the kernel's row form at the draws fills it one z at a
+    time, so no (z, draw) array is built.
 
     A z whose effective sample size falls below _MC_MIN_ESS is re-estimated
-    for a one-part exponent by `_tilted`, whose draws continue the stream
-    after the shared ones, z by z in row order; it keeps the method
-    "mc-tilted" and is converged when its own ESS reaches the floor.  A
-    mixture's collapsed z comes back flagged."""
+    for a one-part exponent by `_tilted`, from the same stable draws: at the
+    first such z the row derives log X from its inverse times and draws one
+    array of n unit exponentials after them (`_stable_draws`), and every
+    tilted z reads those two arrays.  So a row makes one stable draw set
+    plus at most one exponential array, and every z, tilted or not, gets
+    the estimate that a scalar call on the same stream gives.  A tilted z
+    keeps the method "mc-tilted" and is converged when its own ESS reaches
+    the floor.  A mixture's collapsed z comes back flagged."""
     if n < 100:
         raise DomainError(f"need at least 100 samples, got {n}")
     _check_domain(kernel, model, t, z)
     terms = model._components()
     e_samples = model.sample_inverse(t, rng, n)
     q_of, buf = kernel.at(e_samples), np.empty(n)
-    row = []
+    draws, row = None, []
     for zj in z.tolist():
         est = _mc_mean(q_of(zj, out=buf), "mc")
         if not est.converged and len(terms) == 1:
-            est = _tilted(kernel, model, t, zj, n, rng.generator) or est
+            draws = draws or _stable_draws(model, t, e_samples, rng.generator)
+            est = _tilted(kernel, model, t, zj, *draws) or est
         row.append(est)
     return row
 

@@ -35,9 +35,10 @@ on a 2-vCPU Xeon host (numpy 2.4), against 0.25 ms for its vectorized
 tan and 0.15 ms for log.  All of U and then all of W are drawn in stream
 order; log S is then formed in blocks of _DRAW_BLOCK draws, so that its
 temporaries stay in cache instead of each paying the page faults of a
-fresh array of n floats.  ``tilted_sample`` draws S exactly under an
-exponential (Esscher) tilt by rejection of Kanter pieces (Hofert, ACM
-TOMACS 22(1), 2011).
+fresh array of n floats.  ``tilted_sample`` turns given draws of log S
+and unit exponentials into exact draws of S under an exponential (Esscher)
+tilt, by rejection of scaled pieces (Hofert, ACM TOMACS 22(1), 2011); it
+draws nothing itself, so one set of draws serves every tilt.
 """
 
 from __future__ import annotations
@@ -263,19 +264,21 @@ def sample(beta, generator, n=1):
     return np.exp(log_sample(beta, generator, n))
 
 
-def tilted_sample(beta, theta, generator, budget):
+def tilted_sample(beta, theta, log_x, e):
     """Exact draws of S under the Esscher measure
-    exp(-theta S + theta**beta) P(dS), from `budget` Kanter draws.
+    exp(-theta S + theta**beta) P(dS), from n draws log_x of log S and n
+    unit exponentials e, independent of them and of each other.
 
     S is the sum of m = ceil(theta**beta) independent pieces
     Y = m**(-1/beta) X, and the tilt of a sum is the sum of the tilted
-    pieces.  Each piece is kept with probability exp(-theta Y), which has
-    mean exp(-theta**beta / m) >= 1/e; the kept pieces, in stream order,
-    are summed m at a time, and a remainder of fewer than m is dropped.
-    The budget draws of log_sample come first, then one exponential per
-    piece for the acceptance test."""
+    pieces.  Piece i, from log_x[i], is kept when e[i] > theta Y, with
+    probability exp(-theta Y), whose mean exp(-theta**beta / m) is >= 1/e;
+    the kept pieces, in order, are summed m at a time, and a remainder of
+    fewer than m is dropped.  A pure function of its arrays: the same draws
+    give the same bytes for every theta they serve."""
+    _check_beta(beta)
     m = max(1, math.ceil(theta ** beta))
-    pieces = np.exp(log_sample(beta, generator, budget) - math.log(m) / beta)
-    kept = pieces[generator.exponential(1.0, budget) > theta * pieces]
+    pieces = np.exp(log_x - math.log(m) / beta)
+    kept = pieces[e > theta * pieces]
     count = kept.size // m
     return kept[:count * m].reshape(count, m).sum(axis=1)

@@ -101,6 +101,21 @@ class TestNearDiagonalIntegral:
         finally:
             mpmath.mp.dps = 15
 
+    @pytest.mark.parametrize("t", [1e150, 1e200, 1e300])
+    def test_factors_past_float_range(self, t):
+        # V = r**6 up to 1, r beyond, under Phi = r**2 and phi(1/t) = t**-0.9:
+        # at z = 1e-10 the first piece's phi(1/t)**3 underflows and its
+        # a**-2 overflows, though the value is in range.  The reference is
+        # the integral of (phi/r)**3 from a to phi, then of (phi/r)**(1/2)
+        # from phi to 2, in 40 digits
+        m = EstimateModel(Stable(0.9), PowerLaw(2.0), PiecewisePower(6.0, 1.0, 1.0), "diffusion")
+        with mpmath.workdps(40):
+            phi = mpmath.mpf(t) ** mpmath.mpf(-0.9)
+            a = mpmath.mpf(1e-10) ** 2 * phi
+            ref = phi ** 3 / 2 * (a ** -2 - phi ** -2) + 2 * mpmath.sqrt(phi) * (
+                mpmath.sqrt(2) - mpmath.sqrt(phi))
+        assert m.estimate(t, 1e-10).value == pytest.approx(float(ref), rel=1e-13, abs=0)
+
 
 class TestEstimate:
     def test_off_diagonal_jump(self):

@@ -392,7 +392,12 @@ class TestCli:
          "--volume power:3 --beta 0.5", 3, math.inf),
         ("estimate --t 1 --z 0 --kernel cauchy:1 --phi-scale power2:1,3,1e-100 "
          "--volume power:8 --beta 0.5", 3, math.inf),
-    ], ids=["volume-second-piece", "scale-root-floor", "near-overflow", "near-tiny-edge"])
+        # a near-diagonal piece whose factors leave float range on both
+        # sides, phi(1/t)**3 = 1e-540 and a**-2 = 1e400, around a value in range
+        ("estimate --t 1e200 --z 1e-10 --kernel gaussian:1 --beta 0.9 --phi-scale power:2 "
+         "--volume power2:6,1,1", 3, 2.0 * math.sqrt(2.0) * 1e200 ** -0.45),
+    ], ids=["volume-second-piece", "scale-root-floor", "near-overflow", "near-tiny-edge",
+            "near-split-range"])
     def test_out_of_range_pieces_under_warnings_as_errors(self, command, column, expected):
         src = str(Path(__file__).parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

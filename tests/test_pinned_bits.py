@@ -32,7 +32,7 @@ from fracheat.cli import run_cli
 
 KERNELS_FINGERPRINT = "0fd2c20684668253f7104b9c0c3bddcbea5422471af30a99c1dffe749e494082"
 ROW_HASHES = {
-    "gaussian:1": "e6328757456d8a6569612d93b05c065631faab5dc88055b87629d4b2c5283a34",
+    "gaussian:1": "7c67243bd3f7a2e01fef0b827a9db966381364a7bf145001c841060e50642ab0",
     "cauchy:1": "38bdcc3781568aaf751b7dfe686d796911ed50989331efa50c13d6ee65e94f00",
 }
 LOG_SAMPLE_HASH = "b768871e48f3fffe25725e651459c99ba032ca4b26fb2e70161d842c3d4caf86"

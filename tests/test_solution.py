@@ -590,16 +590,16 @@ class TestMonteCarlo:
             density_monte_carlo(gauss, half, 1.0, 0.0, 10, RngStream(0, 0))
 
     def test_row_matches_scalar_calls(self, gauss, cauchy, half):
-        # one draw set per call: an untilted z of a row is bitwise the
-        # scalar call on the same stream, tilted z in the row or not
-        for kernel, zs, methods in ((gauss, [0.0, 0.5, 3.0, 30.0, 8.0], "mc mc mc mc-tilted mc"),
-                                    (cauchy, [0.5, 3.0, 30.0, 8.0], "mc mc mc mc")):
+        # one draw set per call: every z of a row, tilted or not, is bitwise
+        # the scalar call on the same stream, wherever it sits in the row
+        for kernel, zs, methods in (
+                (gauss, [0.0, 0.5, 3.0, 30.0, 8.0], "mc mc mc mc-tilted mc"),
+                (gauss, [40.0, 1.0, 30.0, 20.0], "mc-tilted mc mc-tilted mc-tilted"),
+                (cauchy, [0.5, 3.0, 30.0, 8.0], "mc mc mc mc")):
             row = density_monte_carlo(kernel, half, 1.0, np.array(zs), 20_000, RngStream(81, 2))
             assert [est.method for est in row] == methods.split()
             for z, est in zip(zs, row):
-                if est.method == "mc":
-                    assert est == density_monte_carlo(kernel, half, 1.0, z, 20_000,
-                                                      RngStream(81, 2))
+                assert est == density_monte_carlo(kernel, half, 1.0, z, 20_000, RngStream(81, 2))
 
     def test_deep_row_is_tilted(self, gauss, half):
         # at (1, 30) p ~ 8.748e-21 rests on a handful of plain draws; the
@@ -610,6 +610,26 @@ class TestMonteCarlo:
         assert est.method == "mc-tilted" and est.converged
         assert abs(est.value - ref) < 4.0 * est.error
         assert est.error < 0.02 * ref
+
+    def test_shared_tilted_draws_stay_honest(self, gauss, half):
+        # every tilted z of a row rejects from the same stable draws and
+        # exponentials, which changes only their correlation: over 20
+        # streams, no more estimates lie beyond 3, 4 and 5 stated standard
+        # errors than draws of their own per z allow.  Tilted campaign rows
+        # with their own draws lay beyond them 17, 3 and 0 times in 1945;
+        # each bound is the count whose Poisson tail at 100 estimates is
+        # about 1e-3 or less at those rates (under 1 in 1945 for 5)
+        zs = np.array([25.0, 30.0, 40.0, 50.0, 60.0])
+        refs = np.array([_half_stable_reference("gaussian", 1.0, z) for z in zs])
+        gaps = []
+        for index in range(20):
+            row = density_monte_carlo(gauss, half, 1.0, zs, 20_000, RngStream(86, index))
+            tilted = [(est, ref) for est, ref in zip(row, refs) if est.method == "mc-tilted"]
+            assert len(tilted) >= 4
+            gaps += [abs(est.value - ref) / est.error for est, ref in tilted]
+        gaps = np.array(gaps)
+        for k, most in ((3.0, 5), (4.0, 2), (5.0, 1)):
+            assert np.sum(gaps > k) <= most, (k, np.sort(gaps)[-6:])
 
     def test_collapse_without_tilt_is_flagged(self, gauss, half, monkeypatch):
         # the plain estimate at (1, 30) has an effective sample size of a

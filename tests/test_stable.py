@@ -231,13 +231,21 @@ class TestSampler:
         assert not np.array_equal(a, b)
 
 
+def _tilted_draws(beta, theta, stream, n):
+    """tilted_sample of n Kanter draws of log S and then n unit
+    exponentials from one stream, in that order."""
+    gen = stream.generator
+    log_x = stable.log_sample(beta, gen, n)
+    return stable.tilted_sample(beta, theta, log_x, gen.exponential(1.0, n))
+
+
 class TestTiltedSampler:
     @pytest.mark.parametrize("theta", [0.5, 30.0])
     def test_half_is_inverse_gaussian(self, theta):
         # at beta = 1/2, exp(-theta x + theta**0.5) g_half(x) is the inverse
         # Gaussian law of mean 1/(2 sqrt(theta)) and shape 1/2
         from scipy import stats
-        draws = stable.tilted_sample(0.5, theta, RngStream(31, 0).generator, 200_000)
+        draws = _tilted_draws(0.5, theta, RngStream(31, 0), 200_000)
         assert draws.size > 10_000
         law = stats.invgauss(mu=1.0 / math.sqrt(theta), scale=0.5)
         assert stats.kstest(draws, law.cdf).pvalue > 1e-3
@@ -245,7 +253,7 @@ class TestTiltedSampler:
     @pytest.mark.parametrize("beta, theta", [(0.3, 50.0), (0.7, 5.0)])
     def test_laplace_transform(self, beta, theta):
         # E_theta[exp(-lam X)] = exp(theta**beta - (theta + lam)**beta)
-        draws = stable.tilted_sample(beta, theta, RngStream(32, 0).generator, 200_000)
+        draws = _tilted_draws(beta, theta, RngStream(32, 0), 200_000)
         for lam in (0.5 * theta, 2.0 * theta):
             vals = np.exp(-lam * draws)
             exact = math.exp(theta ** beta - (theta + lam) ** beta)
@@ -254,8 +262,8 @@ class TestTiltedSampler:
     def test_budget_and_determinism(self):
         # about budget e**(-theta**beta / m) / m draws, m = ceil(theta**beta),
         # and the same stream gives the same bytes
-        a = stable.tilted_sample(0.5, 100.0, RngStream(33, 2).generator, 50_000)
-        b = stable.tilted_sample(0.5, 100.0, RngStream(33, 2).generator, 50_000)
+        a = _tilted_draws(0.5, 100.0, RngStream(33, 2), 50_000)
+        b = _tilted_draws(0.5, 100.0, RngStream(33, 2), 50_000)
         assert np.array_equal(a, b)
         assert abs(a.size - 50_000 * math.exp(-1.0) / 10) < 100
 
