@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedModelError
-from .numerics import exp1
+from .numerics import exp1, exp_in_place
 from .scale import subgaussian_exponent
 
 
@@ -90,7 +90,7 @@ class ExactGaussian(SpatialKernel):
         def q_of(z, out=None):
             z = np.asarray(z, dtype=float)
             out = np.divide(-z * z, four_s, out=_row_out(out, s, z))
-            np.exp(out, out=out)
+            exp_in_place(out)
             return np.multiply(front, out, out=out)[()]
         return q_of
 
@@ -212,7 +212,7 @@ class DiffusionSurrogate(SpatialKernel):
                 return out[()]
             m = subgaussian_exponent(self.scale, s, np.maximum(z, 1e-300))
             np.negative(np.where(z > 0, m, 0.0), out=out)
-            np.exp(out, out=out)
+            exp_in_place(out)
             return np.multiply(front, out, out=out)[()]
         return q_of
 

@@ -30,6 +30,29 @@ REL_TOL, ABS_FLOOR = 1e-10, 1e-300
 # roots are sought in [1e-300, 1e300], in log x
 _LOG_LO, _LOG_HI = math.log(1e-300), math.log(1e300)
 
+# numpy's SIMD exp leaves its fast path for any argument below about -707
+# (measured on numpy 2.4); at or below log 2**-1075 it rounds to +0.0
+_EXP_FAST, _EXP_ZERO = -700.0, -1075.0 * math.log(2.0)
+
+
+def exp_in_place(x):
+    """np.exp(x, out=x) for a float array x, bit for bit, off numpy's slow
+    path: the whole array is exponentiated clamped at _EXP_FAST, lanes at or
+    below _EXP_ZERO are then multiplied by 0, and the few in between get
+    np.exp of their own compacted subset (a random mask of all the low
+    lanes is too dear to compact)."""
+    low = x < _EXP_FAST
+    if not low.any():
+        return np.exp(x, out=x)
+    live = x > _EXP_ZERO
+    band = low & live
+    exact = np.exp(x[band])
+    np.maximum(x, _EXP_FAST, out=x)
+    np.exp(x, out=x)
+    np.multiply(x, live, out=x)
+    x[band] = exact
+    return x
+
 
 def bisection(below, lo, hi, iters):
     """The midpoint of [lo, hi] after iters halvings, elementwise, toward

@@ -357,12 +357,13 @@ def _mc_mean(values, method):
     effective sample size (sum v)**2 / sum v**2 reaches _MC_MIN_ESS.  Both
     sums run on values / max(values), so that squares of tiny values do not
     underflow, and give the variance too; an all-zero sample is no answer.
-    It consumes values: the array is divided by its peak in place."""
+    The sum of squares is einsum's: the BLAS dot's bits follow its thread
+    count.  It consumes values: the array is divided by its peak in place."""
     peak = values.max()
     if not peak > 0.0:
         return SolutionEstimate(0.0, 0.0, method, False)
     values /= peak
-    n, total, square = values.size, values.sum(), values @ values
+    n, total, square = values.size, values.sum(), np.einsum("i,i->", values, values)
     variance = max(square - total * total / n, 0.0) / (n - 1)
     return SolutionEstimate(float(peak * (total / n)), float(peak * math.sqrt(variance / n)),
                             method, bool(total * total >= _MC_MIN_ESS * square))
@@ -399,27 +400,30 @@ def _saddle_tilt(kernel, model, t, z):
 
 def _stable_draws(model, t, e_samples, generator):
     """The draws behind e_samples of a one-part exponent a lam**b, for
-    `stable.tilted_sample`: log X = log t - log(a E) / b of each inverse
-    time E = (t/X)**b / a, and n unit exponentials that continue the
-    stream.  An E that underflowed to 0 gives X = inf, a piece the tilt
-    always rejects."""
+    `stable.tilted_sample`: X = t (a E)**(-1/b) of each inverse time
+    E = (t/X)**b / a, as exp(log t - log(a E) / b), and the ratios e/X of n
+    unit exponentials e that continue the stream.  An E that underflowed
+    to 0 gives X = inf and a ratio 0, a piece the tilt always rejects."""
     (a, b), = model._components()
-    with np.errstate(divide="ignore"):
-        log_x = np.log(e_samples)
-    log_x += math.log(a)
-    log_x /= -b
-    log_x += math.log(t)
-    return log_x, generator.exponential(1.0, e_samples.size)
+    with np.errstate(divide="ignore", over="ignore"):
+        x = np.log(e_samples)
+        x += math.log(a)
+        x /= -b
+        x += math.log(t)
+        np.exp(x, out=x)
+        ratio = generator.exponential(1.0, e_samples.size)
+        ratio /= x
+    return x, ratio
 
 
-def _tilted(kernel, model, t, z, log_x, e):
+def _tilted(kernel, model, t, z, x, ratio):
     """p(t, z) for a one-part exponent a lam**b from the Esscher-tilted X
-    that `stable.tilted_sample` makes of the row's draws log_x and e: the
-    mean of q((t/X)**b / a, z) exp(theta X - theta**b).  None when fewer
+    that `stable.tilted_sample` makes of the row's draws x and ratios e/x:
+    the mean of q((t/X)**b / a, z) exp(theta X - theta**b).  None when fewer
     than two tilted draws came out."""
     (a, b), = model._components()
     theta = _saddle_tilt(kernel, model, t, z)
-    x = stable.tilted_sample(b, theta, log_x, e)
+    x = stable.tilted_sample(b, theta, x, ratio)
     if x.size < 2:
         return None
     weights = np.exp(theta * x - theta ** b)
@@ -437,9 +441,9 @@ def density_monte_carlo(kernel, model, t, z, n, rng):
 
     A z whose effective sample size falls below _MC_MIN_ESS is re-estimated
     for a one-part exponent by `_tilted`, from the same stable draws: at the
-    first such z the row derives log X from its inverse times and draws one
-    array of n unit exponentials after them (`_stable_draws`), and every
-    tilted z reads those two arrays.  So a row makes one stable draw set
+    first such z the row derives X from its inverse times and draws n unit
+    exponentials e after them (`_stable_draws`), and every tilted z reads X
+    and e/X, formed once per row.  So a row makes one stable draw set
     plus at most one exponential array, and every z, tilted or not, gets
     the estimate that a scalar call on the same stream gives.  A tilted z
     keeps the method "mc-tilted" and is converged when its own ESS reaches

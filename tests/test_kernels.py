@@ -11,6 +11,7 @@ from fracheat import (DiffusionSurrogate, DomainError, ExactCauchy,
                       ExactGaussian, JumpSurrogate, PowerLaw, parse_kernel,
                       time_derivative_report)
 from fracheat.kernels import _dq_dt
+from fracheat.numerics import _EXP_FAST, _EXP_ZERO
 from fracheat.scale import subgaussian_exponent
 
 
@@ -111,11 +112,14 @@ ROW_KERNELS = [ExactGaussian(1), ExactGaussian(3), ExactCauchy(1), ExactCauchy(3
                JumpSurrogate(PowerLaw(1.0), PowerLaw(2.0)),
                DiffusionSurrogate(PowerLaw(1.0), PowerLaw(2.0))]
 ROW_IDS = ["gaussian:1", "gaussian:3", "cauchy:1", "cauchy:3", "jump", "diffusion"]
-# (s, z): one point, a row of 1e3 draws at one z, and the quadrature's
-# (n_z, 1) column of z against its (n_s,) nodes in s
+# (s, z): one point, a row of 1e3 draws at one z, a far row whose exponents
+# of the Gaussian and the diffusion kernel straddle both edges of
+# numerics.exp_in_place in shuffled order, and the quadrature's (n_z, 1)
+# column of z against its (n_s,) nodes in s
 ROW_CASES = {
     "point": (0.7, 1.3),
     "draws": (np.random.default_rng(5).lognormal(0.0, 4.0, 1000), 2.5),
+    "far": (np.random.default_rng(6).permutation(np.geomspace(1e-2, 1e2, 30_001)), 10.0),
     "quadrature": (np.geomspace(1e-3, 1e3, 40), np.array([[0.0], [0.5], [3.0], [40.0]])),
 }
 
@@ -135,6 +139,15 @@ class TestRowForm:
             got = q_of(zj, out=buf)
             assert np.array_equal(got, want) and np.array_equal(buf, want)
             assert np.shares_memory(got, buf) or np.ndim(got) == 0
+
+    @pytest.mark.parametrize("kernel", [ExactGaussian(1), ROW_KERNELS[-1]],
+                             ids=["gaussian", "diffusion"])
+    def test_far_row_crosses_both_exp_edges(self, kernel):
+        s, z = ROW_CASES["far"]
+        with np.errstate(divide="ignore"):
+            exponent = np.log(_plain_q(kernel, s, z) / _plain_q(kernel, s, 0.0))
+        assert np.any(exponent == -np.inf)
+        assert np.any((exponent > _EXP_ZERO) & (exponent < _EXP_FAST))
 
     def test_point_gives_a_scalar(self):
         for kernel in ROW_KERNELS:

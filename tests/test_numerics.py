@@ -16,7 +16,8 @@ from scipy import fft, integrate, optimize
 
 from fracheat import BracketError, Stable, cbf_from_scale, solution
 from fracheat.bernstein import StableMixture
-from fracheat.numerics import TINY, _CHEB_X, chebyshev_table, exp1, monotone_root
+from fracheat.numerics import (_EXP_FAST, _EXP_ZERO, TINY, _CHEB_X, chebyshev_table, exp1,
+                               exp_in_place, monotone_root)
 from fracheat.scale import PiecewisePower, PowerLaw, subordinated_exponent
 
 MIXTURE = StableMixture(((1.0, 0.3), (1.0, 0.7)))
@@ -174,6 +175,37 @@ def test_exp1_shapes_and_ends():
     assert not np.isfinite(exp1(-800.0))
     assert exp1(math.inf) == 0.0
     assert np.isnan(exp1(np.array([1.0, math.nan, 50.0])))[1]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_exp_in_place_is_numpy_exp():
+    # a dense sweep of [-800, 710] with the floats next to both edges, in
+    # order and shuffled, and the ends: every lane is np.exp's own bits
+    edges = np.array([_EXP_FAST, _EXP_ZERO])
+    neighbours = np.concatenate([edges + k * np.spacing(edges) for k in range(-40, 41)])
+    ends = [np.inf, -np.inf, np.nan, 0.0, -0.0]
+    sweep = np.concatenate([np.linspace(-800.0, 710.0, 400_001), neighbours,
+                            np.linspace(-746.0, -699.0, 20_001), ends])
+    shuffled = np.random.default_rng(0).permutation(sweep)
+    for x in (sweep, shuffled, shuffled[:1001].reshape(7, 143), shuffled[1001:1004]):
+        with np.errstate(over="ignore"):
+            want = np.exp(x)
+            got = exp_in_place(x.copy())
+        assert got.shape == x.shape
+        assert np.array_equal(_bits(got), _bits(want))
+    assert np.exp(_EXP_ZERO) == 0.0 and np.exp(np.nextafter(_EXP_ZERO, 0.0)) > 0.0
+
+
+@pytest.mark.parametrize("value", [-1e4, -745.2, -720.0, -700.5, -700.0, -3.0, 0.0, 700.0,
+                                   math.inf, -math.inf, math.nan])
+def test_exp_in_place_zero_d(value):
+    x = np.array(value)
+    out = exp_in_place(x)
+    assert out is x and out.shape == ()
+    assert np.array_equal(_bits(out), _bits(np.exp(value)))
 
 
 def _elementwise(call, *args):

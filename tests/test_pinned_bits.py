@@ -14,13 +14,17 @@ p, the estimate layer and the ratios a row derives from it, and the stdout
 of eval, estimate, sample and residual commands pins the CSV each writes.
 
 The bits rest on numpy's float kernels (its SIMD exp, log and tan, the BLAS
-dot) and on its Philox stream, which may differ between numpy builds and
-CPUs.  The hashes were taken on one build, so they are checked only where a
-fingerprint of those kernels matches that build's.
+dot, einsum's sum of products) and on its Philox stream, which may differ
+between numpy builds and CPUs.  The hashes were taken on one build, so they
+are checked only where a fingerprint of those kernels matches that build's.
+The Monte Carlo rows hold under one and under two BLAS threads alike.
 """
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +34,10 @@ from fracheat import (RngStream, Stable, SubordinatorModel, density_monte_carlo,
                       parse_exponent, parse_kernel, stable)
 from fracheat.cli import run_cli
 
-KERNELS_FINGERPRINT = "0fd2c20684668253f7104b9c0c3bddcbea5422471af30a99c1dffe749e494082"
+KERNELS_FINGERPRINT = "4c94a10c6d73dff40891a9ae44d7eb492ff7f9701953d9b4a4e8259ac5821c36"
 ROW_HASHES = {
-    "gaussian:1": "7c67243bd3f7a2e01fef0b827a9db966381364a7bf145001c841060e50642ab0",
-    "cauchy:1": "38bdcc3781568aaf751b7dfe686d796911ed50989331efa50c13d6ee65e94f00",
+    "gaussian:1": "b50e625ae22f87dcb963c45e70a2b6fc81cbf2d04a41e7776de4347828507ef8",
+    "cauchy:1": "32b705ebf21e638a3798062b88e8046ba12f54cfffe66676346a2ae1403bf7f7",
 }
 LOG_SAMPLE_HASH = "b768871e48f3fffe25725e651459c99ba032ca4b26fb2e70161d842c3d4caf86"
 SAMPLE_INVERSE_HASH = "fbc454481f54e0c18af4664fcfd29ed80fca80259a198ef4ecb7f3634589c050"
@@ -59,7 +63,7 @@ CLI_HASHES = {
     "eval --beta 0.5 --kernel gaussian:1 --t 1 --z 0 --method quad":
         "51dcd50d6c973351e56fdda54df817c3d50aa9217f22f188556f674bd60fc082",
     "eval --beta 0.5 --kernel gaussian:1 --t 1 --z 0 --method mc --n 2000":
-        "bf11c9ffc7a459d6d5025d1144001421c1d5b52317daf6ccf957f82ec1f28aad",
+        "7ba9c467c06fd8000617dbef89eeb367ff04b07d6d6534b03fa1aa76c5ad9ce0",
     "eval --beta 0.5 --kernel gaussian:1 --t 1 --z 0 --method fourier":
         "691b7b041044720ed30e4497b366753b8c468c2d1e093c06709320a703dca7a5",
     "estimate --beta 0.5 --kernel gaussian:1 --phi-scale power:2 --t 16 --z 1":
@@ -92,7 +96,8 @@ def _float_kernels_fingerprint():
     x = np.linspace(-800.0, 30.0, 8191)
     gen = np.random.Generator(np.random.Philox(key=np.array([1, 2], dtype=np.uint64)))
     parts = (np.exp(x), np.log(np.abs(x) + 0.5), np.tan(x / 256.0),
-             (np.abs(x) + 0.5) ** -0.5, 1.0 / (x * x + 0.5), np.array([x @ x]),
+             (np.abs(x) + 0.5) ** -0.5, 1.0 / (x * x + 0.5),
+             np.array([x @ x, np.einsum("i,i->", x, x)]),
              gen.uniform(0.0, np.pi, 4096), gen.exponential(1.0, 4096))
     return _sha(b"".join(p.tobytes() for p in parts))
 
@@ -107,12 +112,33 @@ def half():
     return SubordinatorModel(Stable(0.5))
 
 
+def _row(key):
+    """The pinned Monte Carlo row of kernel key."""
+    return density_monte_carlo(parse_kernel(key), SubordinatorModel(Stable(0.5)), 1.0,
+                               np.geomspace(0.1, 30.0, 9), 100_000, RngStream(3, 0))
+
+
 @pytest.mark.parametrize("key", sorted(ROW_HASHES))
-def test_monte_carlo_row(half, key):
-    row = density_monte_carlo(parse_kernel(key), half, 1.0, np.geomspace(0.1, 30.0, 9),
-                              100_000, RngStream(3, 0))
+def test_monte_carlo_row(key):
+    row = _row(key)
     assert [est.method for est in row].count("mc-tilted") == (key == "gaussian:1")
     assert _sha(repr(row).encode()) == ROW_HASHES[key]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_monte_carlo_rows_under_blas_threads(threads):
+    # the BLAS thread count is fixed when numpy loads, so each count gets a
+    # fresh interpreter; it prints the hash of each row
+    here = Path(__file__).parent
+    script = ("from test_pinned_bits import _row, _sha\n"
+              f"for key in {sorted(ROW_HASHES)!r}:\n"
+              "    print(_sha(repr(_row(key)).encode()))\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [ROW_HASHES[key] for key in sorted(ROW_HASHES)]
 
 
 def test_log_sample():

@@ -232,11 +232,11 @@ class TestSampler:
 
 
 def _tilted_draws(beta, theta, stream, n):
-    """tilted_sample of n Kanter draws of log S and then n unit
-    exponentials from one stream, in that order."""
+    """tilted_sample of n Kanter draws X of S and the ratios e/X of n unit
+    exponentials e drawn after them from one stream."""
     gen = stream.generator
-    log_x = stable.log_sample(beta, gen, n)
-    return stable.tilted_sample(beta, theta, log_x, gen.exponential(1.0, n))
+    x = stable.sample(beta, gen, n)
+    return stable.tilted_sample(beta, theta, x, gen.exponential(1.0, n) / x)
 
 
 class TestTiltedSampler:
@@ -266,6 +266,24 @@ class TestTiltedSampler:
         b = _tilted_draws(0.5, 100.0, RngStream(33, 2), 50_000)
         assert np.array_equal(a, b)
         assert abs(a.size - 50_000 * math.exp(-1.0) / 10) < 100
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.9])
+    def test_matches_the_log_form(self, beta):
+        # the reference scales each piece m**(-1/beta) X as exp(log X -
+        # log(m)/beta) and tests e > theta * piece: the same pieces are kept
+        # and the sums agree to rounding
+        gen = RngStream(34, 0).generator
+        log_x = stable.log_sample(beta, gen, 100_000)
+        e = gen.exponential(1.0, log_x.size)
+        x = np.exp(log_x)
+        for theta in np.geomspace(0.1, 3000.0, 12):
+            m = max(1, math.ceil(theta ** beta))
+            pieces = np.exp(log_x - math.log(m) / beta)
+            kept = pieces[e > theta * pieces]
+            want = kept[:kept.size // m * m].reshape(-1, m).sum(axis=1)
+            got = stable.tilted_sample(beta, theta, x, e / x)
+            assert got.size == want.size
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-14
 
 
 BLOCK = stable._DRAW_BLOCK
