@@ -289,7 +289,10 @@ class TestTiltedSampler:
 BLOCK = stable._DRAW_BLOCK
 
 
-@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+# Sizes at the edges of the block, and the same edges of a 4096-draw block,
+# which lie inside one block or straddle several.
+@pytest.mark.parametrize("n", sorted({1, 4095, 4096, 4097, 3 * 4096 + 5,
+                                      BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5}))
 def test_sample_blocks_match_one_shot(n):
     # the blocks change no digit: all of theta, then all of W, from the
     # stream, as one-shot arithmetic on a twin stream
