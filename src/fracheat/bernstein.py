@@ -45,17 +45,25 @@ def _expit(x):
 
 
 class LaplaceExponent:
-    """Common solver-backed operations; subclasses provide phi/phi_prime.
-    Each takes a scalar, which gives a float, or an array, elementwise."""
+    """Common solver-backed operations; subclasses provide `derivative`, the
+    closed form of phi, or phi and phi_prime.  Each takes a scalar, which
+    gives a float, or an array, elementwise."""
 
     beta_lo: float
     beta_hi: float
 
     def phi(self, lam):
-        raise NotImplementedError
+        _check_positive("lam", lam)
+        return self.derivative(lam, 0)
 
     def phi_prime(self, lam):
-        raise NotImplementedError
+        _check_positive("lam", lam)
+        return self.derivative(lam, 1)
+
+    def derivative(self, lam, k=0):
+        """The k-th derivative of phi at real lam > 0, and phi (k = 0) at
+        complex lam off the negative axis, with no domain check."""
+        raise UnsupportedModelError(f"{type(self).__name__} has no closed form for phi")
 
     def phi_inverse(self, y):
         """The unique lam with phi(lam) = y at each y (phi is strictly increasing)."""
@@ -119,13 +127,8 @@ class StableMixture(LaplaceExponent):
     def beta_hi(self):
         return max(b for _, b in self.terms)
 
-    def phi(self, lam):
-        _check_positive("lam", lam)
-        return sum(a * lam ** b for a, b in self.terms)
-
-    def phi_prime(self, lam):
-        _check_positive("lam", lam)
-        return sum(a * b * lam ** (b - 1.0) for a, b in self.terms)
+    def derivative(self, lam, k=0):
+        return sum(a * math.prod(b - j for j in range(k)) * lam ** (b - k) for a, b in self.terms)
 
     def levy_tail(self, s):
         _check_positive("s", s)

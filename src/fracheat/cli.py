@@ -22,7 +22,7 @@ from . import harness, solution
 from .bernstein import parse_exponent
 from .errors import BracketError, DomainError, FracheatError, QuadratureError
 from .harness import VerifyConfig
-from .kernels import ExactCauchy, ExactGaussian
+from .kernels import ExactGaussian
 from .numerics import kronrod_quad
 from .rng import RngStream
 from .subordinator import SubordinatorModel
@@ -112,21 +112,13 @@ def _out_stream(path):
         yield sys.stdout
 
 
-def _spatial_order(kernel):
-    """The Fourier oracle's spatial order: 2 for gaussian:1, 1 for cauchy:1."""
-    order = {ExactGaussian: 2, ExactCauchy: 1}.get(type(kernel))
-    if order is None or kernel.dim != 1:
-        raise DomainError("the Fourier oracle needs the kernel gaussian:1 or cauchy:1")
-    return order
-
-
 def _cmd_eval(args):
     kernel, model = harness.build_kernel_and_model(_model_config(args))
     if args.method == "fourier":
         beta = getattr(model.exponent, "beta", None)
         if beta is None:
             raise DomainError("the Fourier oracle needs a stable subordinator")
-        est = solution._fourier(beta, _spatial_order(kernel), args.t, args.z)
+        est = solution._fourier(beta, kernel.fourier_order, args.t, args.z)
     elif args.method == "mc":
         est = solution.density_monte_carlo(kernel, model, args.t, args.z,
                                            args.n, RngStream(args.seed, 0))

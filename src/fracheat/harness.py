@@ -29,7 +29,7 @@ from . import solution
 from .bernstein import parse_exponent
 from .errors import DomainError, FracheatError
 from .estimates import EstimateModel
-from .kernels import DiffusionSurrogate, ExactGaussian, parse_kernel
+from .kernels import parse_kernel
 from .numerics import TINY
 from .rng import RngStream
 from .scale import parse_profile
@@ -138,8 +138,7 @@ def build_kernel_and_model(cfg):
 def build_models(cfg):
     """(kernel, subordinator model, estimate model) for a config."""
     exponent, scale, volume, kernel = _parse_models(cfg)
-    flavor = "diffusion" if isinstance(kernel, (ExactGaussian, DiffusionSurrogate)) else "jump"
-    return kernel, SubordinatorModel(exponent), EstimateModel(exponent, scale, volume, flavor)
+    return kernel, SubordinatorModel(exponent), EstimateModel(exponent, scale, volume, kernel.flavor)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,13 @@ def _row_out(out, s, z):
 
 
 class SpatialKernel:
-    """Base: q(t, z) >= 0, non-increasing in z for fixed t."""
+    """Base: q(t, z) >= 0, non-increasing in z for fixed t.  Each kernel
+    states its `flavor`, "jump" or "diffusion", the shape of its two-sided
+    estimate, and its `fourier_order`: the alpha of its 1-d symbol
+    |xi|**alpha, which the Fourier oracle needs, or None."""
+
+    flavor: str
+    fourier_order = None
 
     def q(self, t, z):
         return self.at(t)(z)
@@ -81,6 +87,8 @@ class ExactGaussian(SpatialKernel):
 
     dim: int = 1
     __post_init__ = _check_dim
+    flavor = "diffusion"
+    fourier_order = property(lambda self: 2 if self.dim == 1 else None)
 
     def at(self, s):
         s = np.asarray(s, dtype=float)
@@ -120,6 +128,8 @@ class ExactCauchy(SpatialKernel):
 
     dim: int = 1
     __post_init__ = _check_dim
+    flavor = "jump"
+    fourier_order = property(lambda self: 1 if self.dim == 1 else None)
 
     def at(self, s):
         s = np.asarray(s, dtype=float)
@@ -168,6 +178,7 @@ class JumpSurrogate(SpatialKernel):
 
     volume: object
     scale: object
+    flavor = "jump"
 
     def at(self, s):
         s = np.asarray(s, dtype=float)
@@ -193,6 +204,7 @@ class DiffusionSurrogate(SpatialKernel):
 
     volume: object
     scale: object
+    flavor = "diffusion"
 
     def __post_init__(self):
         if self.scale.exponent_lo <= 1.0:

@@ -187,9 +187,8 @@ def kronrod_quad(f, boundaries, rel_tol, abs_floor):
     return (total, error, ok) if total.ndim else (float(total), float(error), bool(ok))
 
 
-# piecewise Chebyshev tables: the degree, the starting and the narrowest
-# panel width, and the points per evaluation block (temporaries near 128 kB)
-_CHEB_DEGREE, _CHEB_WIDTH, _CHEB_MIN_WIDTH, _CHEB_BLOCK = 24, 2.0, 2.0 / 64, 1 << 14
+# piecewise Chebyshev tables: the degree, the starting and the narrowest panel width
+_CHEB_DEGREE, _CHEB_WIDTH, _CHEB_MIN_WIDTH = 24, 2.0, 2.0 / 64
 # the Chebyshev points of the first kind, in the order of the DCT-II
 _CHEB_X = np.cos(np.pi * (np.arange(_CHEB_DEGREE + 1) + 0.5) / (_CHEB_DEGREE + 1))
 # Makhoul's DCT-II by one FFT: evens up, then odds down, times 2 exp(-i pi k / 2n)
@@ -210,18 +209,15 @@ class ChebyshevTable:
     converged: bool        # every panel met the tolerance
 
     def __call__(self, y, row):
-        """Row `row` at the points y by Clenshaw's recurrence, a block at a time."""
-        flat, out, coeffs = np.ravel(y), np.empty(np.size(y)), self.coeffs[row]
-        for i in range(0, flat.size, _CHEB_BLOCK):
-            block = flat[i:i + _CHEB_BLOCK]
-            k = np.clip(np.searchsorted(self.edges, block) - 1, 0, self.edges.size - 2)
-            lo, hi = self.edges[k], self.edges[k + 1]
-            x2 = (4.0 * block - 2.0 * (lo + hi)) / (hi - lo)
-            b1 = b2 = 0.0
-            for c in coeffs[:0:-1]:
-                b1, b2 = c[k] + x2 * b1 - b2, b1
-            out[i:i + _CHEB_BLOCK] = coeffs[0][k] + 0.5 * x2 * b1 - b2
-        return out.reshape(np.shape(y))
+        """Row `row` at the points y by Clenshaw's recurrence."""
+        flat, coeffs = np.ravel(y), self.coeffs[row]
+        k = np.clip(np.searchsorted(self.edges, flat) - 1, 0, self.edges.size - 2)
+        lo, hi = self.edges[k], self.edges[k + 1]
+        x2 = (4.0 * flat - 2.0 * (lo + hi)) / (hi - lo)
+        b1 = b2 = 0.0
+        for c in coeffs[:0:-1]:
+            b1, b2 = c[k] + x2 * b1 - b2, b1
+        return (coeffs[0][k] + 0.5 * x2 * b1 - b2).reshape(np.shape(y))
 
 
 def chebyshev_table(f, lo, hi, rel_tol):

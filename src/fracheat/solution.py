@@ -238,19 +238,12 @@ def _rule_sums(vals, n):
             np.abs(vals).sum(axis=-1))
 
 
-def _phi_derivative(terms, lam, k):
-    """The k-th derivative of phi = sum a lam**b at real lam > 0; phi itself
-    (k = 0) at complex lam off the negative axis too."""
-    return sum(a * math.prod(b - j for j in range(k)) * lam ** (b - k) for a, b in terms)
-
-
 def _contour_row(kernel, model, t, z):
     """The contour estimates of p(t, z) at each z of the 1-d array z on the
     fixed hyperbola: the transform's z-free factor is formed once on the
     shared nodes, and the resolvent on the (z, node) grid."""
-    terms = model._components()
     lam, weights = _hyperbola([(_WT_MU * n / t, _WT_STEP / n, n) for n in _LAPLACE_NODES])
-    phi = _phi_derivative(terms, lam, 0)
+    phi = model.exponent.derivative(lam, 0)
     with np.errstate(all="ignore"):
         first, second, spread = _rule_sums(
             (weights * np.exp(lam * t) * phi / lam) * kernel.resolvent(phi, z[:, None]),
@@ -287,9 +280,10 @@ def _saddle_row(kernel, model, t, z):
     eps |log p| p.  Near the diagonal the saddle nears the branch point of
     sqrt(phi) at 0, the two rules part and the z comes back flagged.
     """
+    if kernel.fourier_order != 2:  # |xi|**2, whose resolvent is e**(-z sqrt(mu)) / 2 sqrt(mu)
+        raise UnsupportedModelError(f"the saddle contour needs the 1-d Gaussian, got {kernel}")
     terms = model._components()
-    if not hasattr(kernel, "log_resolvent"):  # the kernels whose resolvent is one exponential
-        raise UnsupportedModelError(f"{type(kernel).__name__} has no closed-form log resolvent")
+    phi_of = model.exponent.derivative
     row = [None] * z.size
     live = np.flatnonzero(z > 0.0)
     if not live.size:
@@ -301,18 +295,17 @@ def _saddle_row(kernel, model, t, z):
             lam = (zs * math.sqrt(a) * b / (2.0 * t)) ** (1.0 / (1.0 - 0.5 * b))
         else:
             try:
-                lam = monotone_root(lambda x: zs * _phi_derivative(terms, x, 1)
-                                    / (2.0 * np.sqrt(_phi_derivative(terms, x, 0))) - t,
+                lam = monotone_root(lambda x: zs * phi_of(x, 1) / (2.0 * np.sqrt(phi_of(x, 0))) - t,
                                     _SADDLE_RTOL)
             except BracketError:  # a saddle outside [1e-300, 1e300]: no z is taken here
                 return row
-        phi, d1, d2 = (_phi_derivative(terms, lam, k) for k in range(3))
+        phi, d1, d2 = (phi_of(lam, k) for k in range(3))
         curvature = zs * (d1 * d1 / (4.0 * phi ** 1.5) - d2 / (2.0 * np.sqrt(phi)))
         mu = (lam / (1.0 - math.sin(_WT_ALPHA)))[:, None]
         # |d lambda / d theta| = mu cos alpha at the vertex
         sigma = 1.0 / (mu * math.cos(_WT_ALPHA) * np.sqrt(curvature[:, None]))
         nodes, weights = _hyperbola([(mu, sigma * (_SADDLE_SPAN / n), n) for n in _SADDLE_NODES])
-        phis = _phi_derivative(terms, nodes, 0)
+        phis = phi_of(nodes, 0)
         logs = (np.log(weights) + nodes * t + np.log(phis) - np.log(nodes)
                 + kernel.log_resolvent(phis, zs[:, None]))
         peak = logs.real.max(axis=1)
@@ -635,6 +628,8 @@ def _ml_asymptotic(beta, x):
 # integrations by parts that close the z > 0 tail at xi_end, where
 # z xi_end >= 40: each one shrinks the remainder by ~(alpha + j)/(z xi_end)
 _FOURIER_PARTS = 8
+# a Fourier value is converged where its stated error is at most this times |p|
+_FOURIER_REL_TOL = 1e-5
 # the table of log E_beta(-e**u) spans u in [_ML_TABLE_LO, _ML_TABLE_HI]:
 # below, E = 1 to rounding; above, the asymptotic series takes over; its
 # Chebyshev tail is held to _ML_TABLE_TOL of its peak, |log E(-e**20)| ~ 20
@@ -682,10 +677,11 @@ def _fourier(beta, alpha, t, z):
     asymptotic expansion of E_beta, integrated by parts for z > 0 and term
     by term for z = 0.  The error is the Kronrod error, plus the table's
     error times xi_end, which bounds int E over the head as E <= 1, plus
-    the size of the last closing term; `converged` is the head's.
+    the size of the last closing term.  It is converged where the head
+    converged and the error is at most _FOURIER_REL_TOL |p|.
     """
     if alpha not in (1, 2):
-        raise DomainError("spatial order must be 1 or 2")
+        raise DomainError(f"the Fourier oracle needs gaussian:1 or cauchy:1, got order {alpha}")
     _check_point(t, z)
     if z == 0.0 and alpha == 1:
         raise DomainError("on-diagonal value diverges for spatial order 1")
@@ -717,8 +713,9 @@ def _fourier(beta, alpha, t, z):
         tail = (np.exp(1j * z * xi_end)
                 * (derivs @ (1j / z) ** np.arange(1, _FOURIER_PARTS + 1))).real
         closing = abs(derivs[-1]) / z ** _FOURIER_PARTS
-    return SolutionEstimate(float(head + tail) / math.pi, float(err + closing) / math.pi,
-                            "fourier", converged)
+    value, error = float(head + tail) / math.pi, float(err + closing) / math.pi
+    return SolutionEstimate(value, error, "fourier",
+                            converged and error <= _FOURIER_REL_TOL * abs(value))
 
 
 # --------------------------------------------------------------------------
@@ -740,7 +737,7 @@ def mass_residual(kernel, model, t):
     length scale at 1/phi(1/t); beyond L * _MASS_REACH the mass of the
     Cauchy tail, the slowest, is of order 1/_MASS_REACH.
     """
-    if getattr(kernel, "dim", None) != 1:
+    if kernel.fourier_order is None:
         raise DomainError("mass check needs a 1-d exact kernel")
     length = kernel.length_scale(1.0 / model.exponent.phi(1.0 / t))
 

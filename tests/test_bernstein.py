@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from fracheat import (DomainError, PiecewisePower, PowerLaw, Stable,
                       StableMixture, UnsupportedModelError, cbf_from_scale,
-                      parse_exponent, scaling_report)
+                      parse_exponent, scaling_report, solution)
 
 
 class TestStable:
@@ -121,6 +121,45 @@ class TestScalingReport:
             scaling_report(Stable(0.5), lams=[], kappas=[2.0])
 
 
+# Stable(1/2) and the three mixtures of criterion 9
+DERIVATIVE_TERMS = (((1.0, 0.5),), ((1.0, 0.3), (1.0, 0.7)), ((2.0, 0.2), (1.0, 0.5)),
+                    ((1.0, 0.4), (3.0, 0.6)))
+
+
+@pytest.mark.parametrize("terms", DERIVATIVE_TERMS, ids=str)
+class TestDerivative:
+    def test_first_two_are_phi_and_phi_prime(self, terms):
+        # bit for bit, at each scalar lam and over the array, and both the
+        # sums sum a lam**b and sum a b lam**(b - 1) as written out here
+        exponent = Stable(0.5) if len(terms) == 1 else StableMixture(terms)
+        lams = np.geomspace(1e-8, 1e8, 65)
+        for lam in [*lams.tolist(), lams]:
+            assert np.array_equal(exponent.derivative(lam, 0), exponent.phi(lam))
+            assert np.array_equal(exponent.derivative(lam, 1), exponent.phi_prime(lam))
+            assert np.array_equal(exponent.phi(lam), sum(a * lam ** b for a, b in terms))
+            assert np.array_equal(exponent.phi_prime(lam),
+                                  sum(a * b * lam ** (b - 1.0) for a, b in terms))
+
+    def test_second_derivative(self, terms):
+        # against sum a b (b - 1) lam**(b - 2) in 40 digits at the exact b
+        got = StableMixture(terms).derivative(np.geomspace(1e-3, 1e3, 25), 2)
+        with mpmath.workdps(40):
+            for lam, value in zip(np.geomspace(1e-3, 1e3, 25).tolist(), got.tolist()):
+                ref = sum(mpmath.mpf(a) * mpmath.mpf(b) * (mpmath.mpf(b) - 1)
+                          * mpmath.mpf(lam) ** (mpmath.mpf(b) - 2) for a, b in terms)
+                assert abs(value - ref) <= 1e-15 * abs(ref)
+
+    def test_complex_phi_on_the_contour(self, terms):
+        # the Weideman-Trefethen nodes of the contour path of p at t = 1
+        lam, _ = solution._hyperbola([(solution._WT_MU * n, solution._WT_STEP / n, n)
+                                      for n in solution._LAPLACE_NODES])
+        got = StableMixture(terms).derivative(lam, 0)
+        with mpmath.workdps(40):
+            for node, value in zip(lam.tolist(), got.tolist()):
+                ref = sum(mpmath.mpf(a) * mpmath.mpc(node) ** mpmath.mpf(b) for a, b in terms)
+                assert abs(value - ref) <= 1e-15 * abs(ref)
+
+
 @pytest.fixture(scope="module")
 def cbf():
     return cbf_from_scale(PowerLaw(2.0), 3.0)
@@ -170,6 +209,12 @@ class TestConstructed:
     def test_no_levy_tail(self, cbf):
         with pytest.raises(UnsupportedModelError):
             cbf.levy_tail(1.0)
+
+    def test_no_closed_form_derivative(self, cbf):
+        # the contour paths of p need phi in closed form at complex lam
+        for lam, k in ((1.0, 0), (1.0, 2), (1.0 + 1.0j, 0)):
+            with pytest.raises(UnsupportedModelError):
+                cbf.derivative(lam, k)
 
     def test_derivative_consistent(self, cbf):
         # d/dlam of c lam**(2/3) is (2/3) c lam**(-1/3)

@@ -324,6 +324,15 @@ class TestCli:
         assert 0.0 < err < 1e-6
         assert abs(value - quad) <= err
 
+    def test_eval_fourier_far_point_is_refused(self, capsys):
+        # p = 2.77e-20 here: the Fourier value's stated error, 1.3e-13, is
+        # no answer within the oracle's relative tolerance
+        code = run_cli(["eval", "--beta", "0.5", "--kernel", "gaussian:1",
+                        "--t", "0.01", "--z", "9.487", "--method", "fourier"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-convergence" in captured.err
+
     @pytest.mark.parametrize("kernel", ["gaussian:3", "cauchy:2", "jump"])
     def test_eval_fourier_kernel_mismatch(self, kernel, capsys):
         code = run_cli(["eval", "--beta", "0.5", "--kernel", kernel, "--phi-scale", "power:1",

@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from fracheat import (DiffusionSurrogate, DomainError, ExactCauchy,
-                      ExactGaussian, JumpSurrogate, PowerLaw, parse_kernel,
+                      ExactGaussian, JumpSurrogate, PowerLaw, VerifyConfig, parse_kernel,
                       time_derivative_report)
+from fracheat.harness import build_models
 from fracheat.kernels import _dq_dt
 from fracheat.numerics import _EXP_FAST, _EXP_ZERO
 from fracheat.scale import subgaussian_exponent
@@ -86,6 +87,18 @@ class TestSurrogates:
         assert isinstance(k, JumpSurrogate)
         with pytest.raises(DomainError):
             parse_kernel("heat")
+
+
+# the flavor of the estimate each kernel obeys and the order alpha of its
+# 1-d symbol |xi|**alpha, which the Fourier oracle reads; a campaign's
+# estimate model takes the kernel's flavor
+@pytest.mark.parametrize("key, flavor, order", [
+    ("gaussian:1", "diffusion", 2), ("gaussian:2", "diffusion", None),
+    ("cauchy:1", "jump", 1), ("cauchy:2", "jump", None),
+    ("jump", "jump", None), ("diffusion", "diffusion", None)])
+def test_kernel_states_flavor_and_fourier_order(key, flavor, order):
+    kernel, _, emodel = build_models(VerifyConfig(kernel=key, phi_scale="power:2"))
+    assert (kernel.flavor, kernel.fourier_order, emodel.flavor) == (flavor, order, flavor)
 
 
 def _plain_q(kernel, t, z):

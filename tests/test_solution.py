@@ -831,11 +831,13 @@ class TestFourierOracle:
 
     def test_error_is_honest(self):
         # beta = 1/2, against the closed form at z = 0 and the QUADPACK
-        # reference on a 10 x 10 grid, for both spatial orders
+        # reference on a 10 x 10 grid, for both spatial orders; every point
+        # is converged, and so within the stated relative tolerance 1e-5
         for t in (0.1, 1.0, 10.0):
             est = _fourier(0.5, 2, t, 0.0)
             value, err = est.value, est.error
             assert abs(value - P_ONE_ZERO * t ** -0.25) <= err
+            assert est.converged and err <= 1e-5 * abs(value)
         for alpha, kind in ((2, "gaussian"), (1, "cauchy")):
             for t in np.geomspace(0.1, 10.0, 10):
                 for z in np.geomspace(0.1, 2.0, 10):
@@ -844,6 +846,17 @@ class TestFourierOracle:
                     ref = _half_stable_reference(kind, t, z)
                     assert abs(value - ref) <= err, f"alpha={alpha} t={t} z={z}"
                     assert err <= 1e-5 * ref
+                    assert est.converged and err <= 1e-5 * abs(value)
+
+    def test_far_point_is_flagged(self):
+        # the diffusion campaign's corner t = 0.01, z = 9.487: p = 2.77e-20,
+        # far below the head's absolute floor, so the value is off by a
+        # factor of about 3e4; its stated error covers that, but is no
+        # relative answer
+        est = _fourier(0.5, 2, 0.01, 9.487)
+        assert abs(est.value - 2.77e-20) <= est.error
+        assert est.error > solution._FOURIER_REL_TOL * abs(est.value)
+        assert not est.converged
 
     @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.7, 0.9, 0.99])
     def test_table_matches_mittag_leffler(self, beta):
