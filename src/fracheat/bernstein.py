@@ -51,6 +51,8 @@ class LaplaceExponent:
 
     beta_lo: float
     beta_hi: float
+    # (a, b) where phi is exactly a lam**b, else None
+    power = None
 
     def phi(self, lam):
         _check_positive("lam", lam)
@@ -127,6 +129,10 @@ class StableMixture(LaplaceExponent):
     def beta_hi(self):
         return max(b for _, b in self.terms)
 
+    @property
+    def power(self):
+        return self.terms[0] if len(self.terms) == 1 else None
+
     def derivative(self, lam, k=0):
         return sum(a * math.prod(b - j for j in range(k)) * lam ** (b - k) for a, b in self.terms)
 
@@ -150,10 +156,6 @@ class Stable(StableMixture):
         if not 0.0 < beta < 1.0:
             raise DomainError(f"stable index must lie in (0, 1), got {beta}")
         super().__init__(((1.0, beta),))
-
-    @property
-    def beta(self):
-        return self.terms[0][1]
 
 
 @dataclass(frozen=True)

@@ -115,10 +115,9 @@ def _out_stream(path):
 def _cmd_eval(args):
     kernel, model = harness.build_kernel_and_model(_model_config(args))
     if args.method == "fourier":
-        beta = getattr(model.exponent, "beta", None)
-        if beta is None:
-            raise DomainError("the Fourier oracle needs a stable subordinator")
-        est = solution._fourier(beta, kernel.fourier_order, args.t, args.z)
+        if model.exponent.power is None:
+            raise DomainError("the Fourier oracle needs a one-part exponent a lam**beta")
+        est = solution._fourier(model.exponent.power, kernel.fourier_order, args.t, args.z)
     elif args.method == "mc":
         est = solution.density_monte_carlo(kernel, model, args.t, args.z,
                                            args.n, RngStream(args.seed, 0))

@@ -45,9 +45,9 @@ def _normal(v):
 def _power_integral_in_logs(log_front, g, hi, x):
     """exp(log_front) / (1 - g) * (hi**(1 - g) - x**(1 - g)) for g != 1 at
     each 0 <= x <= hi, formed in logs so that only the result may leave
-    float range: the larger power, hi**(1 - g) for g < 1 and x**(1 - g)
-    for g > 1, times 1 - (x/hi)**|1 - g| from one expm1 (a log of 0 is
-    -inf, which the caller lets pass)."""
+    float range, to about eps |log result| relative: the larger power,
+    hi**(1 - g) for g < 1 and x**(1 - g) for g > 1, times 1 - (x/hi)**|1 - g|
+    from one expm1 (a log of 0 is -inf, which the caller lets pass)."""
     d, log_x = abs(1.0 - g), np.log(x)
     log_big = math.log(hi) if g < 1.0 else log_x
     return np.exp(log_front + (1.0 - g) * log_big - math.log(d)

@@ -177,9 +177,8 @@ def subordinated_exponent(scale, exponent, t, r):
     if np.any(np.asarray(t) <= 0.0) or np.any(np.asarray(r) <= 0.0):
         raise DomainError("subordinated exponent needs t, r > 0")
     t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
-    terms = getattr(exponent, "terms", ())
-    if len(terms) == 1:
-        (a, b), = terms
+    if exponent.power is not None:
+        a, b = exponent.power
         return _chaining_root(
             scale, b, math.log(a),
             lambda c, e, t, r: (np.float64(a * c) ** (1.0 / e) * r * t ** (-b / e)) ** (e / (e - b)),

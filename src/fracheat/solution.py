@@ -29,15 +29,15 @@ independent ways:
 * Monte Carlo over inverse-subordinator samples (`density_monte_carlo`),
   one draw set per call shared by every z of the row.  A z whose sample
   of q has an effective size (sum q)**2 / sum q**2 below _MC_MIN_ESS rests
-  on a handful of draws, so its stated error means nothing.  A stable time
-  change re-estimates it from exactly Esscher-tilted draws, made by
+  on a handful of draws, so its stated error means nothing.  A one-part
+  time change re-estimates it from exactly Esscher-tilted draws, made by
   rejection from the row's own stable draws and one array of exponentials
   shared by the row, weighted back by exp(theta X - theta**beta), with
   theta set by the saddle of q against the left tail of h_t; a z still
-  below the floor, and every such z of a mixture, comes back flagged,
-* for stable subordinators and 1-d Gaussian/Cauchy kernels, the
+  below the floor, and every such z of several parts, comes back flagged,
+* for one-part exponents a lam**beta and 1-d Gaussian/Cauchy kernels, the
   Fourier-Mittag-Leffler representation
-      p(t, z) = (1/pi) int_0^inf cos(xi z) E_beta(-xi**alpha t**beta) dxi,
+      p(t, z) = (1/pi) int_0^inf cos(xi z) E_beta(-xi**alpha t**beta / a) dxi,
   which never touches the subordination path and serves as an oracle.
 
 The contour, the quadrature and Monte Carlo take a scalar z or a 1-d
@@ -282,7 +282,6 @@ def _saddle_row(kernel, model, t, z):
     """
     if kernel.fourier_order != 2:  # |xi|**2, whose resolvent is e**(-z sqrt(mu)) / 2 sqrt(mu)
         raise UnsupportedModelError(f"the saddle contour needs the 1-d Gaussian, got {kernel}")
-    terms = model._components()
     phi_of = model.exponent.derivative
     row = [None] * z.size
     live = np.flatnonzero(z > 0.0)
@@ -290,8 +289,8 @@ def _saddle_row(kernel, model, t, z):
         return row
     zs = z[live]
     with np.errstate(all="ignore"):  # a non-finite sum is flagged below
-        if len(terms) == 1:
-            (a, b), = terms
+        if model.exponent.power is not None:
+            a, b = model.exponent.power
             lam = (zs * math.sqrt(a) * b / (2.0 * t)) ** (1.0 / (1.0 - 0.5 * b))
         else:
             try:
@@ -373,7 +372,7 @@ def _saddle_tilt(kernel, model, t, z):
     typical size t**b / a of E_t to the support bound of h_t on a grid of
     _SADDLE_GRID points, then _SADDLE_LEVELS times more on the two cells
     around the best point; where q underflows the objective is +inf."""
-    (a, b), = model._components()
+    a, b = model.exponent.power
     scale = (1.0 - b) * b ** (b / (1.0 - b)) * t ** (-b / (1.0 - b))
 
     def minus_log_weight(u):
@@ -397,7 +396,7 @@ def _stable_draws(model, t, e_samples, generator):
     E = (t/X)**b / a, as exp(log t - log(a E) / b), and the ratios e/X of n
     unit exponentials e that continue the stream.  An E that underflowed
     to 0 gives X = inf and a ratio 0, a piece the tilt always rejects."""
-    (a, b), = model._components()
+    a, b = model.exponent.power
     with np.errstate(divide="ignore", over="ignore"):
         x = np.log(e_samples)
         x += math.log(a)
@@ -414,7 +413,7 @@ def _tilted(kernel, model, t, z, x, ratio):
     that `stable.tilted_sample` makes of the row's draws x and ratios e/x:
     the mean of q((t/X)**b / a, z) exp(theta X - theta**b).  None when fewer
     than two tilted draws came out."""
-    (a, b), = model._components()
+    a, b = model.exponent.power
     theta = _saddle_tilt(kernel, model, t, z)
     x = stable.tilted_sample(b, theta, x, ratio)
     if x.size < 2:
@@ -440,17 +439,16 @@ def density_monte_carlo(kernel, model, t, z, n, rng):
     plus at most one exponential array, and every z, tilted or not, gets
     the estimate that a scalar call on the same stream gives.  A tilted z
     keeps the method "mc-tilted" and is converged when its own ESS reaches
-    the floor.  A mixture's collapsed z comes back flagged."""
+    the floor.  A collapsed z of several parts comes back flagged."""
     if n < 100:
         raise DomainError(f"need at least 100 samples, got {n}")
     _check_domain(kernel, model, t, z)
-    terms = model._components()
     e_samples = model.sample_inverse(t, rng, n)
     q_of, buf = kernel.at(e_samples), np.empty(n)
     draws, row = None, []
     for zj in z.tolist():
         est = _mc_mean(q_of(zj, out=buf), "mc")
-        if not est.converged and len(terms) == 1:
+        if not est.converged and model.exponent.power is not None:
             draws = draws or _stable_draws(model, t, e_samples, rng.generator)
             est = _tilted(kernel, model, t, zj, *draws) or est
         row.append(est)
@@ -662,12 +660,13 @@ def _ml_tabulated(beta, x):
 
 def density_fourier(beta, spatial_alpha, t, z):
     """p(t, z) = (1/pi) int_0^inf cos(xi z) E_beta(-xi**alpha t**beta) dxi."""
-    return _fourier(beta, spatial_alpha, t, z).value
+    return _fourier((1.0, beta), spatial_alpha, t, z).value
 
 
-def _fourier(beta, alpha, t, z):
-    """p(t, z) by the Fourier-Mittag-Leffler representation, as a
-    `SolutionEstimate` with method "fourier", 1-d only; alpha selects the
+def _fourier(power, alpha, t, z):
+    """p(t, z) by the Fourier-Mittag-Leffler representation for phi = a lam**beta,
+    (a, beta) = power, where E_t = (t/X)**beta / a makes t**beta / a the time
+    scale, as a `SolutionEstimate` with method "fourier", 1-d only; alpha selects the
     Gaussian (2) or Cauchy (1) spatial generator.
 
     The head up to xi_end is one adaptive Gauss-Kronrod pass that reads E
@@ -685,7 +684,8 @@ def _fourier(beta, alpha, t, z):
     _check_point(t, z)
     if z == 0.0 and alpha == 1:
         raise DomainError("on-diagonal value diverges for spatial order 1")
-    tb = t ** beta
+    a, beta = power
+    tb = t ** beta / a
     knee = tb ** (-1.0 / alpha)
     if z == 0.0:
         xi_end = (60.0 / tb) ** (1.0 / alpha)
@@ -701,7 +701,7 @@ def _fourier(beta, alpha, t, z):
     err += float(_ml_table(beta).error[0]) * xi_end
     k, coef = _ml_asymptotic_coeffs(beta)
     if z == 0.0:
-        terms = _up_to_smallest(coef * tb ** -k * xi_end ** (1.0 - alpha * k) / (alpha * k - 1.0))
+        terms = _up_to_smallest(coef * (tb * xi_end ** alpha) ** -k * xi_end / (alpha * k - 1.0))
         tail, closing = terms.sum(), abs(terms[terms != 0.0][-1])
     else:
         # with f^(j)(a), a = xi_end, from the asymptotic expansion, n integrations

@@ -17,8 +17,8 @@ beta_i-stable.
   first-passage refinement.
 * S_r is at least each of its parts, so E_t is at most each part's own
   inverse time: the support bound of E_t is the least of the parts'.
-* The integrated-tail identities of a stable exponent integrate that
-  convolution over log r in one Gauss-Kronrod pass.
+* The integrated-tail identities of a one-part exponent a lam**beta
+  integrate that convolution over log r in one Gauss-Kronrod pass.
 
 Exponents constructed by quadrature have no stable parts, so only the
 estimate-evaluation paths accept them; distribution and sampling calls
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stable
-from .bernstein import LaplaceExponent, Stable
+from .bernstein import LaplaceExponent
 from .errors import DomainError, QuadratureError, UnsupportedModelError
 from .numerics import REL_TOL, geometric_boundaries, kronrod_quad
 
@@ -154,10 +154,11 @@ class SubordinatorModel:
         r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
         if not (np.all(r > 0.0) and np.all(t > 0.0)):
             raise DomainError(f"{name} needs r, t > 0")
-        (a, b), *rest = terms = self._components()
         rs, ts = r.ravel(), t.ravel()
-        if not rest:
+        if self.exponent.power is not None:
+            a, b = self.exponent.power
             return _part_rows(b, a * rs, ts)[:2].reshape((2,) + r.shape)
+        terms = self._components()
         return np.concatenate([_sum_rows(terms, rs[i:i + 1], ts[i:i + 1])[:2, 0]
                                for i in range(rs.size)], axis=1).reshape((2,) + r.shape)
 
@@ -174,10 +175,10 @@ class SubordinatorModel:
         where that is the smaller row, else the log of the cdf, for one part
         stable deep into the small-t tail."""
         low, high = self._law("log_cdf", r, t)
-        (a, b), *rest = self._components()
+        power = self.exponent.power
         with np.errstate(divide="ignore"):
-            small = np.log(low) if rest else stable.log_cdf_at(
-                b, _log_arg(b, a * np.asarray(r, dtype=float), np.asarray(t, dtype=float)))
+            small = np.log(low) if power is None else stable.log_cdf_at(power[1], _log_arg(
+                power[1], power[0] * np.asarray(r, dtype=float), np.asarray(t, dtype=float)))
             return np.where(high < low, np.log1p(-high), small)[()]
 
     # ----- inverse subordinator ---------------------------------------
@@ -218,17 +219,16 @@ class SubordinatorModel:
         """n draws of E_t = inf{s : S_s > t} from the RngStream rng:
         (t / X)**beta / a for one part, formed from log X in place on the
         array of log X, a discretized path for several."""
-        comps = self._components()
         _check_draws("sample_inverse", "t", t, n)
-        if len(comps) == 1:
-            (a, b), = comps
+        if self.exponent.power is not None:
+            a, b = self.exponent.power
             e = stable.log_sample(b, rng.generator, n)
             np.subtract(math.log(t), e, out=e)
             e *= b
             np.exp(e, out=e)
             e /= a
             return e
-        return self._sample_inverse_path(t, rng.generator, n, comps)
+        return self._sample_inverse_path(t, rng.generator, n, self._components())
 
     def _sample_inverse_path(self, t, gen, n, comps):
         """Discretized-path first passage with a per-sample pilot pass.
@@ -325,31 +325,31 @@ def _truncated_tail_mean(model, rs, t):
     if rs.size > _CONV_ROWS:
         return np.concatenate([_truncated_tail_mean(model, rs[i:i + _CONV_ROWS], t)
                                for i in range(0, rs.size, _CONV_ROWS)])
-    b, g = model.exponent.beta, model.exponent.integrated_tail
-    foot, total = _convolve(t, lambda y, u: _part_rows(b, rs[:, None], y)[2] * g(u))
-    return total + _part_rows(b, rs, foot)[0] * g(t)
+    (a, b), g = model.exponent.power, model.exponent.integrated_tail
+    foot, total = _convolve(t, lambda y, u: _part_rows(b, a * rs[:, None], y)[2] * g(u))
+    return total + _part_rows(b, a * rs, foot)[0] * g(t)
 
 
 def integrated_tail_identities(model, t):
     """Check the two balance identities tying G to the law of S.
 
-    Needs a stable exponent (closed-form integrated tail and density).
+    Needs a one-part exponent a lam**b (closed-form tail and density).
     Returns relative residuals; both identities hold exactly in the limit.
     """
-    if not isinstance(model.exponent, Stable):
-        raise UnsupportedModelError("identity checks need a stable exponent")
+    if model.exponent.power is None:
+        raise UnsupportedModelError("identity checks need a one-part exponent a lam**b")
     if t <= 0.0:
         raise DomainError("identity checks need t > 0")
-    b, g = model.exponent.beta, model.exponent.integrated_tail
+    (a, b), g = model.exponent.power, model.exponent.integrated_tail
 
     def in_log_r(v):
         return np.exp(v) * _truncated_tail_mean(model, np.exp(v), t)
 
-    # below r_lo the integrand is G(t) to a relative O(r t**-b), so the
+    # below r_lo the integrand is G(t) to a relative O(a r t**-b), so the
     # head int_0^r_lo is r_lo G(t) to about 1e-16 of the total
-    r_lo = 1e-8 * t ** b
+    r_lo = 1e-8 * t ** b / a
     bounds = np.log(geometric_boundaries(r_lo, model.inverse_support(t), per_decade=0.5,
-                                         extra=(t ** b,)))
+                                         extra=(t ** b / a,)))
     total = r_lo * g(t) + kronrod_quad(in_log_r, bounds, REL_TOL, 0.0)[0]
     total_res = abs(total - t) / t
 
@@ -357,16 +357,16 @@ def integrated_tail_identities(model, t):
     #                    = G(t) - E[G(t - S_s); S_s <= t]
     # with the endpoint singularity of w removed by r = t(1 - (1 - q)**(1/(1-b))),
     # which leaves pref * int_0^1 P(S_s > r) dq, by one pass in log q from
-    # r below about 1e-18 s**(1/b), where P(S_s > r) = 1: the head is q_lo
-    pref = t ** (1.0 - b) / ((1.0 - b) * math.gamma(1.0 - b))
+    # r below about 1e-18 (a s)**(1/b), where P(S_s > r) = 1: the head is q_lo
+    pref = a * t ** (1.0 - b) / ((1.0 - b) * math.gamma(1.0 - b))
     first = {}
     for mult in (0.5, 1.0, 2.0):
         s = mult * t
-        q_lo = 1e-20 * min(1.0, s ** (1.0 / b) / t)
+        q_lo = 1e-20 * min(1.0, (a * s) ** (1.0 / b) / t)
 
         def in_log_q(u):
             q = np.exp(u)
-            return q * _part_rows(b, np.float64(s), -t * np.expm1(np.log1p(-q) / (1.0 - b)))[1]
+            return q * _part_rows(b, np.float64(a * s), -t * np.expm1(np.log1p(-q) / (1.0 - b)))[1]
 
         bounds = np.log(geometric_boundaries(q_lo, 1.0, per_decade=1))
         lhs = pref * (q_lo + kronrod_quad(in_log_q, bounds, REL_TOL, 0.0)[0])

@@ -274,7 +274,7 @@ def test_constructed_piecewise_against_mpmath():
 class TestParse:
     def test_stable(self):
         e = parse_exponent("stable:0.5")
-        assert isinstance(e, Stable) and e.beta == 0.5
+        assert isinstance(e, Stable) and e.power == (1.0, 0.5)
 
     def test_mixture(self):
         e = parse_exponent("mixture:1,0.3;1,0.7")
@@ -284,6 +284,17 @@ class TestParse:
     def test_unknown(self):
         with pytest.raises(DomainError):
             parse_exponent("tempered:0.5")
+
+
+@pytest.mark.parametrize("exponent, power", [
+    (Stable(0.5), (1.0, 0.5)),
+    (parse_exponent("mixture:2,0.5"), (2.0, 0.5)),
+    (parse_exponent("mixture:1,0.3;1,0.7"), None),
+    (cbf_from_scale(PowerLaw(2.0), 3.0), None),
+])
+def test_power_states_one_part(exponent, power):
+    # (a, b) exactly where phi = a lam**b, else None
+    assert exponent.power == power
 
 
 @given(beta=st.floats(0.05, 0.95), lam=st.floats(1e-6, 1e6))

@@ -333,6 +333,32 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "non-convergence" in captured.err
 
+    def test_eval_fourier_one_part_mixture(self, capsys):
+        # mixture:1,0.5 has phi = lam**(1/2), the exponent of stable:0.5
+        args = ["eval", "--kernel", "gaussian:1", "--t", "1", "--z", "0", "--method", "fourier"]
+        outs = []
+        for model in (["--subordinator", "mixture:1,0.5"], ["--beta", "0.5"]):
+            assert run_cli(args + model) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_eval_fourier_tiny_weight_is_refused(self, capsys):
+        # phi = 1e-300 lam**(1/2) spreads p over z ~ 1e150: at z = 1,
+        # p ~ 4e-151 lies below the head's absolute floor, a verdict and no
+        # traceback, as t**(1/2) / a stays in float range
+        code = run_cli(["eval", "--subordinator", "mixture:1e-300,0.5", "--kernel", "gaussian:1",
+                        "--t", "1", "--z", "1", "--method", "fourier"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-convergence" in captured.err
+
+    def test_eval_fourier_two_part_mixture_is_refused(self, capsys):
+        code = run_cli(["eval", "--subordinator", "mixture:1,0.3;1,0.7", "--kernel", "gaussian:1",
+                        "--t", "1", "--z", "0", "--method", "fourier"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "one-part exponent" in captured.err
+
     @pytest.mark.parametrize("kernel", ["gaussian:3", "cauchy:2", "jump"])
     def test_eval_fourier_kernel_mismatch(self, kernel, capsys):
         code = run_cli(["eval", "--beta", "0.5", "--kernel", kernel, "--phi-scale", "power:1",

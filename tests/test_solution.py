@@ -9,6 +9,7 @@ time change,
 
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -719,7 +720,7 @@ class TestSelfSimilarity:
     def test_fourier(self, beta):
         for alpha in (1, 2):
             for base, scaled in _scaled_pair(
-                    lambda t, z: _fourier(beta, alpha, t, z), alpha, beta):
+                    lambda t, z: _fourier((1.0, beta), alpha, t, z), alpha, beta):
                 assert base.converged and scaled.converged
                 _assert_self_similar(base, scaled)
 
@@ -834,14 +835,14 @@ class TestFourierOracle:
         # reference on a 10 x 10 grid, for both spatial orders; every point
         # is converged, and so within the stated relative tolerance 1e-5
         for t in (0.1, 1.0, 10.0):
-            est = _fourier(0.5, 2, t, 0.0)
+            est = _fourier((1.0, 0.5), 2, t, 0.0)
             value, err = est.value, est.error
             assert abs(value - P_ONE_ZERO * t ** -0.25) <= err
             assert est.converged and err <= 1e-5 * abs(value)
         for alpha, kind in ((2, "gaussian"), (1, "cauchy")):
             for t in np.geomspace(0.1, 10.0, 10):
                 for z in np.geomspace(0.1, 2.0, 10):
-                    est = _fourier(0.5, alpha, t, z)
+                    est = _fourier((1.0, 0.5), alpha, t, z)
                     value, err = est.value, est.error
                     ref = _half_stable_reference(kind, t, z)
                     assert abs(value - ref) <= err, f"alpha={alpha} t={t} z={z}"
@@ -853,7 +854,7 @@ class TestFourierOracle:
         # far below the head's absolute floor, so the value is off by a
         # factor of about 3e4; its stated error covers that, but is no
         # relative answer
-        est = _fourier(0.5, 2, 0.01, 9.487)
+        est = _fourier((1.0, 0.5), 2, 0.01, 9.487)
         assert abs(est.value - 2.77e-20) <= est.error
         assert est.error > solution._FOURIER_REL_TOL * abs(est.value)
         assert not est.converged
@@ -872,14 +873,38 @@ class TestFourierOracle:
     def test_error_counts_the_table(self, monkeypatch):
         # at z = 0, xi_end = (60 / t**beta)**(1/alpha): the stated error
         # carries the table's error times xi_end, over pi
-        est = _fourier(0.5, 2, 1.0, 0.0)
+        est = _fourier((1.0, 0.5), 2, 1.0, 0.0)
         table = solution._ml_table(0.5)
         assert est.converged and est.error >= table.error[0] * math.sqrt(60.0) / math.pi
         worse = dataclasses.replace(table, error=table.error + 1e-6)
         monkeypatch.setattr(solution, "_ml_table", lambda beta: worse)
-        shifted = _fourier(0.5, 2, 1.0, 0.0)
+        shifted = _fourier((1.0, 0.5), 2, 1.0, 0.0)
         assert shifted.value == est.value
         assert shifted.error - est.error == pytest.approx(1e-6 * math.sqrt(60.0) / math.pi, rel=1e-6)
+
+    @pytest.mark.parametrize("beta, t", [(0.5, 1e-4), (0.9, 1e-4), (0.9, 0.01), (0.99, 0.01),
+                                         (0.99, 0.1), (0.999, 0.01), (0.999, 0.1)])
+    def test_on_diagonal_tail_stays_finite(self, gauss, beta, t):
+        # here a coefficient times t**(-beta k) overflows and xi_end**(1 - 2k)
+        # underflows: each z = 0 tail term is finite as (t**beta xi_end**2)**-k xi_end
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = _fourier((1.0, beta), 2, t, 0.0)
+        ref = density_quadrature(gauss, SubordinatorModel(Stable(beta)), t, 0.0)
+        assert est.converged and ref.converged
+        assert abs(est.value - ref.value) <= est.error + ref.error
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_one_part_weight(self, gauss, cauchy, alpha):
+        # phi = 2 lam**(1/2): E_t = (t/X)**(1/2) / 2, so t**(1/2) / 2 replaces
+        # t**(1/2) in the Mittag-Leffler argument
+        kernel, model = (cauchy, gauss)[alpha - 1], SubordinatorModel(StableMixture(((2.0, 0.5),)))
+        for t, z in ((1.0, 0.7), (0.1, 0.0), (10.0, 3.0)):
+            if z == 0.0 and alpha == 1:
+                continue
+            est, ref = _fourier((2.0, 0.5), alpha, t, z), density_quadrature(kernel, model, t, z)
+            assert est.converged and ref.converged
+            assert abs(est.value - ref.value) <= est.error + ref.error, f"t={t} z={z}"
 
     def test_classical_limit(self, gauss):
         got = density_fourier(0.999, 2, 1.0, 0.0)

@@ -383,6 +383,14 @@ class TestIdentities:
         rep = integrated_tail_identities(half, t)
         assert max(rep.first_identity.values()) <= 1e-10
 
+    @pytest.mark.parametrize("spec", ["mixture:2,0.5", "mixture:0.3,0.7"])
+    @pytest.mark.parametrize("t", [1e-4, 1.0])
+    def test_one_part_weight(self, spec, t):
+        # phi = a lam**b with a != 1: S_r = (a r)**(1/b) X and w = a s**-b / Gamma(1-b)
+        rep = integrated_tail_identities(SubordinatorModel(parse_exponent(spec)), t)
+        assert rep.total_residual <= 1e-12
+        assert max(rep.first_identity.values()) <= 1e-12
+
     def test_needs_stable(self, mixture):
         with pytest.raises(UnsupportedModelError):
             integrated_tail_identities(mixture, 1.0)
