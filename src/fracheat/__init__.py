@@ -15,8 +15,8 @@ from .estimates import EstimateModel, EstimateValue, explicit_near_diagonal
 from .harness import (SandwichReport, SandwichRow, VerifyConfig, build_models,
                       verify_sandwich, write_report_csv)
 from .kernels import (DerivativeReport, DiffusionSurrogate, ExactCauchy,
-                      ExactGaussian, JumpSurrogate, SpatialKernel, parse_kernel,
-                      time_derivative_report)
+                      ExactGaussian, JumpSurrogate, SpatialKernel, SurrogateKernel,
+                      parse_kernel, time_derivative_report)
 from .rng import RngStream
 from .scale import (PiecewisePower, PowerLaw, parse_profile,
                     subgaussian_exponent, subordinated_exponent)

@@ -31,12 +31,14 @@ from .subordinator import SubordinatorModel
 _MODEL_KEYS = ("subordinator", "kernel", "phi_scale", "volume")
 
 
-def _add_model_flags(p):
-    p.add_argument("--subordinator", help="stable:BETA or mixture:a,b;a,b")
-    p.add_argument("--beta", type=float, help="shorthand for --subordinator stable:BETA")
-    p.add_argument("--kernel", help="gaussian:D | cauchy:D | jump | diffusion")
-    p.add_argument("--phi-scale", dest="phi_scale", help="power:A | power2:LO,HI,BREAK")
-    p.add_argument("--volume", help="power:D | power2:LO,HI,BREAK")
+def _add_model_flags(p, kernel=True):
+    one = p.add_mutually_exclusive_group()  # --beta is shorthand for --subordinator
+    one.add_argument("--subordinator", help="stable:BETA or mixture:a,b;a,b")
+    one.add_argument("--beta", type=float, help="shorthand for --subordinator stable:BETA")
+    if kernel:
+        p.add_argument("--kernel", help="gaussian:D | cauchy:D | jump | diffusion")
+        p.add_argument("--phi-scale", dest="phi_scale", help="power:A | power2:LO,HI,BREAK")
+        p.add_argument("--volume", help="power:D | power2:LO,HI,BREAK")
 
 
 def _build_parser():
@@ -67,7 +69,7 @@ def _build_parser():
             p_ver.add_argument("--" + f.name.replace("_", "-"), dest=f.name)
 
     p_sam = sub.add_parser("sample", help="draw subordinator or inverse samples")
-    _add_model_flags(p_sam)
+    _add_model_flags(p_sam, kernel=False)
     p_sam.add_argument("--dist", choices=("s", "e"), required=True,
                        help="s: subordinator S_r; e: inverse E_t")
     p_sam.add_argument("--r", type=float, help="elapsed time for S_r")
@@ -97,7 +99,7 @@ def _subordinator_key(args):
 
 
 def _model_config(args):
-    """Campaign config carrying the model flags of eval, estimate or sample."""
+    """Campaign config carrying the model flags of eval or estimate."""
     return harness.config_from_mapping({
         **{k: getattr(args, k) or None for k in _MODEL_KEYS},
         "subordinator": _subordinator_key(args)})
@@ -158,7 +160,7 @@ def _cmd_verify(args):
 
 
 def _cmd_sample(args):
-    model = SubordinatorModel(parse_exponent(_model_config(args).subordinator))
+    model = SubordinatorModel(parse_exponent(_subordinator_key(args) or VerifyConfig.subordinator))
     rng = RngStream(args.seed, 0)
     if args.dist == "s":
         if args.r is None:

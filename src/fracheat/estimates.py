@@ -24,7 +24,7 @@ import numpy as np
 from .bernstein import LaplaceExponent
 from .errors import DomainError
 from .numerics import TINY
-from .scale import subordinated_exponent
+from .scale import diagonal_power, subordinated_exponent
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class EstimateModel:
         A term one of whose factors leaves float range, though the term need
         not, is taken in logs (`_power_integral_in_logs`)."""
         scale, volume = self.scale.pieces, self.volume.pieces
-        diverges = (a == 0.0) & (volume[0][2] / scale[0][2] > 1.0 - 1e-14)
+        diverges = (a == 0.0) & (diagonal_power(self.volume, self.scale) >= 1.0)
         starts = sorted({u for u, _, _ in scale + volume})
         edges = [0.0, *[phi_t * self.scale.value(u) for u in starts[1:]], 2.0]
         total = np.where(diverges, np.inf, 0.0)
@@ -110,8 +110,11 @@ class EstimateModel:
                 g = e_v / e_s
                 inside = (a < hi) & ~diverges
                 x = np.maximum(a[inside], lo)
-                if abs(g - 1.0) < 1e-14:
-                    total[inside] += phi_t * c_s / c_v * np.log(hi / x)
+                if abs(g - 1.0) < 1e-14:  # the power form cancels; at x = 0 it does not
+                    log = np.log(hi / x)
+                    if g < 1.0:  # x = 0 only on the diagonal, which is finite below g = 1
+                        log[x == 0.0] = hi ** (1.0 - g) / (1.0 - g)
+                    total[inside] += phi_t * c_s / c_v * log
                 else:
                     front = np.float64(phi_t * c_s) ** g
                     at_hi, at_x = hi ** (1.0 - g), x ** (1.0 - g)

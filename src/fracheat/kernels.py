@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedModelError
 from .numerics import exp1, exp_in_place
-from .scale import subgaussian_exponent
+from .scale import diagonal_power, subgaussian_exponent
 
 
 def _row_out(out, s, z):
@@ -40,11 +40,13 @@ def _row_out(out, s, z):
 class SpatialKernel:
     """Base: q(t, z) >= 0, non-increasing in z for fixed t.  Each kernel
     states its `flavor`, "jump" or "diffusion", the shape of its two-sided
-    estimate, and its `fourier_order`: the alpha of its 1-d symbol
-    |xi|**alpha, which the Fourier oracle needs, or None."""
+    estimate; its `fourier_order`, the alpha of its 1-d symbol |xi|**alpha
+    that the Fourier oracle needs, or None; its `diagonal_power`, the gamma
+    of q(s, 0) ~ s**-gamma as s -> 0; and its `bends`, the s where q changes piece."""
 
     flavor: str
     fourier_order = None
+    bends = ()
 
     def q(self, t, z):
         return self.at(t)(z)
@@ -89,6 +91,7 @@ class ExactGaussian(SpatialKernel):
     __post_init__ = _check_dim
     flavor = "diffusion"
     fourier_order = property(lambda self: 2 if self.dim == 1 else None)
+    diagonal_power = property(lambda self: self.dim / 2.0)
 
     def at(self, s):
         s = np.asarray(s, dtype=float)
@@ -97,7 +100,8 @@ class ExactGaussian(SpatialKernel):
 
         def q_of(z, out=None):
             z = np.asarray(z, dtype=float)
-            out = np.divide(-z * z, four_s, out=_row_out(out, s, z))
+            with np.errstate(over="ignore"):  # z * z is inf past 1.3e154, where q is 0
+                out = np.divide(-z * z, four_s, out=_row_out(out, s, z))
             exp_in_place(out)
             return np.multiply(front, out, out=out)[()]
         return q_of
@@ -130,6 +134,7 @@ class ExactCauchy(SpatialKernel):
     __post_init__ = _check_dim
     flavor = "jump"
     fourier_order = property(lambda self: 1 if self.dim == 1 else None)
+    diagonal_power = property(lambda self: float(self.dim))
 
     def at(self, s):
         s = np.asarray(s, dtype=float)
@@ -139,9 +144,10 @@ class ExactCauchy(SpatialKernel):
 
         def q_of(z, out=None):
             z = np.asarray(z, dtype=float)
-            out = np.add(sq, z * z, out=_row_out(out, s, z))
-            if d != 1:
-                out **= (d + 1) / 2.0  # ** 1.0 would leave every bit as it is
+            with np.errstate(over="ignore"):  # an inf denominator, where q is 0
+                out = np.add(sq, z * z, out=_row_out(out, s, z))
+                if d != 1:
+                    out **= (d + 1) / 2.0  # ** 1.0 would leave every bit as it is
             return np.divide(top, out, out=out)[()]
         return q_of
 
@@ -173,11 +179,32 @@ class ExactCauchy(SpatialKernel):
 
 
 @dataclass(frozen=True)
-class JumpSurrogate(SpatialKernel):
-    """Two-sided jump estimate shape t / (t V(Phi^-1(t)) + Phi(z) V(z))."""
+class SurrogateKernel(SpatialKernel):
+    """A shape on a volume profile V and a space-time scale Phi, whose q(s, 0)
+    is 1/V(Phi^-1(s)) and bends at each Phi(u), u where either profile
+    bends (inf past float range)."""
 
     volume: object
     scale: object
+    diagonal_power = property(lambda self: diagonal_power(self.volume, self.scale))
+
+    @property
+    def bends(self):
+        starts = {u for u, _, _ in self.volume.pieces + self.scale.pieces} - {0.0}
+        with np.errstate(over="ignore"):
+            return tuple(float(self.scale.value(u)) for u in sorted(starts))
+
+    def time_scale(self, z):
+        return float(self.scale.value(z))
+
+    def length_scale(self, s):
+        return float(self.scale.inverse(s))
+
+
+@dataclass(frozen=True)
+class JumpSurrogate(SurrogateKernel):
+    """Two-sided jump estimate shape t / (t V(Phi^-1(t)) + Phi(z) V(z))."""
+
     flavor = "jump"
 
     def at(self, s):
@@ -191,19 +218,11 @@ class JumpSurrogate(SpatialKernel):
             return np.divide(s, out, out=out)[()]
         return q_of
 
-    def time_scale(self, z):
-        return float(self.scale.value(z))
-
-    def length_scale(self, s):
-        return float(self.scale.inverse(s))
-
 
 @dataclass(frozen=True)
-class DiffusionSurrogate(SpatialKernel):
+class DiffusionSurrogate(SurrogateKernel):
     """Sub-Gaussian estimate shape exp(-m(t, z)) / V(Phi^-1(t))."""
 
-    volume: object
-    scale: object
     flavor = "diffusion"
 
     def __post_init__(self):
@@ -219,20 +238,11 @@ class DiffusionSurrogate(SpatialKernel):
         def q_of(z, out=None):
             z = np.asarray(z, dtype=float)
             out = _row_out(out, s, z)
-            if z.ndim == 0 and float(z) == 0.0:
-                out[...] = front
-                return out[()]
             m = subgaussian_exponent(self.scale, s, np.maximum(z, 1e-300))
             np.negative(np.where(z > 0, m, 0.0), out=out)
             exp_in_place(out)
             return np.multiply(front, out, out=out)[()]
         return q_of
-
-    def time_scale(self, z):
-        return float(self.scale.value(z))
-
-    def length_scale(self, s):
-        return float(self.scale.inverse(s))
 
 
 def parse_kernel(key, volume=None, scale=None):
@@ -245,10 +255,9 @@ def parse_kernel(key, volume=None, scale=None):
         except ValueError:
             raise DomainError(f"malformed kernel spec {key!r}") from None
         return ExactGaussian(dim) if kind == "gaussian" else ExactCauchy(dim)
-    if kind == "jump":
-        return JumpSurrogate(volume, scale)
-    if kind == "diffusion":
-        return DiffusionSurrogate(volume, scale)
+    surrogates = {"jump": JumpSurrogate, "diffusion": DiffusionSurrogate}
+    if kind in surrogates:
+        return surrogates[kind](volume, scale)
     raise DomainError(f"unknown kernel spec {key!r}")
 
 
@@ -280,7 +289,7 @@ def _dq_dt(kernel, t, z, rel_step=1e-5):
 
 def time_derivative_report(kernel, ts=None, zs=None):
     """Verify the derivative structure of a surrogate kernel on a grid."""
-    if not isinstance(kernel, (JumpSurrogate, DiffusionSurrogate)):
+    if not isinstance(kernel, SurrogateKernel):
         raise DomainError("derivative report applies to surrogate kernels")
     if ts is None:
         ts = np.geomspace(1e-2, 1e2, 9)
@@ -295,11 +304,8 @@ def time_derivative_report(kernel, ts=None, zs=None):
         return DerivativeReport(math.nan, math.nan, math.nan, False)
     t, z, q = t[keep], z[keep], q[keep]
     d = _dq_dt(kernel, t, z)
-    if isinstance(kernel, DiffusionSurrogate):
-        front = 1.0 / kernel.volume.value(kernel.scale.inverse(t))
-        envelope = np.sqrt(q * front)  # front * exp(-m/2)
-    else:
-        envelope = q
+    # front * exp(-m/2) for diffusion, the front 1/V(Phi^-1(t)) being q(t, 0)
+    envelope = np.sqrt(q * kernel.q(t, 0.0)) if kernel.flavor == "diffusion" else q
     c_bound = np.max(np.abs(d) * t / envelope, initial=0.0)
     s = kernel.scale.value(z) / t
     order = np.argsort(s, kind="stable")

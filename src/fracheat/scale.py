@@ -141,6 +141,11 @@ def parse_profile(key):
     raise DomainError(f"unknown profile spec {key!r}")
 
 
+def diagonal_power(volume, scale):
+    """The gamma of 1/V(Phi^-1(s)) ~ s**-gamma as s -> 0: V's first exponent over Phi's."""
+    return volume.pieces[0][2] / scale.pieces[0][2]
+
+
 def _chaining_root(scale, k, log_a, formula, t, r):
     """formula(c, e, t, r) on the piece c x**e of Phi that holds at the root x
     of Phi(x)/x**k = (t/r)**k / a, placed in logs so t/r cannot overflow."""

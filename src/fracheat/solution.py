@@ -108,45 +108,29 @@ def _check_point(t, z):
         raise DomainError("density needs a finite t > 0 and finite z >= 0")
 
 
-def _check_domain(kernel, model, t, z):
-    """_check_point; for z = 0, see _check_on_diagonal_integrable."""
+def _check_domain(kernel, t, z):
+    """_check_point, and no z = 0 if q(s, 0) ~ s**-gamma with gamma >= 1, as h_t(0) > 0."""
     _check_point(t, z)
-    if min(z.tolist(), default=1.0) == 0.0:
-        _check_on_diagonal_integrable(kernel, model, t)
+    if min(z.tolist(), default=1.0) == 0.0 and kernel.diagonal_power >= 1.0:
+        raise DomainError(f"p(t, 0) diverges: q(s, 0) ~ s**-{kernel.diagonal_power:g} as s -> 0")
 
 
 def _log_panels(kernel, model, t, z):
     """Panel boundaries in log s for the integrands of p along the z row:
-    geometric over (s_lo, s_hi), outside which they are negligible, and
-    split where one changes character, at the kernel's own time scale at
-    each distance z and the inverse-subordinator time scale.  Off the
-    diagonal q(s, z) vanishes as s -> 0; on it q may blow up like s**-1/2,
-    which leaves a head of relative size (s_lo / scale)**(1/2).  Splits one
-    ulp apart in s, such as the time scale of a piecewise profile at
-    Phi(Phi^-1(s)) = s, meet in log s, so equal logs are merged: a
-    zero-width panel would divide 0/0 in kronrod_quad."""
-    inv_phi = 1.0 / model.exponent.phi(1.0 / t)
-    splits = {inv_phi, 2.0 * inv_phi, *map(kernel.time_scale, z.tolist())} - {0.0}
-    s_hi = model.inverse_support(t)
+    geometric over (s_lo, s_hi), outside which they are negligible or one
+    power (`_kronrod_row`'s head), and split at the kernel's time scale at
+    each z, at the inverse-subordinator time scale and at the kernel's
+    bends (one below 1e-64 s_hi raised to it, so that q stays in float
+    range), s_lo 18 decades below the least split, 36 with a z = 0.
+    Splits one ulp apart in s, such as the time scale of a piecewise
+    profile at Phi(Phi^-1(s)) = s, meet in log s, so equal logs are merged:
+    a zero-width panel would divide 0/0 in kronrod_quad."""
+    inv_phi, s_hi = 1.0 / model.exponent.phi(1.0 / t), model.inverse_support(t)
+    splits = {inv_phi, 2.0 * inv_phi, *map(kernel.time_scale, z.tolist()),
+              *(max(bend, 1e-64 * s_hi) for bend in kernel.bends)} - {0.0}
     s_lo = min(min(splits), s_hi) * (1e-18 if z.all() else 1e-36)
     return np.unique(np.log(geometric_boundaries(s_lo, s_hi, per_decade=2,
                                                  extra=sorted(splits))))
-
-
-def _check_on_diagonal_integrable(kernel, model, t):
-    """p(t, 0) is infinite when q(s, 0) blows up at least like 1/s at
-    s -> 0 (the inverse-time density is positive there); refuse to return
-    a roundoff-limited finite number for it."""
-    scale = model.inverse_support(t)
-    s1, s2 = 1e-10 * scale, 1e-8 * scale
-    q1, q2 = float(kernel.q(s1, 0.0)), float(kernel.q(s2, 0.0))
-    if q1 <= 0.0 or q2 <= 0.0:
-        return
-    slope = math.log(q2 / q1) / math.log(s2 / s1)
-    if slope <= -1.0 + 1e-9:
-        raise DomainError(
-            "the on-diagonal value diverges for this kernel (short-time "
-            f"blow-up exponent {slope:.3f} <= -1)")
 
 
 @_along_z
@@ -159,7 +143,7 @@ def density_quadrature(kernel, model, t, z):
     `_kronrod_row`, which answers every z.  A contour that cannot take the
     kernel or the time change leaves its z to the next path.
     """
-    _check_domain(kernel, model, t, z)
+    _check_domain(kernel, t, z)
     row = [None] * z.size
     for path in (_contour_row, _saddle_row, _kronrod_row):
         flagged = [i for i, est in enumerate(row) if est is None or not est.converged]
@@ -180,13 +164,20 @@ def _kronrod_row(kernel, model, t, z):
     split by `_log_panels` for every row, and h_t at each node.  A panel is
     bisected where |K15 - G7| exceeds its share of REL_TOL*|p| in some row;
     a row's error is the sum of those plus a rounding bound, and a p below
-    the smallest normal float, zero or subnormal, is flagged."""
+    the smallest normal float, zero or subnormal, is flagged.  A z = 0 row
+    adds its head below s_lo, q(s_lo, 0) h_t(s_lo) s_lo / (1 - gamma), gamma
+    the kernel's `diagonal_power`, and is flagged if s_lo is past a bend."""
     def in_log_s(u):
         s = np.exp(u)
         return model.inverse_density(t, s) * kernel.q(s, z[:, None]) * s
 
     bounds = _log_panels(kernel, model, t, z)
     total, error, ok = kronrod_quad(in_log_s, bounds, REL_TOL, ABS_FLOOR)
+    if not z.all():  # int_0^s_lo q(s, 0) h_t ds: q(s, 0) ~ s**-gamma, h_t flat to O(s_lo)
+        s_lo = math.exp(bounds[0])
+        total[z == 0.0] += (kernel.q(s_lo, 0.0) * model.inverse_density(t, s_lo) * s_lo
+                            / (1.0 - kernel.diagonal_power))
+        ok[z == 0.0] &= s_lo < min(kernel.bends, default=math.inf)  # else not one power below s_lo
     ok &= np.abs(total) >= TINY  # an underflowed p meets any tolerance, but is no answer
     return [SolutionEstimate(v, e, "quad", k)
             for v, e, k in zip(total.tolist(), error.tolist(), ok.tolist())]
@@ -333,7 +324,7 @@ def density_laplace(kernel, model, t, z):
     the error exceeds REL_TOL*|p| and the result comes back flagged, as
     does any non-finite value and p = 0.
     """
-    _check_domain(kernel, model, t, z)
+    _check_domain(kernel, t, z)
     return _contour_row(kernel, model, t, z)
 
 
@@ -442,7 +433,7 @@ def density_monte_carlo(kernel, model, t, z, n, rng):
     the floor.  A collapsed z of several parts comes back flagged."""
     if n < 100:
         raise DomainError(f"need at least 100 samples, got {n}")
-    _check_domain(kernel, model, t, z)
+    _check_domain(kernel, t, z)
     e_samples = model.sample_inverse(t, rng, n)
     q_of, buf = kernel.at(e_samples), np.empty(n)
     draws, row = None, []

@@ -108,6 +108,8 @@ def _sum_rows(terms, rs, xs):
     if not rest:
         low, high, f = _part_rows(b, ar, xs)
         return np.stack([low, high, f, xs * f / b])
+    if not rs.size:  # a convolution pass needs a row
+        return np.empty((4, 0, xs.size))
     if rs.size > _CONV_ROWS:
         return np.concatenate([_sum_rows(terms, rs[i:i + _CONV_ROWS], xs)
                                for i in range(0, rs.size, _CONV_ROWS)], axis=1)
@@ -152,15 +154,17 @@ class SubordinatorModel:
         per pair, as a pass shared by several r costs more than their own.
         NaN fails r, t > 0."""
         r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-        if not (np.all(r > 0.0) and np.all(t > 0.0)):
-            raise DomainError(f"{name} needs r, t > 0")
+        if not np.all((0.0 < r) & (r < math.inf) & (0.0 < t) & (t < math.inf)):
+            raise DomainError(f"{name} needs finite r, t > 0")
         rs, ts = r.ravel(), t.ravel()
         if self.exponent.power is not None:
             a, b = self.exponent.power
             return _part_rows(b, a * rs, ts)[:2].reshape((2,) + r.shape)
         terms = self._components()
-        return np.concatenate([_sum_rows(terms, rs[i:i + 1], ts[i:i + 1])[:2, 0]
-                               for i in range(rs.size)], axis=1).reshape((2,) + r.shape)
+        rows = np.empty((2, rs.size))
+        for i in range(rs.size):
+            rows[:, i] = _sum_rows(terms, rs[i:i + 1], ts[i:i + 1])[:2, 0, 0]
+        return rows.reshape((2,) + r.shape)
 
     def cdf(self, r, t):
         """P(S_r <= t) at each (r, t), broadcast."""
@@ -187,8 +191,8 @@ class SubordinatorModel:
         """Density of E_t at each r, i.e. d/dr P(S_r >= t): M(t)/r with M
         from `_sum_rows`, in the shape of r; a scalar r gives a float."""
         rs = np.asarray(r, dtype=float)
-        if not (t > 0.0 and np.all(rs > 0.0)):
-            raise DomainError("inverse_density needs t, r > 0")
+        if not (0.0 < t < math.inf and np.all((0.0 < rs) & (rs < math.inf))):
+            raise DomainError("inverse_density needs finite t, r > 0")
         flat = rs.ravel()
         h = _sum_rows(self._components(), flat, np.array([t]))[3, :, 0] / flat
         return float(h[0]) if rs.ndim == 0 else h.reshape(rs.shape)

@@ -456,6 +456,34 @@ class TestCli:
     def test_sample_needs_value(self, capsys):
         assert run_cli(["sample", "--dist", "s", "--beta", "0.5"]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        # sample draws from the time change alone: it takes no kernel or profile
+        (["sample", "--dist", "e", "--t", "1", "--n", "2", "--beta", "0.5",
+          "--kernel", "gaussian:x", "--volume", "nonsense"], "unrecognized arguments"),
+        # --beta is shorthand for --subordinator: given both, neither wins silently
+        (["eval", "--beta", "0.7", "--subordinator", "stable:0.5", "--kernel", "gaussian:1",
+          "--t", "1", "--z", "0"], "not allowed with"),
+    ], ids=["sample-kernel-flags", "beta-and-subordinator"])
+    def test_flags_nothing_reads_are_usage_errors(self, capsys, argv, message):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("kernel", ["gaussian:1", "cauchy:1"])
+    @pytest.mark.parametrize("method", ["quad", "mc"])
+    def test_far_z_under_warnings_as_errors(self, kernel, method):
+        # z * z overflows past z = 1.3e154: q is 0 there, so p = 0 is no answer (exit 3)
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "fracheat", "eval", "--beta",
+                               "0.5", "--kernel", kernel, "--t", "1", "--z", "1e160",
+                               "--method", method], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 3, done.stderr
+        assert "numerical non-convergence" in done.stderr and "Traceback" not in done.stderr
+
     @pytest.mark.parametrize("method", ["mc", "quad", "fourier"])
     @pytest.mark.parametrize("t, z", [("nan", "1"), ("inf", "1"), ("1", "nan"), ("1", "inf")])
     def test_eval_non_finite_point_is_usage_error(self, capsys, method, t, z):

@@ -10,7 +10,7 @@ from scipy import integrate
 from fracheat import (DiffusionSurrogate, DomainError, ExactCauchy,
                       ExactGaussian, JumpSurrogate, PowerLaw, VerifyConfig, parse_kernel,
                       time_derivative_report)
-from fracheat.harness import build_models
+from fracheat.harness import build_kernel_and_model, build_models
 from fracheat.kernels import _dq_dt
 from fracheat.numerics import _EXP_FAST, _EXP_ZERO
 from fracheat.scale import subgaussian_exponent
@@ -135,6 +135,33 @@ ROW_CASES = {
     "far": (np.random.default_rng(6).permutation(np.geomspace(1e-2, 1e2, 30_001)), 10.0),
     "quadrature": (np.geomspace(1e-3, 1e3, 40), np.array([[0.0], [0.5], [3.0], [40.0]])),
 }
+
+
+# (kernel, phi scale, volume, diagonal_power, bends): on the diagonal a
+# surrogate is 1/V(Phi^-1(s)), a power of V's first exponent over Phi's, and
+# it bends at Phi(u) for each radius u where either profile bends
+DIAGONAL_FACTS = [
+    ("gaussian:1", "power:1", "power:1", 0.5, ()),
+    ("gaussian:3", "power:1", "power:1", 1.5, ()),
+    ("cauchy:1", "power:1", "power:1", 1.0, ()),
+    ("jump", "power:1", "power:0.9", 0.9, ()),
+    ("jump", "power:1", "power2:0.5,1.5,1e-12", 0.5, (1e-12,)),
+    ("jump", "power2:0.5,1.5,1", "power2:1,3,2", 2.0, (1.0, 2.0 ** 1.5)),
+    ("diffusion", "power:2", "power:1.9", 0.95, ()),
+    ("diffusion", "power:2", "power2:2.5,1,1e-20", 1.25, (1e-40,)),
+    ("diffusion", "power2:1.5,2.5,1e-3", "power2:1,2,10", 1.0 / 1.5, (1e-3 ** 1.5, 1e3 * 10.0 ** 2.5)),
+]
+
+
+@pytest.mark.parametrize("key, scale, volume, power, bends", DIAGONAL_FACTS)
+def test_diagonal_power_and_bends(key, scale, volume, power, bends):
+    kernel, _ = build_kernel_and_model(VerifyConfig(kernel=key, phi_scale=scale, volume=volume))
+    assert kernel.diagonal_power == pytest.approx(power, rel=1e-15)
+    assert kernel.bends == pytest.approx(bends, rel=1e-15)
+    if bends:  # q(s, 0) is one power below the first bend: gamma from two points there
+        s = bends[0] * np.array([1e-6, 1e-3])
+        q = kernel.q(s, 0.0)
+        assert -math.log(q[1] / q[0]) / math.log(1e3) == pytest.approx(power, rel=1e-12)
 
 
 class TestRowForm:

@@ -22,7 +22,8 @@ from fracheat import (DomainError, ExactCauchy, ExactGaussian, GaussianBump,
                       caputo_weak_residual, cbf_from_scale, density_fourier,
                       density_laplace, density_monte_carlo, density_quadrature,
                       mass_residual, mittag_leffler)
-from fracheat import solution
+from fracheat import VerifyConfig, solution
+from fracheat.harness import build_kernel_and_model, build_models
 from fracheat.numerics import chebyshev_table, kronrod_quad
 from fracheat.solution import _fourier
 
@@ -308,6 +309,80 @@ class TestQuadrature:
         est = density_quadrature(cauchy, mix, 0.1, 3.0)
         assert est.method == "quad" and est.converged
         assert abs(est.value - contour.value) <= est.error + contour.error
+
+
+def _half_stable_bent_reference(low, high, brk):
+    """p(1, 0) under the 1/2-stable time change for q(s, 0) = 1/V(s), V =
+    power2:low,high,brk: E_1 has density exp(-s**2/4)/sqrt(pi), so p is two
+    incomplete gamma functions, here at 30 digits."""
+    with mpmath.workdps(30):
+        low, high, brk = (mpmath.mpf(v) for v in (low, high, brk))
+        edge = brk * brk / 4
+        return float((2 ** -low * mpmath.gammainc((1 - low) / 2, 0, edge)
+                      + brk ** (high - low) * 2 ** -high * mpmath.gammainc((1 - high) / 2, edge))
+                     / mpmath.sqrt(mpmath.pi))
+
+
+def _power_reference(gamma):
+    """E[E_1**-gamma] = 2**-gamma Gamma((1 - gamma)/2) / sqrt(pi) for the
+    1/2-stable E_1: p(1, 0) where q(s, 0) = s**-gamma."""
+    return 2.0 ** -gamma * math.gamma((1.0 - gamma) / 2.0) / math.sqrt(math.pi)
+
+
+# p(1, 0) under stable:0.5 where q(s, 0) ~ s**-gamma as s -> 0: (kernel, phi
+# scale, volume, reference), None where gamma > 1 and p(1, 0) is infinite
+ON_DIAGONAL = [
+    ("jump", "power:1", "power:0.9", _power_reference(0.9)),
+    ("jump", "power:1", "power:0.99", _power_reference(0.99)),
+    ("diffusion", "power:2", "power:1.9", _power_reference(0.95)),
+    ("jump", "power:1", "power2:0.5,1.5,1e-12", _half_stable_bent_reference("0.5", "1.5", "1e-12")),
+    ("jump", "power:1", "power2:0.5,0.99,1e-45",
+     _half_stable_bent_reference("0.5", "0.99", "1e-45")),
+    ("jump", "power:1", "power2:1.5,0.5,1e-12", None),
+    ("diffusion", "power:2", "power2:2.5,1,1e-20", None),
+]
+
+
+class TestOnDiagonal:
+    @pytest.mark.parametrize("key, scale, volume, reference", ON_DIAGONAL)
+    def test_against_reference(self, half, key, scale, volume, reference):
+        kernel, _ = build_kernel_and_model(VerifyConfig(kernel=key, phi_scale=scale, volume=volume))
+        if reference is None:
+            with pytest.raises(DomainError, match="diverges"):
+                density_quadrature(kernel, half, 1.0, 0.0)
+            return
+        est = density_quadrature(kernel, half, 1.0, 0.0)
+        assert est.converged
+        assert est.value == pytest.approx(reference, rel=1e-10)
+        assert abs(est.value - reference) <= est.error
+
+    @pytest.mark.parametrize("key, scale", [("jump", "power:1"), ("jump", "power2:2,0.5,1"),
+                                            ("diffusion", "power:2"),
+                                            ("diffusion", "power2:1.5,2.5,1")])
+    def test_estimate_and_quadrature_agree(self, key, scale):
+        # the estimate's near integral is inf exactly where the quadrature refuses
+        # z = 0, also for a first piece a hair below gamma = 1
+        for volume in ("power:0.5", "power:1", "power:2", "power:3", "power2:0.5,3,1e-3",
+                       "power2:3,0.5,1e-3", "power2:0.5,1.5,1e-12", "power2:1.5,0.5,1e-12",
+                       "power:0.999999999999999", "power:1.999999999999998"):
+            kernel, model, emodel = build_models(
+                VerifyConfig(kernel=key, phi_scale=scale, volume=volume))
+            infinite = math.isinf(emodel.estimate(1.0, 0.0).value)
+            try:
+                est = density_quadrature(kernel, model, 1.0, 0.0)
+            except DomainError:
+                assert infinite, volume
+            else:
+                assert not infinite and est.converged and math.isfinite(est.value), volume
+
+    def test_row_with_the_diagonal(self, half):
+        # z = 0 takes its head in a row of several z, which keep their own values
+        kernel, _ = build_kernel_and_model(VerifyConfig(kernel="jump", volume="power:0.99"))
+        row = density_quadrature(kernel, half, 1.0, np.array([0.5, 0.0, 2.0]))
+        assert row[1].value == pytest.approx(_power_reference(0.99), rel=1e-10)
+        for i, z in ((0, 0.5), (2, 2.0)):
+            assert row[i].value == pytest.approx(density_quadrature(kernel, half, 1.0, z).value,
+                                                 rel=1e-12)
 
 
 def _row_against_points(kernel, model, t, zs):

@@ -426,18 +426,30 @@ def test_domain_errors(half):
 
 @pytest.mark.parametrize("exponent", [Stable(0.5), StableMixture(((1.0, 0.3), (1.0, 0.7)))],
                          ids=["stable:0.5", "mixture:1,0.3;1,0.7"])
-@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])
 def test_law_refuses_points_not_above_zero(exponent, bad):
     # every law of S and of E_t, at a bad point in either argument, and the
-    # stable law of each part, at a scalar and inside an array
+    # stable law of each part, at a scalar and inside an array; the stable
+    # law takes x = inf, where P(S <= inf) = 1
     model = SubordinatorModel(exponent)
     calls = [lambda: model.inverse_density(1.0, [2.0, bad])]
     for name in ("cdf", "survival", "log_cdf", "inverse_density"):
         calls += [lambda f=getattr(model, name): f(bad, 1.0),
                   lambda f=getattr(model, name): f(1.0, bad)]
-    for _, beta in exponent.terms:
+    for _, beta in exponent.terms if bad != math.inf else ():
         for f in (stable.density, stable.cdf, stable.survival):
             calls += [lambda f=f: f(beta, bad), lambda f=f: f(beta, np.array([2.0, bad]))]
     for call in calls:
         with pytest.raises(DomainError):
             call()
+
+
+@pytest.mark.parametrize("exponent", [Stable(0.5), StableMixture(((1.0, 0.3), (1.0, 0.7)))],
+                         ids=["stable:0.5", "mixture:1,0.3;1,0.7"])
+@pytest.mark.parametrize("name", ["cdf", "survival", "log_cdf", "inverse_density"])
+@pytest.mark.parametrize("shape", [(0,), (2, 0)])
+def test_law_of_no_points_is_empty(exponent, name, shape):
+    # an empty r gives an empty array of its shape, for one part and for several
+    law = getattr(SubordinatorModel(exponent), name)
+    out = law(1.0, np.empty(shape)) if name == "inverse_density" else law(np.empty(shape), 1.0)
+    assert isinstance(out, np.ndarray) and out.shape == shape
